@@ -21,14 +21,12 @@ from .estimator import (
     EventEReport,
     GramEstimate,
     HeicDiagnostics,
-    cluster_gap,
     event_e_check,
     find_cluster,
     gram_estimate,
     heic,
-    left_gap,
     noise_bound,
-    right_gap,
+    window_gaps,
 )
 from .experiments import (
     ConvergenceRecord,
@@ -47,7 +45,6 @@ from .harmonics import (
     SpectrumLevel,
     addition_constant,
     analytic_spectrum,
-    funck_hecke_eigenvalue,
     funck_hecke_table,
     gap1_analytic,
     gegenbauer,
@@ -97,14 +94,12 @@ __all__ = [
     "affine",
     "analytic_spectrum",
     "builtin_links",
-    "cluster_gap",
     "custom",
     "delta_2",
     "edge_density",
     "estimate_dimension",
     "event_e_check",
     "find_cluster",
-    "funck_hecke_eigenvalue",
     "funck_hecke_table",
     "gap1_analytic",
     "gegenbauer",
@@ -113,14 +108,12 @@ __all__ = [
     "harmonic_space_dim",
     "heic",
     "inner_products",
-    "left_gap",
     "link_from_spec",
     "noise_bound",
     "normalize_adjacency",
     "normalized_gegenbauer",
     "probability_matrix",
     "replicate_seeds",
-    "right_gap",
     "run_dimension_study",
     "run_mse_study",
     "run_spectrum_convergence",
@@ -131,4 +124,5 @@ __all__ = [
     "symmetric_eig",
     "table",
     "threshold",
+    "window_gaps",
 ]

@@ -38,7 +38,7 @@ from .experiments import (
 from .harmonics import analytic_spectrum
 from .links import link_from_spec
 from .model import GraphModel, gram_population, probability_matrix, sample_adjacency, sample_uniform_sphere
-from .spectral import symmetric_eig
+from .spectral import symmetric_eigvals
 
 
 class _Parser(argparse.ArgumentParser):
@@ -78,7 +78,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    spec = symmetric_eig(io.read_matrix_csv(args.input))
+    spec = symmetric_eigvals(io.read_matrix_csv(args.input))
     lines = ["index,eigenvalue"]
     lines.extend(f"{i},{io.format_float(v)}" for i, v in enumerate(spec.values))
     _write_lines(args.out, lines)

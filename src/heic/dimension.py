@@ -2,7 +2,12 @@
 
 For each candidate d the cluster search returns the best separation of any
 d consecutive sorted eigenvalues; the candidate whose score is largest is
-the dimension estimate.  One eigendecomposition serves all candidates.
+the dimension estimate.  One eigenvalue computation (no eigenvectors)
+serves all candidates.
+
+estimate_dimension validates its adjacency once, at the top (square,
+finite, symmetric), together with the candidates; scan_spectrum validates
+only the candidates against the spectrum it is given.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .estimator import find_cluster
-from .spectral import SortedSpectrum, normalize_adjacency, symmetric_eig
+from .estimator import window_gaps
+from .model import require_symmetric
+from .spectral import SortedSpectrum, descending_eigvalsh
 
 
 @dataclass(frozen=True)
@@ -23,22 +29,30 @@ class DimensionScan:
     chosen: int
 
 
-def scan_spectrum(spec: SortedSpectrum, candidates) -> DimensionScan:
-    """Score each candidate d on an already-computed sorted spectrum."""
+def _require_candidates(candidates, n: int) -> tuple[int, ...]:
     candidates = tuple(int(d) for d in candidates)
     if not candidates:
         raise ValidationError("candidate set must not be empty")
     if any(d < 1 for d in candidates):
         raise ValidationError("candidate dimensions must be >= 1")
-    if spec.n < max(candidates) + 2:
+    if n < max(candidates) + 2:
         raise ValidationError(
-            f"spectrum of size {spec.n} too small for largest candidate {max(candidates)}"
+            f"spectrum of size {n} too small for largest candidate {max(candidates)}"
         )
-    scores = np.array([find_cluster(spec, d).gap for d in candidates])
+    return candidates
+
+
+def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
+    scores = np.array([window_gaps(values, d).max() for d in candidates])
     # np.argmax returns the first maximum, so ties pick the smallest d when
     # candidates are increasing (the default 1..d_max grid).
     chosen = candidates[int(np.argmax(scores))]
     return DimensionScan(candidates=candidates, scores=scores, chosen=chosen)
+
+
+def scan_spectrum(spec: SortedSpectrum, candidates) -> DimensionScan:
+    """Score each candidate d on an already-computed sorted spectrum."""
+    return _scan(spec.values, _require_candidates(candidates, spec.n))
 
 
 def estimate_dimension(adjacency, d_max: int = 15, candidates=None) -> DimensionScan:
@@ -47,5 +61,7 @@ def estimate_dimension(adjacency, d_max: int = 15, candidates=None) -> Dimension
         if d_max < 1:
             raise ValidationError(f"d_max must be >= 1, got {d_max}")
         candidates = range(1, d_max + 1)
-    spec = symmetric_eig(normalize_adjacency(adjacency))
-    return scan_spectrum(spec, candidates)
+    arr = require_symmetric(adjacency, "adjacency")
+    n = arr.shape[0]
+    candidates = _require_candidates(candidates, n)
+    return _scan(descending_eigvalsh(arr / n).values, candidates)

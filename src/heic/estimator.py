@@ -13,30 +13,40 @@ products <X_i, X_j>.
 The scan is scale free, so the edge-density parameter rho is never needed
 for estimation; it only enters the simulation-side diagnostics
 (event_e_check, noise_bound).
+
+heic() validates its adjacency once, at the top (square, finite, symmetric,
+0/1 entries, room for a window of size d), and then trusts it through one
+eigh call.  noise_bound validates its matrix.  The stage functions that
+take a SortedSpectrum (find_cluster, gram_estimate, event_e_check) check
+only their scalar arguments and the window's fit, never a matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import edge_density, require_symmetric
-from .spectral import SortedSpectrum, normalize_adjacency, symmetric_eig
+from .model import require_adjacency, require_symmetric
+from .spectral import SortedSpectrum, descending_eigh
 
 
 @dataclass(frozen=True)
 class ClusterSelection:
-    """A window of d consecutive sorted eigenvalue positions (never position 0)."""
+    """A window of d consecutive sorted eigenvalue positions (never position 0).
+
+    values holds the window's eigenvalues, largest first.
+    """
 
     d: int
     start: int
     indices: tuple[int, ...]
     gap: float
     diameter: float
+    values: np.ndarray = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -70,62 +80,43 @@ class HeicDiagnostics:
     event_e: Optional[EventEReport] = None
 
 
-def left_gap(spec: SortedSpectrum, i: int) -> float:
-    """|values[i] - values[i-1]| on the sorted spectrum, for 1 <= i <= n-1."""
-    if not 1 <= i <= spec.n - 1:
-        raise ValidationError(f"left gap index must lie in [1, {spec.n - 1}], got {i}")
-    return abs(float(spec.values[i] - spec.values[i - 1]))
-
-
-def right_gap(spec: SortedSpectrum, i: int) -> float:
-    """left_gap(i + 1), for 0 <= i <= n-2."""
-    if not 0 <= i <= spec.n - 2:
-        raise ValidationError(f"right gap index must lie in [0, {spec.n - 2}], got {i}")
-    return left_gap(spec, i + 1)
-
-
-def cluster_gap(spec: SortedSpectrum, i: int, d: int) -> float:
-    """Separation of the window {i, ..., i+d-1} from the rest of the spectrum.
-
-    The window never contains sorted position 0 (the top eigenvalue tracks
-    the mean connectivity, not the degree-1 harmonics).  For a window
-    ending at the last position the right-hand term disappears.
-    """
+def _require_window(n: int, d: int) -> None:
     if d < 1:
         raise ValidationError(f"cluster size must be >= 1, got {d}")
-    if not 1 <= i <= spec.n - d:
-        raise ValidationError(
-            f"window start must lie in [1, {spec.n - d}] for d={d}, got {i}"
-        )
-    left = left_gap(spec, i)
-    if i + d <= spec.n - 1:
-        return min(left, left_gap(spec, i + d))
-    return left
+    if n < d + 2:
+        raise ValidationError(f"need at least d + 2 = {d + 2} eigenvalues, got {n}")
+
+
+def window_gaps(values, d: int) -> np.ndarray:
+    """Separation of every window {i, ..., i+d-1}, i = 1 .. n-d, from the rest.
+
+    values must be sorted decreasingly and 1 <= d <= n - 1.  Entry i-1 is
+    the smaller of the steps |values[i] - values[i-1]| and
+    |values[i+d] - values[i+d-1]|; the window ending at the last position
+    has only the first.  Windows never contain sorted position 0 (the top
+    eigenvalue tracks the mean connectivity, not the degree-1 harmonics).
+    """
+    steps = np.abs(np.diff(values))  # steps[j] = |values[j+1] - values[j]|
+    return np.minimum(steps[: len(values) - d], np.append(steps[d:], np.inf))
 
 
 def find_cluster(spec: SortedSpectrum, d: int) -> ClusterSelection:
     """Window of d consecutive sorted eigenvalues with the largest separation.
 
-    Linear scan over start positions 1 .. n-d; ties return the smallest
-    start index.  The achieved gap is the spectrum's size-d cluster score.
+    Ties return the smallest start index.  The achieved gap is the
+    spectrum's size-d cluster score.
     """
-    if d < 1:
-        raise ValidationError(f"cluster size must be >= 1, got {d}")
-    if spec.n < d + 2:
-        raise ValidationError(f"need at least d + 2 = {d + 2} eigenvalues, got {spec.n}")
-    best_start, best_gap = 1, -math.inf
-    for i in range(1, spec.n - d + 1):
-        g = cluster_gap(spec, i, d)
-        if g > best_gap:
-            best_start, best_gap = i, g
-    indices = tuple(range(best_start, best_start + d))
-    window = spec.values[best_start : best_start + d]
+    _require_window(spec.n, d)
+    gaps = window_gaps(spec.values, d)
+    start = int(np.argmax(gaps)) + 1
+    window = spec.values[start : start + d]
     return ClusterSelection(
         d=d,
-        start=best_start,
-        indices=indices,
-        gap=float(best_gap),
+        start=start,
+        indices=tuple(range(start, start + d)),
+        gap=float(gaps[start - 1]),
         diameter=float(window[0] - window[-1]),
+        values=window,
     )
 
 
@@ -133,6 +124,8 @@ def gram_estimate(spec: SortedSpectrum, cluster: ClusterSelection) -> GramEstima
     """(1/d) V V^T over the selected eigenvectors; trace 1, PSD, rank <= d."""
     if cluster.indices[-1] >= spec.n or cluster.start < 1:
         raise ValidationError("cluster does not fit the spectrum")
+    if spec.vectors is None:
+        raise ValidationError("spectrum was computed without eigenvectors")
     v = spec.vectors[:, list(cluster.indices)]
     g = v @ v.T / cluster.d
     return GramEstimate(matrix=(g + g.T) / 2.0, d=cluster.d, cluster=cluster, scale=1.0 / cluster.d)
@@ -177,15 +170,17 @@ def heic(
     rho: Optional[float] = None,
     analytic_gap: Optional[float] = None,
 ) -> tuple[GramEstimate, HeicDiagnostics]:
-    """Full pipeline: normalize, eigendecompose, locate the cluster, project.
+    """Full pipeline: validate, normalize, eigendecompose, locate the cluster, project.
 
     When both rho and the analytic gap of the generating link are supplied
     (simulation studies), the diagnostics carry the cluster-quality check.
     A zero separation score marks the estimate as degenerate (e.g. the
     empty graph), signalled in the diagnostics rather than raised.
     """
-    adjacency = require_symmetric(adjacency, "adjacency")
-    spec = symmetric_eig(normalize_adjacency(adjacency))
+    adjacency, density = require_adjacency(adjacency)
+    n = adjacency.shape[0]
+    _require_window(n, d)
+    spec = descending_eigh(adjacency / n)
     cluster = find_cluster(spec, d)
     estimate = gram_estimate(spec, cluster)
     event_e = None
@@ -196,7 +191,7 @@ def heic(
         diameter=cluster.diameter,
         cluster_start=cluster.start,
         top_eigenvalue=float(spec.values[0]),
-        edge_density=edge_density(adjacency),
+        edge_density=density,
         degenerate=cluster.gap <= 0.0,
         event_e=event_e,
     )

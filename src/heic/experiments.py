@@ -178,13 +178,14 @@ class MseRecord:
     error: Optional[str] = None
 
 
-def _simulate_graph(cfg: ExperimentConfig, n: int, replicate: int):
+def _simulate_graph(cfg: ExperimentConfig, n: int, replicate: int, observed: bool = True):
+    """Latent sample, then the sampled adjacency, or Theta itself when not observed."""
     latent_seed, adjacency_seed = replicate_seeds(cfg.seed, n, replicate)
     rho = cfg.rho.rho_for(n)
     sample = sample_uniform_sphere(n, cfg.d, latent_seed)
     theta = probability_matrix(sample, GraphModel(link=cfg.link, sparsity=rho, n=n))
-    adjacency = sample_adjacency(theta, adjacency_seed)
-    return sample, adjacency, rho
+    matrix = sample_adjacency(theta, adjacency_seed) if observed else theta
+    return sample, matrix, rho
 
 
 def _mse_replicate(cfg: ExperimentConfig, n: int, replicate: int) -> MseRecord:
@@ -316,11 +317,7 @@ class ConvergenceRecord:
 
 def _convergence_replicate(cfg, n, replicate, reference, matrix) -> ConvergenceRecord:
     try:
-        latent_seed, adjacency_seed = replicate_seeds(cfg.seed, n, replicate)
-        rho = cfg.rho.rho_for(n)
-        sample = sample_uniform_sphere(n, cfg.d, latent_seed)
-        theta = probability_matrix(sample, GraphModel(link=cfg.link, sparsity=rho, n=n))
-        m = sample_adjacency(theta, adjacency_seed) if matrix == "observed" else theta
+        _, m, rho = _simulate_graph(cfg, n, replicate, observed=matrix == "observed")
         spectrum = np.linalg.eigvalsh(m / (n * rho))
         return ConvergenceRecord(n=n, replicate=replicate, delta2=delta_2(spectrum, reference))
     except Exception as exc:  # noqa: BLE001

@@ -11,9 +11,9 @@ Gegenbauer polynomial of degree k:
 with A_d fixed so the weight is a probability measure (hence lambda_0 is
 the mean connectivity).  Integrals are evaluated in the angle variable
 t = cos(theta), which turns the weight into sin(theta)^{d-2} and keeps the
-integrand smooth away from declared link discontinuities; an adaptive
-Gauss-Legendre scheme splits there and bisects until the absolute
-tolerance is met.
+integrand smooth away from declared link discontinuities.  One composite
+Gauss-Legendre rule, split there, evaluates every level at once and
+doubles its panels until the absolute tolerance is met.
 
 Only d >= 3 is supported: the Gegenbauer parameter gamma = (d - 2) / 2
 must be positive for the recurrence and the addition constant c_k.
@@ -96,7 +96,7 @@ def sphere_weight_total(d: int) -> float:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Adaptive Gauss-Legendre settings: absolute tolerance and panel budget."""
+    """Composite Gauss-Legendre settings: absolute tolerance, panel budget, nodes per panel."""
 
     tol: float = 1e-10
     max_panels: int = 2 ** 14
@@ -105,93 +105,11 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _GL_NODES:
-        _GL_NODES[m] = np.polynomial.legendre.leggauss(m)
-    return _GL_NODES[m]
-
-
-def _adaptive_integral(
-    fn, segments, quad: QuadratureConfig, min_degree: int = 0
-) -> tuple[float, float]:
-    """Integrate fn over the given segments by bisection until |I2 - I1| <= tol.
-
-    min_degree pre-partitions each segment finely enough that the panel rule
-    resolves an oscillation of that polynomial degree; without it, a coarse
-    panel and its bisection can alias an oscillatory integrand to the same
-    wrong value and accept.  The tolerance is allocated proportionally to
-    interval width; the panel budget is shared across all segments.  Raises
-    QuadratureError carrying the best running estimate when the budget is
-    exhausted.
-    """
-    x, w = _gl_rule(quad.nodes)
-    total_width = sum(b - a for a, b in segments)
-
-    def panel(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        return half * float(w @ fn(mid + half * x))
-
-    panels = 0
-    value = 0.0
-    err = 0.0
-    for a, b in segments:
-        if b <= a:
-            continue
-        pieces = 1 + max(0, min_degree) // (2 * quad.nodes)
-        edges = np.linspace(a, b, pieces + 1)
-        stack = [(lo, hi, panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
-        panels += pieces
-        while stack:
-            lo, hi, coarse = stack.pop()
-            mid = 0.5 * (lo + hi)
-            left, right = panel(lo, mid), panel(mid, hi)
-            panels += 2
-            fine = left + right
-            local_err = abs(fine - coarse)
-            local_tol = quad.tol * (hi - lo) / total_width
-            if local_err <= local_tol or (hi - lo) < 4.0 * np.finfo(float).eps:
-                value += fine
-                err += local_err
-            elif panels >= quad.max_panels:
-                best = value + fine + sum(c for _, _, c in stack)
-                raise QuadratureError(
-                    f"quadrature did not converge within {quad.max_panels} panels",
-                    best_estimate=best,
-                    error_estimate=err + local_err,
-                )
-            else:
-                stack.append((lo, mid, left))
-                stack.append((mid, hi, right))
-    return value, err
-
-
 def _angle_segments(link: LinkFunction) -> list[tuple[float, float]]:
     cuts = sorted(
         {math.acos(t) for t in link.discontinuities if -1.0 < t < 1.0} | {0.0, math.pi}
     )
     return list(zip(cuts[:-1], cuts[1:]))
-
-
-def funck_hecke_eigenvalue(
-    link: LinkFunction, d: int, k: int, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[float, float]:
-    """Level-k eigenvalue of the kernel operator and its quadrature error estimate."""
-    gamma = _require_dim(d)
-    if k < 0:
-        raise ValidationError(f"level index must be >= 0, got {k}")
-    at_one = gegenbauer(k, gamma, 1.0)
-    power = d - 2
-
-    def integrand(theta):
-        t = np.cos(theta)
-        return link(t) * (gegenbauer(k, gamma, t) / at_one) * np.sin(theta) ** power
-
-    raw, raw_err = _adaptive_integral(integrand, _angle_segments(link), quad, min_degree=k)
-    norm = sphere_weight_total(d)
-    return raw / norm, raw_err / norm
 
 
 def funck_hecke_table(
@@ -202,14 +120,15 @@ def funck_hecke_table(
     A composite Gauss-Legendre rule shares its nodes across levels, so the
     Gegenbauer recurrence runs once per node-doubling stage instead of once
     per level; the per-level error estimate is the change under the final
-    node doubling.  Equal to funck_hecke_eigenvalue level by level, only
-    cheaper for large k_max.
+    node doubling.  The rule starts with enough panels per segment to
+    resolve a degree-k_max oscillation and doubles them until every level
+    changes by at most quad.tol.
     """
     gamma = _require_dim(d)
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
     segments = _angle_segments(link)
-    x, w = _gl_rule(quad.nodes)
+    x, w = np.polynomial.legendre.leggauss(quad.nodes)
     power = d - 2
     norm = sphere_weight_total(d)
 
@@ -348,12 +267,11 @@ def sobolev_norm(
         raise ValidationError(f"regularity must be >= 0, got {s}")
     if k_max < 3:
         raise ValidationError(f"k_max must be >= 3 to judge the tail, got {k_max}")
-    terms = []
-    for k in range(k_max + 1):
-        lam, _ = funck_hecke_eigenvalue(link, d, k, quad)
-        weight = (1.0 + k * (k + 2.0 * gamma + 1.0)) ** s
-        terms.append(harmonic_space_dim(d, k) * lam * lam * weight)
-    value = float(sum(terms))
-    tail = float(sum(terms[-3:]))
+    values, _ = funck_hecke_table(link, d, k_max, quad)
+    k = np.arange(k_max + 1)
+    dims = np.array([harmonic_space_dim(d, j) for j in k], dtype=float)
+    terms = dims * values * values * (1.0 + k * (k + 2.0 * gamma + 1.0)) ** s
+    value = float(terms.sum())
+    tail = float(terms[-3:].sum())
     tail_flag = value > 0.0 and tail > 1e-6 * value
     return value, tail_flag

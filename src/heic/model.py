@@ -15,6 +15,7 @@ output bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +77,36 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
-    """Validate a dense square symmetric matrix and return it as float64."""
+    """Validate a dense square, finite, symmetric matrix and return it as float64."""
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {arr.shape}")
-    scale = max(1.0, float(np.abs(arr).max()) if arr.size else 1.0)
-    if float(np.abs(arr - arr.T).max()) > tol * scale:
+    # The max-abs scale is NaN or inf exactly when some entry is, so it
+    # doubles as the finiteness check.
+    largest = float(np.abs(arr).max()) if arr.size else 1.0
+    if not math.isfinite(largest):
+        raise ValidationError(f"{name} has non-finite entries")
+    if float(np.abs(arr - arr.T).max()) > tol * max(1.0, largest):
         raise ValidationError(f"{name} is not symmetric")
     return arr
+
+
+def require_adjacency(adj) -> tuple[np.ndarray, float]:
+    """Validate a simple-graph adjacency on n >= 2 nodes; return it and its edge density.
+
+    On top of require_symmetric the entries must be 0 or 1, which makes the
+    matrix exactly symmetric, so the edge count is the number of
+    off-diagonal ones halved.
+    """
+    arr = require_symmetric(adj, "adjacency")
+    n = arr.shape[0]
+    if n < 2:
+        raise ValidationError("adjacency needs at least 2 nodes")
+    ones = np.count_nonzero(arr == 1.0)
+    if ones + np.count_nonzero(arr == 0.0) != arr.size:
+        raise ValidationError("adjacency entries must be 0 or 1")
+    edges = (ones - np.count_nonzero(np.diagonal(arr) == 1.0)) // 2
+    return arr, edges / (n * (n - 1) / 2.0)
 
 
 def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
@@ -142,11 +165,4 @@ def sample_adjacency(theta, seed: int) -> np.ndarray:
 
 def edge_density(adj) -> float:
     """Fraction of the n(n-1)/2 possible edges that are present."""
-    adj = require_symmetric(adj, "adjacency")
-    n = adj.shape[0]
-    if n < 2:
-        raise ValidationError("edge density needs at least 2 nodes")
-    if not np.all((adj == 0.0) | (adj == 1.0)):
-        raise ValidationError("adjacency entries must be 0 or 1")
-    edges = float(np.triu(adj, k=1).sum())
-    return edges / (n * (n - 1) / 2.0)
+    return require_adjacency(adj)[1]

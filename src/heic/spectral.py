@@ -1,15 +1,21 @@
 """Dense symmetric eigendecomposition and the eigenvalue matching distance.
 
-The estimator downstream consumes the full spectrum sorted in decreasing
-order, so the wrapper here pairs sorted eigenvalues with their
-eigenvectors and keeps the permutation back to the raw solver order.
-Eigenvector signs (and bases within repeated eigenvalues) are arbitrary;
-consumers must only use projector products V V^T.
+The estimator downstream consumes the spectrum sorted in decreasing order:
+the reversed view of LAPACK's ascending output, paired column by column
+with the eigenvectors when those are computed.  Eigenvector signs (and
+bases within repeated eigenvalues) are arbitrary; consumers must only use
+projector products V V^T.
+
+symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
+input.  descending_eigh and descending_eigvalsh trust it: the caller has
+already checked that the matrix is square, finite and symmetric, and only
+its lower triangle is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -19,11 +25,13 @@ from .model import require_symmetric
 
 @dataclass(frozen=True)
 class SortedSpectrum:
-    """Eigenvalues sorted decreasingly; column i of vectors pairs with values[i]."""
+    """Eigenvalues sorted decreasingly; column i of vectors pairs with values[i].
+
+    vectors is None when only the eigenvalues were computed.
+    """
 
     values: np.ndarray
-    vectors: np.ndarray
-    source_order: np.ndarray
+    vectors: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
@@ -34,24 +42,40 @@ class SortedSpectrum:
         """Spectrum of diag(values): coordinate-axis eigenvectors, sorted."""
         vals = np.asarray(values, dtype=float).ravel()
         order = np.argsort(-vals, kind="stable")
-        return cls(
-            values=vals[order],
-            vectors=np.eye(vals.size)[:, order],
-            source_order=order,
-        )
+        return cls(values=vals[order], vectors=np.eye(vals.size)[:, order])
+
+
+def _solve(solver, arr):
+    try:
+        return solver(arr)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolverError(f"eigendecomposition failed to converge: {exc}") from exc
+
+
+def descending_eigh(arr: np.ndarray) -> SortedSpectrum:
+    """Eigenvalues and eigenvectors of a validated symmetric matrix, sorted decreasingly."""
+    values, vectors = _solve(np.linalg.eigh, arr)
+    return SortedSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
+
+
+def descending_eigvalsh(arr: np.ndarray) -> SortedSpectrum:
+    """Eigenvalues only of a validated symmetric matrix, sorted decreasingly."""
+    return SortedSpectrum(values=_solve(np.linalg.eigvalsh, arr)[::-1])
+
+
+def _symmetrized(m) -> np.ndarray:
+    arr = require_symmetric(m, "matrix", tol=1e-8)
+    return (arr + arr.T) / 2.0
 
 
 def symmetric_eig(m) -> SortedSpectrum:
     """Full eigendecomposition of a dense symmetric matrix, sorted decreasingly."""
-    arr = require_symmetric(m, "matrix", tol=1e-8)
-    try:
-        raw_values, raw_vectors = np.linalg.eigh((arr + arr.T) / 2.0)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigendecomposition failed to converge: {exc}") from exc
-    order = np.argsort(-raw_values, kind="stable")
-    return SortedSpectrum(
-        values=raw_values[order], vectors=raw_vectors[:, order], source_order=order
-    )
+    return descending_eigh(_symmetrized(m))
+
+
+def symmetric_eigvals(m) -> SortedSpectrum:
+    """Eigenvalues of a dense symmetric matrix, sorted decreasingly; no eigenvectors."""
+    return descending_eigvalsh(_symmetrized(m))
 
 
 def normalize_adjacency(adj) -> np.ndarray:

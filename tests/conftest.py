@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,12 +35,10 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
         theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=rho, n=n))
         adjacency = heic.sample_adjacency(theta, adjacency_seed)
         estimate, diag = heic.heic(adjacency, d, rho=rho, analytic_gap=analytic_gap)
-        spectrum = heic.symmetric_eig(heic.normalize_adjacency(adjacency))
-        cluster_vals = spectrum.values[list(estimate.cluster.indices)]
         out.append(
             SimSummary(
                 fro_err=float(np.linalg.norm(estimate.matrix - heic.gram_population(sample))),
-                cluster_mean=float(cluster_vals.mean()),
+                cluster_mean=float(estimate.cluster.values.mean()),
                 top_eigenvalue=diag.top_eigenvalue,
                 gap=diag.gap,
                 diameter=diag.diameter,
@@ -50,6 +49,33 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
             )
         )
     return out
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Run one call; return its matrix validation passes and eigh / eigvalsh calls."""
+    counts = dict.fromkeys(("validate", "eigh", "eigvalsh"), 0)
+
+    def counting(key, real):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    validate = counting("validate", heic.model.require_symmetric)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("heic.") and hasattr(module, "require_symmetric"):
+            monkeypatch.setattr(module, "require_symmetric", validate)
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+
+    def run(fn, *args, **kwargs):
+        counts.update(dict.fromkeys(counts, 0))
+        fn(*args, **kwargs)
+        return dict(counts)
+
+    return run
 
 
 THRESHOLD_GAP_K3 = 0.25  # separation of the level-1 eigenvalue in the k<=3 spectrum

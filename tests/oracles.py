@@ -1,4 +1,4 @@
-"""Independent brute-force oracles used to pin the fast implementations."""
+"""Independent brute-force oracles used to pin the fast implementations, and input strategies for them."""
 
 from __future__ import annotations
 
@@ -6,7 +6,11 @@ import math
 from itertools import combinations, permutations
 
 import numpy as np
+from hypothesis import strategies as st
 from numpy.polynomial import legendre
+
+from heic.errors import QuadratureError
+from heic.harmonics import DEFAULT_QUADRATURE, QuadratureConfig, gegenbauer, sphere_weight_total
 
 
 def delta2_bruteforce(a, b) -> float:
@@ -49,6 +53,15 @@ def cluster_scan_bruteforce(values, d) -> tuple[int, float]:
     return best_start, best_gap
 
 
+def sorted_spectra(min_size: int = 3, max_size: int = 12):
+    """Hypothesis strategy: decreasing value lists over a small grid, so exact
+    ties and repeated eigenvalues are common."""
+    grid = st.sampled_from([-1.0, -0.5, -0.25, -0.125, 0.0, 0.125, 0.25, 0.5, 1.0])
+    return st.lists(grid, min_size=min_size, max_size=max_size).map(
+        lambda xs: np.array(sorted(xs, reverse=True))
+    )
+
+
 def legendre_level_integral(k: int, lo: float, hi: float) -> float:
     """Exact integral of the degree-k Legendre polynomial over [lo, hi]."""
     coeffs = np.zeros(k + 1)
@@ -60,3 +73,83 @@ def legendre_level_integral(k: int, lo: float, hi: float) -> float:
 def threshold_eigenvalue_exact(k: int, tau: float = 0.0) -> float:
     """Level-k eigenvalue of the threshold link on S^2: (1/2) * int_{-1}^{tau} P_k."""
     return 0.5 * legendre_level_integral(k, -1.0, tau)
+
+
+def _adaptive_integral(
+    fn, segments, quad: QuadratureConfig, min_degree: int = 0
+) -> tuple[float, float]:
+    """Integrate fn over the given segments by bisection until |I2 - I1| <= tol.
+
+    min_degree pre-partitions each segment finely enough that the panel rule
+    resolves an oscillation of that polynomial degree; without it, a coarse
+    panel and its bisection can alias an oscillatory integrand to the same
+    wrong value and accept.  The tolerance is allocated proportionally to
+    interval width; the panel budget is shared across all segments.  Raises
+    QuadratureError carrying the best running estimate when the budget is
+    exhausted.
+    """
+    x, w = legendre.leggauss(quad.nodes)
+    total_width = sum(b - a for a, b in segments)
+
+    def panel(a: float, b: float) -> float:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return half * float(w @ fn(mid + half * x))
+
+    panels = 0
+    value = 0.0
+    err = 0.0
+    for a, b in segments:
+        if b <= a:
+            continue
+        pieces = 1 + max(0, min_degree) // (2 * quad.nodes)
+        edges = np.linspace(a, b, pieces + 1)
+        stack = [(lo, hi, panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
+        panels += pieces
+        while stack:
+            lo, hi, coarse = stack.pop()
+            mid = 0.5 * (lo + hi)
+            left, right = panel(lo, mid), panel(mid, hi)
+            panels += 2
+            fine = left + right
+            local_err = abs(fine - coarse)
+            local_tol = quad.tol * (hi - lo) / total_width
+            if local_err <= local_tol or (hi - lo) < 4.0 * np.finfo(float).eps:
+                value += fine
+                err += local_err
+            elif panels >= quad.max_panels:
+                best = value + fine + sum(c for _, _, c in stack)
+                raise QuadratureError(
+                    f"quadrature did not converge within {quad.max_panels} panels",
+                    best_estimate=best,
+                    error_estimate=err + local_err,
+                )
+            else:
+                stack.append((lo, mid, left))
+                stack.append((mid, hi, right))
+    return value, err
+
+
+def funck_hecke_eigenvalue(
+    link, d: int, k: int, quad: QuadratureConfig = DEFAULT_QUADRATURE
+) -> tuple[float, float]:
+    """Level-k eigenvalue of the kernel operator and its quadrature error estimate.
+
+    The per-level reference for heic.funck_hecke_table: its own adaptive
+    bisection per level, in the angle variable, split at the link's
+    discontinuities.
+    """
+    gamma = (d - 2) / 2.0
+    at_one = gegenbauer(k, gamma, 1.0)
+    power = d - 2
+
+    def integrand(theta):
+        t = np.cos(theta)
+        return link(t) * (gegenbauer(k, gamma, t) / at_one) * np.sin(theta) ** power
+
+    cuts = sorted(
+        {math.acos(t) for t in link.discontinuities if -1.0 < t < 1.0} | {0.0, math.pi}
+    )
+    segments = list(zip(cuts[:-1], cuts[1:]))
+    raw, raw_err = _adaptive_integral(integrand, segments, quad, min_degree=k)
+    norm = sphere_weight_total(d)
+    return raw / norm, raw_err / norm

@@ -132,6 +132,12 @@ class TestSpectrumAndEigCommands:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [float(v) for _, v in rows] == [3.0, 2.0, 1.0]
 
+    def test_eig_rejects_non_finite_csv(self, tmp_path, capsys):
+        m_csv = tmp_path / "m.csv"
+        m_csv.write_text("1,nan\nnan,1\n")
+        assert cli.cli_main(["eig", "--input", str(m_csv), "--out", str(tmp_path / "eig.csv")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestStudyCommands:
     def _write_config(self, tmp_path, **overrides):

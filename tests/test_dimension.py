@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import heic
-from heic import dimension as dimension_module
 from heic.errors import ValidationError
 from heic.spectral import SortedSpectrum
+from oracles import cluster_scan_bruteforce, sorted_spectra
 
 
 class TestScanSpectrum:
@@ -29,6 +30,15 @@ class TestScanSpectrum:
         for d, score in zip(scan.candidates, scan.scores):
             assert score == heic.find_cluster(spec, d).gap
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=sorted_spectra())
+    def test_matches_bruteforce_with_ties(self, values):
+        candidates = range(1, values.size - 1)
+        scan = heic.scan_spectrum(SortedSpectrum.from_values(values), candidates)
+        expected = [cluster_scan_bruteforce(values, d)[1] for d in candidates]
+        assert scan.scores.tolist() == expected
+        assert scan.chosen == candidates[expected.index(max(expected))]
+
     def test_validation(self):
         spec = SortedSpectrum.from_values(np.linspace(1.0, 0.0, 6))
         with pytest.raises(ValidationError):
@@ -51,17 +61,16 @@ class TestEstimateDimension:
         scan = heic.estimate_dimension(self._adjacency(), d_max=8)
         assert scan.chosen == 3
 
-    def test_single_decomposition_shared_by_candidates(self, monkeypatch):
-        calls = {"n": 0}
-        real = dimension_module.symmetric_eig
+    def test_single_decomposition_shared_by_candidates(self, count_calls):
+        counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1}
 
-        def counting(m):
-            calls["n"] += 1
-            return real(m)
-
-        monkeypatch.setattr(dimension_module, "symmetric_eig", counting)
-        heic.estimate_dimension(self._adjacency(n=80), d_max=10)
-        assert calls["n"] == 1
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        adjacency = self._adjacency(n=40)
+        adjacency[3, 7] = adjacency[7, 3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            heic.estimate_dimension(adjacency, d_max=5)
 
     def test_deterministic(self):
         adj = self._adjacency(n=120)

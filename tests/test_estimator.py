@@ -2,80 +2,92 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heic
 from heic.errors import ValidationError
-from heic.spectral import SortedSpectrum
-from oracles import cluster_scan_bruteforce
+from heic.spectral import SortedSpectrum, symmetric_eigvals
+from oracles import cluster_scan_bruteforce, sorted_spectra
 
 
 def _spectrum(values):
     return SortedSpectrum.from_values(np.asarray(values, dtype=float))
 
 
+WORKED = [1.0, 0.5, 0.48, 0.46, 0.10]
+
+
 class TestGaps:
     def test_left_gap_values(self):
-        spec = _spectrum([1.0, 0.5, 0.48])
-        assert heic.left_gap(spec, 1) == pytest.approx(0.5)
-        assert heic.left_gap(spec, 2) == pytest.approx(0.02)
+        # A window ending at the last position is scored by its left step alone.
+        values = np.array([1.0, 0.5, 0.48])
+        assert heic.window_gaps(values, 2)[0] == pytest.approx(0.5)
+        assert heic.window_gaps(values, 1)[1] == pytest.approx(0.02)
 
     def test_right_is_shifted_left(self):
-        spec = _spectrum([1.0, 0.5, 0.48])
-        assert heic.right_gap(spec, 1) == heic.left_gap(spec, 2)
+        # The right step of window i is the left step of window i + d.
+        values = np.array(WORKED)
+        steps = np.abs(np.diff(values))
+        for d in (1, 2):
+            gaps = heic.window_gaps(values, d)
+            for i in range(1, values.size - d):
+                assert gaps[i - 1] == min(steps[i - 1], steps[i + d - 1])
 
     def test_equal_neighbors_give_zero(self):
-        spec = _spectrum([0.7, 0.3, 0.3])
-        assert heic.left_gap(spec, 2) == 0.0
+        np.testing.assert_array_equal(heic.window_gaps(np.array([0.7, 0.3, 0.3]), 1), [0.0, 0.0])
 
     def test_index_ranges(self):
         spec = _spectrum([1.0, 0.5, 0.48])
         with pytest.raises(ValidationError):
-            heic.left_gap(spec, 0)
+            heic.find_cluster(spec, 0)
         with pytest.raises(ValidationError):
-            heic.left_gap(spec, 3)
+            heic.find_cluster(spec, 2)
         with pytest.raises(ValidationError):
-            heic.right_gap(spec, 2)
+            heic.heic(np.zeros((3, 3)), 2)
+        with pytest.raises(ValidationError):
+            heic.heic(np.zeros((5, 5)), 0)
 
 
 class TestClusterGap:
     def test_interior_window(self):
-        spec = _spectrum([1.0, 0.5, 0.48, 0.46, 0.10])
-        assert heic.cluster_gap(spec, 1, 3) == pytest.approx(0.36)
+        assert heic.window_gaps(np.array(WORKED), 3)[0] == pytest.approx(0.36)
 
     def test_window_straddling_a_tight_pair(self):
-        spec = _spectrum([1.0, 0.5, 0.48, 0.46, 0.10])
-        assert heic.cluster_gap(spec, 2, 3) == pytest.approx(0.02)
+        assert heic.window_gaps(np.array(WORKED), 3)[1] == pytest.approx(0.02)
 
     def test_tail_window_uses_left_only(self):
-        spec = _spectrum([1.0, 0.5, 0.48, 0.46, 0.10])
-        assert heic.cluster_gap(spec, 4, 1) == pytest.approx(0.36)
+        assert heic.window_gaps(np.array(WORKED), 1)[3] == pytest.approx(0.36)
 
     def test_top_position_excluded(self):
-        spec = _spectrum([1.0, 0.5, 0.48, 0.46, 0.10])
-        with pytest.raises(ValidationError):
-            heic.cluster_gap(spec, 0, 3)
+        # One score per start 1 .. n-d: position 0 never opens a window, even
+        # when it is the best separated value.
+        values = np.array([1.0, 0.1, 0.09, 0.08, 0.07])
+        assert heic.window_gaps(values, 3).size == 2
+        assert heic.find_cluster(_spectrum(values), 1).start >= 1
 
     def test_matches_bruteforce_min_distance(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
             n = int(rng.integers(4, 13))
             values = np.sort(rng.uniform(-1.0, 1.0, size=n))[::-1]
-            spec = _spectrum(values)
             d = int(rng.integers(1, n - 1))
+            gaps = heic.window_gaps(values, d)
             for i in range(1, n - d + 1):
                 inside = values[i : i + d]
                 outside = np.concatenate([values[:i], values[i + d :]])
                 expected = min(abs(x - y) for x in inside for y in outside)
-                assert heic.cluster_gap(spec, i, d) == pytest.approx(expected, abs=0.0)
+                assert gaps[i - 1] == pytest.approx(expected, abs=0.0)
 
 
 class TestFindCluster:
     def test_worked_example(self):
-        spec = _spectrum([1.0, 0.5, 0.48, 0.46, 0.10])
+        spec = _spectrum(WORKED)
         cluster = heic.find_cluster(spec, 3)
         assert cluster.indices == (1, 2, 3)
         assert cluster.gap == pytest.approx(0.36)
         assert cluster.diameter == pytest.approx(0.04)
+        np.testing.assert_array_equal(cluster.values, [0.5, 0.48, 0.46])
 
     def test_exact_flattened_threshold_spectrum(self):
         sp = heic.analytic_spectrum(heic.threshold(0.0), 3, 3)
@@ -128,6 +140,14 @@ class TestFindCluster:
         assert scaled.indices == base.indices
         assert scaled.gap == pytest.approx(3.0 * base.gap, rel=1e-12)
 
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=sorted_spectra(), data=st.data())
+    def test_matches_bruteforce_with_ties(self, values, data):
+        d = data.draw(st.integers(1, values.size - 2), label="d")
+        cluster = heic.find_cluster(_spectrum(values), d)
+        assert (cluster.start, cluster.gap) == cluster_scan_bruteforce(values, d)
+        np.testing.assert_array_equal(cluster.values, values[cluster.start : cluster.start + d])
+
     def test_too_small_spectrum_rejected(self):
         with pytest.raises(ValidationError):
             heic.find_cluster(_spectrum([1.0, 0.5, 0.3]), 2)
@@ -164,6 +184,11 @@ class TestGramEstimate:
         np.testing.assert_allclose(np.sort(eigs)[-4:], 0.25, atol=1e-9)
         assert np.abs(eigs[:-4]).max() < 1e-9
 
+    def test_needs_eigenvectors(self):
+        spec = symmetric_eigvals(np.diag([5.0, 3.0, 2.0, 1.0, 0.5]))
+        with pytest.raises(ValidationError, match="without eigenvectors"):
+            heic.gram_estimate(spec, heic.find_cluster(spec, 2))
+
     def test_pilot_error_gate(self, sims_threshold_1500):
         # 10 seeded runs; the Frobenius error stays below the pilot constant
         errs = [s.fro_err for s in sims_threshold_1500[:10]]
@@ -184,9 +209,24 @@ class TestHeicPipeline:
         )
         adjacency = heic.sample_adjacency(theta, adjacency_seed)
         estimate, _ = heic.heic(adjacency, 3)
-        spec = heic.symmetric_eig(heic.normalize_adjacency(adjacency))
-        mean = spec.values[list(estimate.cluster.indices)].mean()
+        mean = estimate.cluster.values.mean()
         assert mean == pytest.approx(1.0 / 6.0, abs=0.05)
+
+    def test_validates_once_and_solves_once(self, count_calls):
+        counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
+        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        adjacency = np.ones((12, 12)) - np.eye(12)
+        adjacency[3, 7] = adjacency[7, 3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            heic.heic(adjacency, 3)
+
+    def test_rejects_non_binary_before_solving(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            heic.heic(np.full((12, 12), 0.5), 3)
 
     def test_empty_graph_flagged_degenerate(self):
         estimate, diag = heic.heic(np.zeros((8, 8)), 3)

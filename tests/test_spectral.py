@@ -3,6 +3,7 @@ import pytest
 
 import heic
 from heic.errors import ValidationError
+from heic.spectral import symmetric_eigvals
 from oracles import delta2_bruteforce
 
 
@@ -21,15 +22,17 @@ class TestSymmetricEig:
         spec = heic.symmetric_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
         np.testing.assert_allclose(spec.values, [3.0, 1.0], atol=1e-12)
 
-    def test_sorted_descending_with_source_order(self):
+    def test_sorted_descending_reverses_eigh(self):
         rng = np.random.default_rng(8)
         m = rng.standard_normal((9, 9))
         m = (m + m.T) / 2.0
         spec = heic.symmetric_eig(m)
         assert np.all(np.diff(spec.values) <= 0.0)
         raw_values, raw_vectors = np.linalg.eigh(m)
-        np.testing.assert_array_equal(spec.values, raw_values[spec.source_order])
-        np.testing.assert_array_equal(spec.vectors, raw_vectors[:, spec.source_order])
+        np.testing.assert_array_equal(spec.values, raw_values[::-1])
+        np.testing.assert_array_equal(spec.vectors, raw_vectors[:, ::-1])
+        np.testing.assert_array_equal(symmetric_eigvals(m).values, np.linalg.eigvalsh(m)[::-1])
+        assert symmetric_eigvals(m).vectors is None
 
     def test_invariants_on_random_matrix(self):
         rng = np.random.default_rng(12)
@@ -53,6 +56,14 @@ class TestSymmetricEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError):
             heic.symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4)
+        m[1, 2] = m[2, 1] = bad
+        for solve in (heic.symmetric_eig, symmetric_eigvals):
+            with pytest.raises(ValidationError, match="non-finite"):
+                solve(m)
 
     def test_from_values(self):
         spec = heic.SortedSpectrum.from_values([0.1, 0.7, -0.3])

@@ -12,7 +12,8 @@ Subcommands:
 * ``dim-study``         -- dimension-recovery study from a JSON config,
 * ``convergence-study`` -- spectrum matching-distance study from a config.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric failure.
+Exit codes: 0 success, 1 validation/usage error, 2 numeric failure (also
+a study whose every replicate failed; its CSV of NaN rows is still written).
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def _cmd_mse_study(args) -> int:
     records = run_mse_study(cfg)
     write_mse_csv(records, cfg.out, timing=args.timing)
     print(f"wrote {len(records)} records to {cfg.out}")
-    return 0
+    return _study_exit([rec.error for rec in records])
 
 
 def _cmd_dim_study(args) -> int:
@@ -135,7 +136,7 @@ def _cmd_dim_study(args) -> int:
     print(f"recovery rate: {result.recovery_rate:.3f} (true d={result.true_d})")
     if result.true_d_outside_candidates:
         print("warning: true_d_outside_candidates", file=sys.stderr)
-    return 0
+    return _study_exit(result.errors)
 
 
 def _cmd_convergence_study(args) -> int:
@@ -143,7 +144,16 @@ def _cmd_convergence_study(args) -> int:
     records = run_spectrum_convergence(cfg, matrix=args.matrix)
     write_convergence_csv(records, cfg.out)
     print(f"wrote {len(records)} records to {cfg.out}")
-    return 0
+    return _study_exit([rec.error for rec in records])
+
+
+def _study_exit(errors) -> int:
+    """Exit 2, naming the failure classes, when no replicate of a study survived."""
+    if not all(errors):
+        return 0
+    classes = ", ".join(sorted({error.split(":", 1)[0] for error in errors}))
+    print(f"numeric failure: all {len(errors)} replicates failed ({classes})", file=sys.stderr)
+    return 2
 
 
 def _write_lines(path, lines) -> None:

@@ -55,13 +55,11 @@ def scan_spectrum(spec: SortedSpectrum, candidates) -> DimensionScan:
     return _scan(spec.values, _require_candidates(candidates, spec.n))
 
 
-def estimate_dimension(adjacency, d_max: int = 15, candidates=None) -> DimensionScan:
-    """Scan candidate dimensions (default 1 .. d_max) on an adjacency matrix."""
-    if candidates is None:
-        if d_max < 1:
-            raise ValidationError(f"d_max must be >= 1, got {d_max}")
-        candidates = range(1, d_max + 1)
+def estimate_dimension(adjacency, d_max: int = 15) -> DimensionScan:
+    """Scan candidate dimensions 1 .. d_max on an adjacency matrix."""
+    if d_max < 1:
+        raise ValidationError(f"d_max must be >= 1, got {d_max}")
     arr = require_symmetric(adjacency, "adjacency")
     n = arr.shape[0]
-    candidates = _require_candidates(candidates, n)
+    candidates = _require_candidates(range(1, d_max + 1), n)
     return _scan(descending_eigvalsh(arr / n).values, candidates)

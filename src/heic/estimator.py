@@ -127,8 +127,9 @@ def gram_estimate(spec: SortedSpectrum, cluster: ClusterSelection) -> GramEstima
     if spec.vectors is None:
         raise ValidationError("spectrum was computed without eigenvectors")
     v = spec.vectors[:, list(cluster.indices)]
+    # v @ v.T is a symmetric rank-d update (BLAS syrk), so exactly symmetric.
     g = v @ v.T / cluster.d
-    return GramEstimate(matrix=(g + g.T) / 2.0, d=cluster.d, cluster=cluster, scale=1.0 / cluster.d)
+    return GramEstimate(matrix=g, d=cluster.d, cluster=cluster, scale=1.0 / cluster.d)
 
 
 def event_e_check(

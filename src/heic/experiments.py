@@ -10,9 +10,9 @@ Three studies mirror the synthetic-data evaluation of the estimator:
 Replicates own their entire state: the RNG streams for the latent points
 and for the adjacency coin flips are derived by hashing
 (base seed, n, replicate), so results are independent of scheduling.
-Records are sorted by (n, replicate) before writing, which makes the CSV
-output byte-identical across runs and worker counts.  Failures of a single
-replicate are recorded as NaN rows instead of aborting the study.
+One runner executes every study in sorted (n, replicate) order, which
+makes the CSV output byte-identical across runs and worker counts.  A
+replicate that raises becomes a NaN row whose error names the exception.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .dimension import estimate_dimension
 from .errors import ValidationError
 from .estimator import heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
@@ -96,13 +97,14 @@ class ExperimentConfig:
     replicates: int
     seed: int
     out: Optional[Path] = None
-    workers: Optional[int] = None
     d_max: int = 15
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValidationError("latent dimension must be >= 1")
+        if self.d < 2:
+            raise ValidationError(f"latent dimension must be >= 2 (sphere S^(d-1)), got {self.d}")
+        if self.d_max < 1:
+            raise ValidationError(f"d_max must be >= 1, got {self.d_max}")
         if not self.n_grid:
             raise ValidationError("n grid must not be empty")
         if any(n < self.d + 2 for n in self.n_grid):
@@ -112,6 +114,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        unknown = sorted(set(raw) - {field.name for field in fields(cls)})
+        if unknown:
+            raise ValidationError(f"experiment config has unknown keys {unknown}")
         try:
             link = link_from_spec(raw["link"])
             return cls(
@@ -122,7 +127,6 @@ class ExperimentConfig:
                 replicates=int(raw["replicates"]),
                 seed=int(raw["seed"]),
                 out=Path(raw["out"]) if raw.get("out") else None,
-                workers=int(raw["workers"]) if raw.get("workers") else None,
                 d_max=int(raw.get("d_max", 15)),
                 k_max=int(raw.get("k_max", DEFAULT_K_MAX)),
             )
@@ -149,22 +153,44 @@ def replicate_seeds(base_seed: int, n: int, replicate: int) -> tuple[int, int]:
     return int(latent), int(adjacency)
 
 
-def worker_count(cfg: ExperimentConfig) -> int:
+def worker_count() -> int:
+    """Threads that run study replicates: the HEIC_WORKERS variable, default 1.
+
+    More threads do not help where BLAS already uses every core: on 2 cores
+    (OpenBLAS 0.3.31, 2 threads) the three study commands of the benchmark's
+    studies-small workload took a median 1.18 s with HEIC_WORKERS=2 against
+    0.84 s with 1 (10 alternating runs each; every run with 2 was slower).
+    """
     env = os.environ.get(WORKERS_ENV)
-    if env:
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError as exc:
+        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+
+
+def _run_replicates(cfg: ExperimentConfig, compute, failed) -> list:
+    """compute(n, replicate) for every job of the study, in sorted (n, replicate) order.
+
+    A replicate that raises is logged and replaced by
+    failed(n, replicate, error), where error is "<exception class>: <message>".
+    """
+
+    def run(job):
+        n, replicate = job
         try:
-            value = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        return max(1, value)
-    return max(1, cfg.workers or 1)
+            return compute(n, replicate)
+        except Exception as exc:  # noqa: BLE001 - studies must survive bad replicates
+            log.warning("replicate (n=%d, r=%d) failed", n, replicate, exc_info=True)
+            return failed(n, replicate, f"{type(exc).__name__}: {exc}")
 
-
-def _run_jobs(fn, jobs, workers: int) -> list:
+    jobs = sorted((n, r) for n in cfg.n_grid for r in range(cfg.replicates))
+    workers = worker_count()
     if workers <= 1:
-        return [fn(job) for job in jobs]
+        return [run(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, jobs))
+        return list(pool.map(run, jobs))
 
 
 @dataclass(frozen=True)
@@ -188,41 +214,23 @@ def _simulate_graph(cfg: ExperimentConfig, n: int, replicate: int, observed: boo
     return sample, matrix, rho
 
 
-def _mse_replicate(cfg: ExperimentConfig, n: int, replicate: int) -> MseRecord:
-    start = time.perf_counter()
-    try:
-        sample, adjacency, _ = _simulate_graph(cfg, n, replicate)
+def run_mse_study(cfg: ExperimentConfig) -> list[MseRecord]:
+    """Gram-estimate error per (n, replicate), sorted deterministically."""
+
+    def replicate(n: int, r: int) -> MseRecord:
+        start = time.perf_counter()
+        sample, adjacency, _ = _simulate_graph(cfg, n, r)
         estimate, diag = heic(adjacency, cfg.d)
         # Mean squared entrywise error on the O(1) scale: entries of n*G
         # estimate the latent inner products.
         diff = n * estimate.matrix - n * gram_population(sample)
         mse = float((diff * diff).sum()) / (n * n)
-        return MseRecord(
-            n=n,
-            replicate=replicate,
-            mse=mse,
-            gap=diag.gap,
-            diameter=diag.diameter,
-            seconds=time.perf_counter() - start,
-        )
-    except Exception as exc:  # noqa: BLE001 - studies must survive bad replicates
-        log.warning("replicate (n=%d, r=%d) failed: %s", n, replicate, exc)
-        return MseRecord(
-            n=n,
-            replicate=replicate,
-            mse=math.nan,
-            gap=math.nan,
-            diameter=math.nan,
-            seconds=time.perf_counter() - start,
-            error=str(exc),
-        )
+        return MseRecord(n, r, mse, diag.gap, diag.diameter, time.perf_counter() - start)
 
-
-def run_mse_study(cfg: ExperimentConfig) -> list[MseRecord]:
-    """Gram-estimate error per (n, replicate), sorted deterministically."""
-    jobs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
-    records = _run_jobs(lambda job: _mse_replicate(cfg, *job), jobs, worker_count(cfg))
-    return sorted(records, key=lambda rec: (rec.n, rec.replicate))
+    nan = math.nan
+    return _run_replicates(
+        cfg, replicate, lambda n, r, error: MseRecord(n, r, nan, nan, nan, nan, error)
+    )
 
 
 def write_mse_csv(records, path, timing: bool = False) -> None:
@@ -252,49 +260,40 @@ class DimensionScoreRecord:
 @dataclass(frozen=True)
 class DimensionStudyResult:
     records: list[DimensionScoreRecord]
-    chosen: list[int]
+    chosen: list[Optional[int]]
     recovery_rate: float
     true_d: int
     true_d_outside_candidates: bool
-
-
-def _dimension_replicate(cfg: ExperimentConfig, n: int, replicate: int):
-    from .dimension import estimate_dimension
-
-    try:
-        _, adjacency, _ = _simulate_graph(cfg, n, replicate)
-        scan = estimate_dimension(adjacency, d_max=cfg.d_max)
-        records = [
-            DimensionScoreRecord(replicate=replicate, candidate_d=d, score=float(s))
-            for d, s in zip(scan.candidates, scan.scores)
-        ]
-        return records, scan.chosen
-    except Exception as exc:  # noqa: BLE001
-        log.warning("dimension replicate %d failed: %s", replicate, exc)
-        records = [
-            DimensionScoreRecord(replicate=replicate, candidate_d=d, score=math.nan)
-            for d in range(1, cfg.d_max + 1)
-        ]
-        return records, None
+    errors: list[Optional[str]]
 
 
 def run_dimension_study(cfg: ExperimentConfig) -> DimensionStudyResult:
     """Score candidates 1 .. d_max per replicate at the single grid size."""
     if len(cfg.n_grid) != 1:
         raise ValidationError("dimension study wants exactly one n in the grid")
-    n = cfg.n_grid[0]
-    jobs = list(range(cfg.replicates))
-    results = _run_jobs(lambda r: _dimension_replicate(cfg, n, r), jobs, worker_count(cfg))
-    results.sort(key=lambda pair: pair[0][0].replicate)
-    records = [rec for pair in results for rec in pair[0]]
-    chosen = [pair[1] for pair in results]
-    hits = sum(1 for c in chosen if c == cfg.d)
+    if cfg.n_grid[0] < cfg.d_max + 2:
+        raise ValidationError(f"dimension study needs n >= d_max + 2 = {cfg.d_max + 2}")
+
+    def replicate(n: int, r: int):
+        scan = estimate_dimension(_simulate_graph(cfg, n, r)[1], d_max=cfg.d_max)
+        return scan.scores, scan.chosen, None
+
+    results = _run_replicates(
+        cfg, replicate, lambda n, r, error: (np.full(cfg.d_max, math.nan), None, error)
+    )
+    records = [
+        DimensionScoreRecord(replicate=r, candidate_d=d, score=float(s))
+        for r, (scores, _, _) in enumerate(results)
+        for d, s in enumerate(scores, start=1)
+    ]
+    chosen = [c for _, c, _ in results]
     return DimensionStudyResult(
         records=records,
         chosen=chosen,
-        recovery_rate=hits / len(chosen),
+        recovery_rate=chosen.count(cfg.d) / len(chosen),
         true_d=cfg.d,
         true_d_outside_candidates=cfg.d > cfg.d_max,
+        errors=[error for _, _, error in results],
     )
 
 
@@ -315,18 +314,8 @@ class ConvergenceRecord:
     error: Optional[str] = None
 
 
-def _convergence_replicate(cfg, n, replicate, reference, matrix) -> ConvergenceRecord:
-    try:
-        _, m, rho = _simulate_graph(cfg, n, replicate, observed=matrix == "observed")
-        spectrum = np.linalg.eigvalsh(m / (n * rho))
-        return ConvergenceRecord(n=n, replicate=replicate, delta2=delta_2(spectrum, reference))
-    except Exception as exc:  # noqa: BLE001
-        log.warning("convergence replicate (n=%d, r=%d) failed: %s", n, replicate, exc)
-        return ConvergenceRecord(n=n, replicate=replicate, delta2=math.nan, error=str(exc))
-
-
 def run_spectrum_convergence(
-    cfg: ExperimentConfig, k_max: Optional[int] = None, matrix: str = "observed"
+    cfg: ExperimentConfig, matrix: str = "observed"
 ) -> list[ConvergenceRecord]:
     """Matching distance between simulated and analytic spectra per replicate.
 
@@ -340,14 +329,16 @@ def run_spectrum_convergence(
     """
     if matrix not in ("observed", "noiseless"):
         raise ValidationError(f"matrix must be 'observed' or 'noiseless', got {matrix!r}")
-    reference = analytic_spectrum(cfg.link, cfg.d, k_max or cfg.k_max).flattened()
-    jobs = [(n, r) for n in cfg.n_grid for r in range(cfg.replicates)]
-    records = _run_jobs(
-        lambda job: _convergence_replicate(cfg, job[0], job[1], reference, matrix),
-        jobs,
-        worker_count(cfg),
+    reference = analytic_spectrum(cfg.link, cfg.d, cfg.k_max).flattened()
+
+    def replicate(n: int, r: int) -> ConvergenceRecord:
+        _, m, rho = _simulate_graph(cfg, n, r, observed=matrix == "observed")
+        spectrum = np.linalg.eigvalsh(m / (n * rho))
+        return ConvergenceRecord(n, r, delta_2(spectrum, reference))
+
+    return _run_replicates(
+        cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)
     )
-    return sorted(records, key=lambda rec: (rec.n, rec.replicate))
 
 
 def write_convergence_csv(records, path) -> None:

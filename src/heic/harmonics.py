@@ -58,11 +58,25 @@ def addition_constant(d: int, k: int) -> Fraction:
     return Fraction(2 * k + d - 2, d - 2)
 
 
+def _gegenbauer_levels(k_max: int, gamma: float, t):
+    """Yield G_0(t) .. G_{k_max}(t) by the three-term recurrence anchored at
+    G_0 = 1 and G_1 = 2*gamma*t:
+        j * G_j(t) = 2(j + gamma - 1) t G_{j-1}(t) - (j + 2*gamma - 2) G_{j-2}(t).
+    """
+    prev = np.ones_like(t)
+    yield prev
+    if k_max < 1:
+        return
+    cur = 2.0 * gamma * t
+    yield cur
+    for j in range(2, k_max + 1):
+        cur, prev = (2.0 * (j + gamma - 1.0) * t * cur - (j + 2.0 * gamma - 2.0) * prev) / j, cur
+        yield cur
+
+
 def gegenbauer(k: int, gamma: float, t):
     """Gegenbauer polynomial of degree k with parameter gamma > 0.
 
-    Three-term recurrence anchored at G_0 = 1 and G_1 = 2*gamma*t:
-        j * G_j(t) = 2(j + gamma - 1) t G_{j-1}(t) - (j + 2*gamma - 2) G_{j-2}(t).
     Accepts scalar or array t in [-1, 1].
     """
     if gamma <= 0:
@@ -72,13 +86,7 @@ def gegenbauer(k: int, gamma: float, t):
     arr = np.asarray(t, dtype=float)
     if arr.size and float(np.abs(arr).max()) > 1.0 + 1e-12:
         raise ValidationError("Gegenbauer argument outside [-1, 1]")
-    arr = np.clip(arr, -1.0, 1.0)
-    prev = np.ones_like(arr)
-    if k == 0:
-        return float(prev) if prev.ndim == 0 else prev
-    cur = 2.0 * gamma * arr
-    for j in range(2, k + 1):
-        cur, prev = (2.0 * (j + gamma - 1.0) * arr * cur - (j + 2.0 * gamma - 2.0) * prev) / j, cur
+    *_, cur = _gegenbauer_levels(k, gamma, np.clip(arr, -1.0, 1.0))
     return float(cur) if cur.ndim == 0 else cur
 
 
@@ -131,6 +139,7 @@ def funck_hecke_table(
     x, w = np.polynomial.legendre.leggauss(quad.nodes)
     power = d - 2
     norm = sphere_weight_total(d)
+    at_one = list(_gegenbauer_levels(k_max, gamma, 1.0))  # G_k(1) normalises level k
 
     def eval_levels(pieces: int) -> np.ndarray:
         vals = np.zeros(k_max + 1)
@@ -142,23 +151,8 @@ def funck_hecke_table(
             weights = (halfs[:, None] * w[None, :]).ravel()
             t = np.cos(theta)
             base = link(t) * np.sin(theta) ** power * weights
-            prev = np.ones_like(t)
-            prev_at_one = 1.0
-            vals[0] += float(base @ prev)
-            if k_max >= 1:
-                cur = 2.0 * gamma * t
-                cur_at_one = 2.0 * gamma
-                vals[1] += float(base @ cur) / cur_at_one
-                for k in range(2, k_max + 1):
-                    cur, prev = (
-                        (2.0 * (k + gamma - 1.0) * t * cur - (k + 2.0 * gamma - 2.0) * prev) / k,
-                        cur,
-                    )
-                    cur_at_one, prev_at_one = (
-                        (2.0 * (k + gamma - 1.0) * cur_at_one - (k + 2.0 * gamma - 2.0) * prev_at_one) / k,
-                        cur_at_one,
-                    )
-                    vals[k] += float(base @ cur) / cur_at_one
+            for k, g in enumerate(_gegenbauer_levels(k_max, gamma, t)):
+                vals[k] += float(base @ g) / at_one[k]
         return vals / norm
 
     pieces = 1 + (k_max + 2 * quad.nodes) // (2 * quad.nodes)

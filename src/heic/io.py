@@ -1,7 +1,7 @@
 """File formats: whitespace edge lists and dense CSV matrices.
 
 Edge list: a header line ``n=<count>`` followed by one ``i j`` pair per
-edge (0-based, i < j, whitespace separated).  Dense CSV: one row per line,
+edge (0-based, i < j, unique, whitespace separated).  Dense CSV: one row per line,
 comma separated, 17 significant digits so float64 values round-trip.
 """
 
@@ -29,27 +29,33 @@ def write_edge_list(path, adj) -> None:
 
 
 def read_edge_list(path) -> np.ndarray:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("n="):
+    header, _, body = Path(path).read_text().strip().partition("\n")
+    if not header.startswith("n="):
         raise ValidationError(f"{path}: missing 'n=<count>' header")
     try:
-        n = int(text[0][2:])
+        n = int(header[2:])
     except ValueError as exc:
-        raise ValidationError(f"{path}: bad node count {text[0]!r}") from exc
+        raise ValidationError(f"{path}: bad node count {header!r}") from exc
     if n < 1:
         raise ValidationError(f"{path}: node count must be >= 1")
+    edges = np.empty((0, 2), dtype=np.int64)
+    if body.strip():
+        try:
+            edges = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValidationError(f"{path}: expected 'i j' integer pairs ({exc})") from exc
+    if edges.shape[1] != 2:
+        raise ValidationError(f"{path}: expected 'i j', got {edges.shape[1]} columns")
+    i, j = edges.T
+    bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
+    if bad.size:
+        raise ValidationError(f"{path}: edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
+    keys = np.sort(i * n + j)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if repeated.size:
+        raise ValidationError(f"{path}: duplicate edge {divmod(int(repeated[0]), n)}")
     adj = np.zeros((n, n))
-    for lineno, line in enumerate(text[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValidationError(f"{path}:{lineno}: expected 'i j'")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < j < n):
-            raise ValidationError(f"{path}:{lineno}: edge ({i}, {j}) out of range for n={n}")
-        adj[i, j] = adj[j, i] = 1.0
+    adj[i, j] = adj[j, i] = 1.0
     return adj
 
 

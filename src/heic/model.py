@@ -71,11 +71,6 @@ class GraphModel:
             raise ValidationError("node count must be >= 1")
 
 
-def _symmetrize(m: np.ndarray) -> np.ndarray:
-    """Exact symmetry: averaging with the transpose is commutative per entry."""
-    return (m + m.T) / 2.0
-
-
 def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     """Validate a dense square, finite, symmetric matrix and return it as float64."""
     arr = np.asarray(m, dtype=float)
@@ -129,9 +124,11 @@ def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
 
 
 def inner_products(sample: LatentSample) -> np.ndarray:
-    """Pairwise inner products <X_i, X_j>, exactly symmetric, clipped to [-1, 1]."""
-    t = _symmetrize(sample.points @ sample.points.T)
-    return np.clip(t, -1.0, 1.0)
+    """Pairwise inner products <X_i, X_j>, clipped to [-1, 1].
+
+    Exactly symmetric: numpy computes x @ x.T as a symmetric rank-k update (BLAS syrk).
+    """
+    return np.clip(sample.points @ sample.points.T, -1.0, 1.0)
 
 
 def gram_population(sample: LatentSample) -> np.ndarray:

@@ -53,11 +53,16 @@ def cluster_scan_bruteforce(values, d) -> tuple[int, float]:
     return best_start, best_gap
 
 
+def grid_values():
+    """Hypothesis strategy: one value of a small dyadic grid that includes 0,
+    so exact ties and zeros are common."""
+    return st.sampled_from([-1.0, -0.5, -0.25, -0.125, 0.0, 0.125, 0.25, 0.5, 1.0])
+
+
 def sorted_spectra(min_size: int = 3, max_size: int = 12):
-    """Hypothesis strategy: decreasing value lists over a small grid, so exact
+    """Hypothesis strategy: decreasing value lists over the grid, so exact
     ties and repeated eigenvalues are common."""
-    grid = st.sampled_from([-1.0, -0.5, -0.25, -0.125, 0.0, 0.125, 0.25, 0.5, 1.0])
-    return st.lists(grid, min_size=min_size, max_size=max_size).map(
+    return st.lists(grid_values(), min_size=min_size, max_size=max_size).map(
         lambda xs: np.array(sorted(xs, reverse=True))
     )
 

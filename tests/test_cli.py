@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heic
-from heic import cli
+from heic import cli, experiments
 from heic import io
 from heic.errors import QuadratureError
 
@@ -97,6 +97,15 @@ class TestEstimateCommand:
         )
         assert code == 1
 
+    def test_duplicate_edge_is_validation_error(self, tmp_path, capsys):
+        edges = tmp_path / "dup.edges"
+        edges.write_text("n=3\n0 1\n0 1\n1 2\n")
+        code = cli.cli_main(
+            ["estimate", "--input", str(edges), "--dim", "1", "--out-gram", str(tmp_path / "g.csv")]
+        )
+        assert code == 1
+        assert "duplicate edge" in capsys.readouterr().err
+
 
 class TestDimensionCommand:
     def test_scores_csv_rows(self, tmp_path, capsys):
@@ -183,6 +192,50 @@ class TestStudyCommands:
         assert cli.cli_main(["mse-study", "--config", str(path)]) == 1
         path.write_text(json.dumps({"link": "threshold:0"}))
         assert cli.cli_main(["mse-study", "--config", str(path)]) == 1
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("mse-study", {"d": 1}),
+            ("mse-study", {"workers": 2}),
+            ("dim-study", {"n_grid": [30], "d_max": 29}),
+        ],
+    )
+    def test_unrunnable_config_rejected_before_replicates(
+        self, tmp_path, monkeypatch, command, overrides
+    ):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
+        cfg, out = self._write_config(tmp_path, **overrides)
+        assert cli.cli_main([command, "--config", str(cfg)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mse-study", "dim-study", "convergence-study"])
+    def test_every_replicate_failed_exits_two(self, tmp_path, monkeypatch, capsys, command):
+        def broken(*args, **kwargs):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", broken)
+        cfg, out = self._write_config(tmp_path, n_grid=[60], d_max=5, k_max=10)
+        assert cli.cli_main([command, "--config", str(cfg)]) == 2
+        assert "all 2 replicates failed (RuntimeError)" in capsys.readouterr().err
+        assert "nan" in out.read_text().splitlines()[1]
+
+    def test_some_replicates_failed_exits_zero(self, tmp_path, monkeypatch):
+        real = experiments.heic
+
+        def flaky(adjacency, d, **kwargs):
+            if adjacency.shape[0] == 60:
+                raise RuntimeError("synthetic failure")
+            return real(adjacency, d, **kwargs)
+
+        monkeypatch.setattr(experiments, "heic", flaky)
+        cfg, out = self._write_config(tmp_path)
+        assert cli.cli_main(["mse-study", "--config", str(cfg)]) == 0
+        mse = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]
+        assert [value == "nan" for value in mse] == [True, True, False, False]
 
 
 class TestExitCodes:

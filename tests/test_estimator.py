@@ -184,6 +184,15 @@ class TestGramEstimate:
         np.testing.assert_allclose(np.sort(eigs)[-4:], 0.25, atol=1e-9)
         assert np.abs(eigs[:-4]).max() < 1e-9
 
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(47)
+        for n in (6, 64, 301):
+            m = rng.standard_normal((n, n))
+            spec = heic.symmetric_eig(m + m.T)
+            for d in (1, 3, 4):
+                g = heic.gram_estimate(spec, heic.find_cluster(spec, d)).matrix
+                assert np.array_equal(g, g.T), (n, d)
+
     def test_needs_eigenvectors(self):
         spec = symmetric_eigvals(np.diag([5.0, 3.0, 2.0, 1.0, 0.5]))
         with pytest.raises(ValidationError, match="without eigenvectors"):

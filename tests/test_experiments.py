@@ -79,6 +79,19 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError):
             _config(n_grid=(4,), d=3)
 
+    def test_dimensions_validated(self):
+        # the sampler needs the sphere S^(d-1) with d >= 2
+        with pytest.raises(ValidationError, match="latent dimension"):
+            _config(d=1)
+        with pytest.raises(ValidationError, match="d_max"):
+            _config(d_max=0)
+
+    def test_unknown_key_rejected(self):
+        raw = {"link": "threshold:0", "d": 3, "n_grid": [60], "replicates": 1, "seed": 1}
+        assert ExperimentConfig.from_dict(raw).d == 3
+        with pytest.raises(ValidationError, match="workers"):
+            ExperimentConfig.from_dict({**raw, "workers": 2})
+
 
 class TestReplicateSeeds:
     def test_deterministic(self):
@@ -97,25 +110,26 @@ class TestReplicateSeeds:
 class TestWorkerCount:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(experiments.WORKERS_ENV, "3")
-        assert worker_count(_config()) == 3
+        assert worker_count() == 3
 
     def test_env_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv(experiments.WORKERS_ENV, "many")
         with pytest.raises(ValidationError):
-            worker_count(_config())
+            worker_count()
 
     def test_default_is_sequential(self, monkeypatch):
         monkeypatch.delenv(experiments.WORKERS_ENV, raising=False)
-        assert worker_count(_config()) == 1
+        assert worker_count() == 1
 
 
 class TestMseStudy:
     def test_records_sorted_and_complete(self):
-        records = heic.run_mse_study(_config())
-        keys = [(r.n, r.replicate) for r in records]
-        assert keys == [(60, 0), (60, 1), (90, 0), (90, 1)]
-        assert all(r.error is None for r in records)
-        assert all(r.mse >= 0.0 for r in records)
+        for n_grid in ((60, 90), (90, 60)):
+            records = heic.run_mse_study(_config(n_grid=n_grid))
+            keys = [(r.n, r.replicate) for r in records]
+            assert keys == [(60, 0), (60, 1), (90, 0), (90, 1)]
+            assert all(r.error is None for r in records)
+            assert all(r.mse >= 0.0 for r in records)
 
     def test_identical_matrices_give_zero_error(self):
         # the reported quantity is a mean squared entrywise difference
@@ -162,6 +176,7 @@ class TestMseStudy:
         failed = [r for r in records if r.n == 60]
         healthy = [r for r in records if r.n == 90]
         assert all(math.isnan(r.mse) and r.error for r in failed)
+        assert all(r.error == "RuntimeError: synthetic failure" for r in failed)
         assert all(r.error is None for r in healthy)
 
     def test_csv_written_deterministically(self, tmp_path):
@@ -213,6 +228,27 @@ class TestDimensionStudy:
     def test_requires_single_grid_size(self):
         with pytest.raises(ValidationError):
             heic.run_dimension_study(_config(n_grid=(60, 90)))
+
+    def test_rejects_d_max_too_large_before_running(self, monkeypatch):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
+        with pytest.raises(ValidationError, match="d_max"):
+            heic.run_dimension_study(_config(n_grid=(30,), d_max=29))
+
+    def test_failures_keep_their_errors(self, monkeypatch):
+        def broken(adjacency, d_max):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(experiments, "estimate_dimension", broken)
+        result = heic.run_dimension_study(_config(n_grid=(60,), replicates=2, d_max=4))
+        assert result.errors == ["RuntimeError: synthetic failure"] * 2
+        assert result.chosen == [None, None] and result.recovery_rate == 0.0
+        assert [(r.replicate, r.candidate_d) for r in result.records] == [
+            (r, d) for r in range(2) for d in range(1, 5)
+        ]
+        assert all(math.isnan(r.score) for r in result.records)
 
 
 class TestConvergenceStudy:

@@ -47,3 +47,24 @@ def test_matrix_csv_rejects_garbage(tmp_path):
     path.write_text("1,2\n3,oops\n")
     with pytest.raises(ValidationError):
         io.read_matrix_csv(path)
+
+
+def test_edge_list_rejects_duplicate_edge(tmp_path):
+    path = tmp_path / "dup.edges"
+    path.write_text("n=3\n0 1\n0 1\n1 2\n")
+    with pytest.raises(ValidationError, match=r"duplicate edge \(0, 1\)"):
+        io.read_edge_list(path)
+
+
+def test_edge_list_rejects_malformed_lines(tmp_path):
+    path = tmp_path / "bad.edges"
+    for body in ("n=3\n0 1 2\n", "n=3\n0 1\n2\n", "n=3\n0 x\n", "n=3\n0.5 1\n"):
+        path.write_text(body)
+        with pytest.raises(ValidationError):
+            io.read_edge_list(path)
+
+
+def test_edge_list_without_edges(tmp_path):
+    path = tmp_path / "empty.edges"
+    path.write_text("n=4\n")
+    np.testing.assert_array_equal(io.read_edge_list(path), np.zeros((4, 4)))

@@ -52,6 +52,13 @@ class TestGramPopulation:
         np.testing.assert_allclose(np.diag(g), 1.0 / 40.0, atol=1e-12)
         assert np.abs(g).max() <= 1.0 / 40.0 + 1e-12
 
+    def test_inner_products_exactly_symmetric(self):
+        # inner_products relies on numpy computing x @ x.T as a symmetric rank-k update
+        for n in (2, 7, 64, 301, 1001):
+            for d in (2, 3, 8, 15):
+                t = heic.inner_products(heic.sample_uniform_sphere(n, d, seed=n + d))
+                assert np.array_equal(t, t.T), (n, d)
+
 
 class TestProbabilityMatrix:
     def test_constant_link(self):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heic
 from heic.errors import ValidationError
 from heic.spectral import symmetric_eigvals
-from oracles import delta2_bruteforce
+from oracles import delta2_bruteforce, grid_values
 
 
 class TestSymmetricEig:
@@ -109,6 +111,12 @@ class TestDelta2:
             a = rng.uniform(-1.0, 1.0, size=rng.integers(0, 5))
             b = rng.uniform(-1.0, 1.0, size=rng.integers(0, 5))
             assert heic.delta_2(a, b) == pytest.approx(delta2_bruteforce(a, b), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(a=st.lists(grid_values(), max_size=4), b=st.lists(grid_values(), max_size=4))
+    def test_matches_bruteforce_on_grid(self, a, b):
+        # ties, zeros and empty sequences all occur on the grid
+        assert heic.delta_2(a, b) == pytest.approx(delta2_bruteforce(a, b), abs=1e-12)
 
     def test_metric_properties(self):
         rng = np.random.default_rng(11)

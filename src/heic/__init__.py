@@ -41,7 +41,6 @@ from .experiments import (
 )
 from .harmonics import (
     AnalyticSpectrum,
-    QuadratureConfig,
     SpectrumLevel,
     addition_constant,
     analytic_spectrum,
@@ -49,7 +48,6 @@ from .harmonics import (
     gap1_analytic,
     gegenbauer,
     harmonic_space_dim,
-    normalized_gegenbauer,
     sobolev_norm,
 )
 from .links import LinkFunction, affine, builtin_links, custom, link_from_spec, table, threshold
@@ -84,7 +82,6 @@ __all__ = [
     "LinkFunction",
     "MseRecord",
     "NumericError",
-    "QuadratureConfig",
     "QuadratureError",
     "RhoRule",
     "SortedSpectrum",
@@ -111,7 +108,6 @@ __all__ = [
     "link_from_spec",
     "noise_bound",
     "normalize_adjacency",
-    "normalized_gegenbauer",
     "probability_matrix",
     "replicate_seeds",
     "run_dimension_study",

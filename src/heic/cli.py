@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import io
-from .dimension import estimate_dimension
+from .dimension import DEFAULT_D_MAX, estimate_dimension
 from .errors import NumericError, ValidationError
 from .estimator import heic
 from .experiments import (
@@ -36,7 +36,7 @@ from .experiments import (
     write_dimension_csv,
     write_mse_csv,
 )
-from .harmonics import analytic_spectrum
+from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import link_from_spec
 from .model import GraphModel, gram_population, probability_matrix, sample_adjacency, sample_uniform_sphere
 from .spectral import symmetric_eigvals
@@ -53,7 +53,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_sample(args) -> int:
     link = link_from_spec(args.link)
-    ss = np.random.SeedSequence(int(args.seed))
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
+    ss = np.random.SeedSequence(args.seed)
     latent_seed, adjacency_seed = (int(s) for s in ss.generate_state(2, np.uint64))
     sample = sample_uniform_sphere(args.n, args.d, latent_seed)
     theta = probability_matrix(sample, GraphModel(link=link, sparsity=args.rho, n=args.n))
@@ -184,7 +186,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="analytic spectrum of a link function")
     p.add_argument("--link", required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--kmax", type=int, default=25)
+    p.add_argument("--kmax", type=int, default=DEFAULT_K_MAX)
     p.add_argument("--out", default="-", help="CSV path or - for stdout")
     p.set_defaults(handler=_cmd_spectrum)
 
@@ -202,7 +204,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("dimension", help="candidate-dimension scores from an edge list")
     p.add_argument("--input", required=True)
-    p.add_argument("--dmax", type=int, default=15)
+    p.add_argument("--dmax", type=int, default=DEFAULT_D_MAX)
     p.add_argument("--out", default="-")
     p.set_defaults(handler=_cmd_dimension)
 
@@ -239,13 +241,10 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (NumericError, np.linalg.LinAlgError) as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
 

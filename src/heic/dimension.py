@@ -21,6 +21,8 @@ from .estimator import window_gaps
 from .model import require_symmetric
 from .spectral import SortedSpectrum, descending_eigvalsh
 
+DEFAULT_D_MAX = 15
+
 
 @dataclass(frozen=True)
 class DimensionScan:
@@ -55,7 +57,7 @@ def scan_spectrum(spec: SortedSpectrum, candidates) -> DimensionScan:
     return _scan(spec.values, _require_candidates(candidates, spec.n))
 
 
-def estimate_dimension(adjacency, d_max: int = 15) -> DimensionScan:
+def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     """Scan candidate dimensions 1 .. d_max on an adjacency matrix."""
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")

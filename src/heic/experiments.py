@@ -23,13 +23,13 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .dimension import estimate_dimension
+from .dimension import DEFAULT_D_MAX, estimate_dimension
 from .errors import ValidationError
 from .estimator import heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
@@ -41,7 +41,7 @@ from .model import (
     sample_adjacency,
     sample_uniform_sphere,
 )
-from .spectral import delta_2
+from .spectral import delta_2, descending_eigvalsh
 from .io import format_float
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ class RhoRule:
     def __post_init__(self):
         if self.kind not in ("constant", "log"):
             raise ValidationError(f"unknown rho rule {self.kind!r}")
-        if self.value <= 0:
+        if not self.value > 0:  # also rejects NaN
             raise ValidationError("rho rule constant must be positive")
         if self.kind == "constant" and self.value > 1.0:
             raise ValidationError("constant rho must lie in (0, 1]")
@@ -75,29 +75,61 @@ class RhoRule:
 
 
 def rho_rule_from_spec(spec) -> RhoRule:
-    if isinstance(spec, RhoRule):
-        return spec
-    if isinstance(spec, (int, float)):
-        return RhoRule(kind="constant", value=float(spec))
+    """A number is a constant rule; a dict gives the constant "c" and the "kind"."""
+    kind, c = "constant", spec
     if isinstance(spec, dict):
-        kind = str(spec.get("kind", "constant"))
-        value = float(spec.get("c", spec.get("value", 0.0)))
-        return RhoRule(kind=kind, value=value)
-    raise ValidationError(f"cannot interpret rho rule {spec!r}")
+        if "c" not in spec:
+            raise ValidationError(f"rho rule {spec!r} is missing 'c'")
+        unknown = sorted(set(spec) - {"kind", "c"})
+        if unknown:
+            raise ValidationError(f"rho rule has unknown keys {unknown}")
+        kind, c = str(spec.get("kind", "constant")), spec["c"]
+    if isinstance(c, bool) or not isinstance(c, (int, float)):
+        raise ValidationError(f"rho rule constant must be a number, got {spec!r}")
+    return RhoRule(kind=kind, value=float(c))
+
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"experiment config key {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _integers(key: str, value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(
+            f"experiment config key {key!r} must be a list of integers, got {value!r}"
+        )
+    return tuple(_integer(key, n) for n in value)
+
+
+def _out_path(key: str, value) -> Optional[Path]:
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"experiment config key {key!r} must be a path, got {value!r}")
+    return Path(value) if value else None
+
+
+# How ExperimentConfig.from_dict reads each key; every other key is an integer.
+_CONFIG_PARSERS = {
+    "link": lambda key, value: link_from_spec(value),
+    "rho": lambda key, value: rho_rule_from_spec(value),
+    "n_grid": _integers,
+    "out": _out_path,
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One study: link, dimension, rho rule, n grid, replicates, base seed, output."""
+    """One study: link, dimension, n grid, replicates, base seed, rho rule, output."""
 
     link: LinkFunction
     d: int
-    rho: RhoRule
     n_grid: tuple[int, ...]
     replicates: int
     seed: int
+    rho: RhoRule = RhoRule(kind="constant", value=1.0)
     out: Optional[Path] = None
-    d_max: int = 15
+    d_max: int = DEFAULT_D_MAX
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
@@ -111,27 +143,22 @@ class ExperimentConfig:
             raise ValidationError("every n must be at least d + 2")
         if self.replicates < 1:
             raise ValidationError("replicate count must be >= 1")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Build a config from JSON values; an absent key takes its field default."""
+        if not isinstance(raw, dict):
+            raise ValidationError(f"experiment config must be a JSON object, got {raw!r}")
         unknown = sorted(set(raw) - {field.name for field in fields(cls)})
         if unknown:
             raise ValidationError(f"experiment config has unknown keys {unknown}")
-        try:
-            link = link_from_spec(raw["link"])
-            return cls(
-                link=link,
-                d=int(raw["d"]),
-                rho=rho_rule_from_spec(raw.get("rho", 1.0)),
-                n_grid=tuple(int(n) for n in raw["n_grid"]),
-                replicates=int(raw["replicates"]),
-                seed=int(raw["seed"]),
-                out=Path(raw["out"]) if raw.get("out") else None,
-                d_max=int(raw.get("d_max", 15)),
-                k_max=int(raw.get("k_max", DEFAULT_K_MAX)),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"experiment config is missing key {exc}") from exc
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
+        if missing:
+            raise ValidationError(f"experiment config is missing keys {missing}")
+        parsed = {key: _CONFIG_PARSERS.get(key, _integer)(key, value) for key, value in raw.items()}
+        return cls(**parsed)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -333,8 +360,8 @@ def run_spectrum_convergence(
 
     def replicate(n: int, r: int) -> ConvergenceRecord:
         _, m, rho = _simulate_graph(cfg, n, r, observed=matrix == "observed")
-        spectrum = np.linalg.eigvalsh(m / (n * rho))
-        return ConvergenceRecord(n, r, delta_2(spectrum, reference))
+        spectrum = descending_eigvalsh(m / (n * rho))
+        return ConvergenceRecord(n, r, delta_2(spectrum.values, reference))
 
     return _run_replicates(
         cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)

@@ -32,6 +32,12 @@ from .links import LinkFunction
 
 DEFAULT_K_MAX = 25
 
+# Composite Gauss-Legendre rule: absolute tolerance per level, panel budget,
+# nodes per panel.
+QUAD_TOL = 1e-10
+QUAD_MAX_PANELS = 2 ** 14
+QUAD_NODES = 16
+
 
 def _require_dim(d: int) -> float:
     if d < 3:
@@ -90,28 +96,11 @@ def gegenbauer(k: int, gamma: float, t):
     return float(cur) if cur.ndim == 0 else cur
 
 
-def normalized_gegenbauer(k: int, gamma: float, t):
-    """G_k(t) / G_k(1), the polynomial that is 1 at t = 1."""
-    at_one = gegenbauer(k, gamma, 1.0)
-    return gegenbauer(k, gamma, t) / at_one
-
-
 def sphere_weight_total(d: int) -> float:
     """int_0^pi sin(theta)^{d-2} d(theta) = sqrt(pi) Gamma((d-1)/2) / Gamma(d/2)."""
     _require_dim(d)
     return math.sqrt(math.pi) * math.gamma((d - 1) / 2.0) / math.gamma(d / 2.0)
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite Gauss-Legendre settings: absolute tolerance, panel budget, nodes per panel."""
-
-    tol: float = 1e-10
-    max_panels: int = 2 ** 14
-    nodes: int = 16
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
 
 def _angle_segments(link: LinkFunction) -> list[tuple[float, float]]:
     cuts = sorted(
@@ -120,9 +109,7 @@ def _angle_segments(link: LinkFunction) -> list[tuple[float, float]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-def funck_hecke_table(
-    link: LinkFunction, d: int, k_max: int, quad: QuadratureConfig = DEFAULT_QUADRATURE
-) -> tuple[np.ndarray, np.ndarray]:
+def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of all levels 0 .. k_max in one pass.
 
     A composite Gauss-Legendre rule shares its nodes across levels, so the
@@ -130,13 +117,13 @@ def funck_hecke_table(
     per level; the per-level error estimate is the change under the final
     node doubling.  The rule starts with enough panels per segment to
     resolve a degree-k_max oscillation and doubles them until every level
-    changes by at most quad.tol.
+    changes by at most QUAD_TOL.
     """
     gamma = _require_dim(d)
     if k_max < 0:
         raise ValidationError(f"k_max must be >= 0, got {k_max}")
     segments = _angle_segments(link)
-    x, w = np.polynomial.legendre.leggauss(quad.nodes)
+    x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     power = d - 2
     norm = sphere_weight_total(d)
     at_one = list(_gegenbauer_levels(k_max, gamma, 1.0))  # G_k(1) normalises level k
@@ -155,20 +142,20 @@ def funck_hecke_table(
                 vals[k] += float(base @ g) / at_one[k]
         return vals / norm
 
-    pieces = 1 + (k_max + 2 * quad.nodes) // (2 * quad.nodes)
+    pieces = 1 + (k_max + 2 * QUAD_NODES) // (2 * QUAD_NODES)
     values = eval_levels(pieces)
     while True:
         pieces *= 2
-        if pieces * len(segments) > quad.max_panels:
+        if pieces * len(segments) > QUAD_MAX_PANELS:
             raise QuadratureError(
-                f"level table did not converge within {quad.max_panels} panels",
+                f"level table did not converge within {QUAD_MAX_PANELS} panels",
                 best_estimate=float(np.abs(values).max()),
                 error_estimate=float("nan"),
             )
         refined = eval_levels(pieces)
         errors = np.abs(refined - values)
         values = refined
-        if float(errors.max()) <= quad.tol:
+        if float(errors.max()) <= QUAD_TOL:
             return values, errors
 
 
@@ -189,12 +176,8 @@ class AnalyticSpectrum:
     """
 
     d: int
-    link_label: str
     levels: tuple[SpectrumLevel, ...]
     k_max: int
-
-    def eigenvalue(self, k: int) -> float:
-        return self.levels[k].eigenvalue
 
     def eigenvalues(self) -> np.ndarray:
         """Per-level eigenvalues, index k = 0 .. k_max."""
@@ -207,16 +190,11 @@ class AnalyticSpectrum:
         )
 
 
-def analytic_spectrum(
-    link: LinkFunction,
-    d: int,
-    k_max: int = DEFAULT_K_MAX,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> AnalyticSpectrum:
+def analytic_spectrum(link: LinkFunction, d: int, k_max: int = DEFAULT_K_MAX) -> AnalyticSpectrum:
     """Compute levels 0 .. k_max of the kernel spectrum by quadrature."""
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
-    values, errors = funck_hecke_table(link, d, k_max, quad)
+    values, errors = funck_hecke_table(link, d, k_max)
     levels = [
         SpectrumLevel(
             k=k,
@@ -226,7 +204,7 @@ def analytic_spectrum(
         )
         for k in range(k_max + 1)
     ]
-    return AnalyticSpectrum(d=d, link_label=link.describe(), levels=tuple(levels), k_max=k_max)
+    return AnalyticSpectrum(d=d, levels=tuple(levels), k_max=k_max)
 
 
 def gap1_analytic(spectrum: AnalyticSpectrum) -> float:
@@ -237,18 +215,14 @@ def gap1_analytic(spectrum: AnalyticSpectrum) -> float:
     """
     if spectrum.k_max < 2:
         raise ValidationError("gap needs a spectrum computed to k_max >= 2")
-    lam1 = spectrum.eigenvalue(1)
+    lam1 = spectrum.levels[1].eigenvalue
     others = [lv.eigenvalue for lv in spectrum.levels if lv.k != 1]
     others.append(0.0)
     return float(min(abs(lam1 - x) for x in others))
 
 
 def sobolev_norm(
-    link: LinkFunction,
-    d: int,
-    s: float,
-    k_max: int = DEFAULT_K_MAX,
-    quad: QuadratureConfig = DEFAULT_QUADRATURE,
+    link: LinkFunction, d: int, s: float, k_max: int = DEFAULT_K_MAX
 ) -> tuple[float, bool]:
     """Weighted Sobolev series of f, truncated at k_max.
 
@@ -261,7 +235,7 @@ def sobolev_norm(
         raise ValidationError(f"regularity must be >= 0, got {s}")
     if k_max < 3:
         raise ValidationError(f"k_max must be >= 3 to judge the tail, got {k_max}")
-    values, _ = funck_hecke_table(link, d, k_max, quad)
+    values, _ = funck_hecke_table(link, d, k_max)
     k = np.arange(k_max + 1)
     dims = np.array([harmonic_space_dim(d, j) for j in k], dtype=float)
     terms = dims * values * values * (1.0 + k * (k + 2.0 * gamma + 1.0)) ** s

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import require_symmetric
+from .model import require_adjacency
 
 
 def format_float(x: float) -> str:
@@ -20,7 +20,7 @@ def format_float(x: float) -> str:
 
 
 def write_edge_list(path, adj) -> None:
-    adj = require_symmetric(adj, "adjacency")
+    adj, _ = require_adjacency(adj)
     n = adj.shape[0]
     rows, cols = np.nonzero(np.triu(adj, k=1))
     lines = [f"n={n}"]
@@ -63,8 +63,8 @@ def write_matrix_csv(path, m) -> None:
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise ValidationError("dense CSV export expects a 2-d matrix")
-    lines = [",".join(format_float(x) for x in row) for row in arr]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # %.17g formats each value exactly as format_float does.
+    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -17,7 +17,7 @@ discontinuities are carried along so quadrature can split the domain there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ class LinkFunction:
     fn: Callable[[np.ndarray], np.ndarray]
     discontinuities: tuple[float, ...] = ()
     label: str = ""
-    params: dict = field(default_factory=dict)
 
     def __call__(self, t):
         """Evaluate at t (scalar or array).
@@ -74,26 +73,30 @@ def _probe_range(fn, what: str) -> None:
         )
 
 
+def _number(value, what: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} must be a number, got {value!r}") from exc
+    if math.isnan(number):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return number
+
+
 def threshold(tau: float) -> LinkFunction:
     """Hard link: connect exactly when the inner product is <= tau."""
-    tau = float(tau)
+    tau = _number(tau, "threshold tau")
 
     def fn(t):
         return (t <= tau).astype(float)
 
     disc = (tau,) if -1.0 < tau < 1.0 else ()
-    return LinkFunction(
-        kind="threshold",
-        fn=fn,
-        discontinuities=disc,
-        label=f"threshold({tau:g})",
-        params={"tau": tau},
-    )
+    return LinkFunction(kind="threshold", fn=fn, discontinuities=disc, label=f"threshold({tau:g})")
 
 
 def affine(a: float, b: float) -> LinkFunction:
     """Linear link a + b*t; endpoints must stay inside [0, 1]."""
-    a, b = float(a), float(b)
+    a, b = _number(a, "affine a"), _number(b, "affine b")
     for endpoint in (a - b, a + b):
         if endpoint < -RANGE_SLACK or endpoint > 1.0 + RANGE_SLACK:
             raise ValidationError(f"affine link leaves [0, 1] at the endpoints: {endpoint:g}")
@@ -101,15 +104,16 @@ def affine(a: float, b: float) -> LinkFunction:
     def fn(t):
         return a + b * t
 
-    return LinkFunction(
-        kind="affine", fn=fn, label=f"affine({a:g},{b:g})", params={"a": a, "b": b}
-    )
+    return LinkFunction(kind="affine", fn=fn, label=f"affine({a:g},{b:g})")
 
 
 def table(ts, values) -> LinkFunction:
     """Piecewise-linear link through the sample points (ts, values)."""
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
+    try:
+        ts = np.asarray(ts, dtype=float)
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"table link samples must be numbers ({exc})") from exc
     if ts.ndim != 1 or ts.shape != values.shape or ts.size < 2:
         raise ValidationError("table link needs matching 1-d arrays with >= 2 samples")
     if np.any(np.diff(ts) <= 0):
@@ -118,14 +122,8 @@ def table(ts, values) -> LinkFunction:
     def fn(t):
         return np.interp(t, ts, values)
 
-    link = LinkFunction(
-        kind="table",
-        fn=fn,
-        label=f"table[{ts.size}]",
-        params={"t": ts.tolist(), "values": values.tolist()},
-    )
     _probe_range(fn, "table")
-    return link
+    return LinkFunction(kind="table", fn=fn, label=f"table[{ts.size}]")
 
 
 def custom(fn: Callable, label: str = "custom", discontinuities=()) -> LinkFunction:
@@ -163,20 +161,20 @@ def link_from_spec(spec) -> LinkFunction:
         name, _, rest = spec.partition(":")
         name = name.strip().lower()
         if name == "threshold":
-            return threshold(float(rest) if rest else 0.0)
+            return threshold(rest if rest else 0.0)
         if name == "affine":
             parts = [p for p in rest.split(",") if p.strip()]
             if len(parts) != 2:
                 raise ValidationError("affine shorthand is affine:a,b")
-            return affine(float(parts[0]), float(parts[1]))
+            return affine(*parts)
         raise ValidationError(f"unknown link shorthand {spec!r}")
     if isinstance(spec, dict):
         kind = str(spec.get("kind", "")).lower()
         if kind == "threshold":
-            return threshold(float(spec.get("tau", 0.0)))
+            return threshold(spec.get("tau", 0.0))
         if kind == "affine":
-            return affine(float(spec["a"]), float(spec["b"]))
+            return affine(spec.get("a"), spec.get("b"))
         if kind == "table":
-            return table(spec["t"], spec["values"])
+            return table(spec.get("t"), spec.get("values"))
         raise ValidationError(f"unknown link kind {kind!r}")
     raise ValidationError(f"cannot interpret link spec {spec!r}")

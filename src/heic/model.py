@@ -72,13 +72,13 @@ class GraphModel:
 
 
 def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
-    """Validate a dense square, finite, symmetric matrix and return it as float64."""
+    """Validate a dense non-empty square, finite, symmetric matrix and return it as float64."""
     arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValidationError(f"{name} must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValidationError(f"{name} must be non-empty and square, got shape {arr.shape}")
     # The max-abs scale is NaN or inf exactly when some entry is, so it
     # doubles as the finiteness check.
-    largest = float(np.abs(arr).max()) if arr.size else 1.0
+    largest = float(np.abs(arr).max())
     if not math.isfinite(largest):
         raise ValidationError(f"{name} has non-finite entries")
     if float(np.abs(arr - arr.T).max()) > tol * max(1.0, largest):
@@ -90,8 +90,8 @@ def require_adjacency(adj) -> tuple[np.ndarray, float]:
     """Validate a simple-graph adjacency on n >= 2 nodes; return it and its edge density.
 
     On top of require_symmetric the entries must be 0 or 1, which makes the
-    matrix exactly symmetric, so the edge count is the number of
-    off-diagonal ones halved.
+    matrix exactly symmetric, and the diagonal must be 0 (no self-loops), so
+    the edge count is the number of ones halved.
     """
     arr = require_symmetric(adj, "adjacency")
     n = arr.shape[0]
@@ -100,8 +100,9 @@ def require_adjacency(adj) -> tuple[np.ndarray, float]:
     ones = np.count_nonzero(arr == 1.0)
     if ones + np.count_nonzero(arr == 0.0) != arr.size:
         raise ValidationError("adjacency entries must be 0 or 1")
-    edges = (ones - np.count_nonzero(np.diagonal(arr) == 1.0)) // 2
-    return arr, edges / (n * (n - 1) / 2.0)
+    if np.any(np.diagonal(arr)):
+        raise ValidationError("adjacency has a nonzero diagonal (self-loop)")
+    return arr, (ones // 2) / (n * (n - 1) / 2.0)
 
 
 def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
@@ -151,7 +152,7 @@ def sample_adjacency(theta, seed: int) -> np.ndarray:
     Symmetric 0/1 float matrix with zero diagonal; deterministic per seed.
     """
     theta = require_symmetric(theta, "probability matrix")
-    if theta.size and (theta.min() < -PROB_SLACK or theta.max() > 1.0 + PROB_SLACK):
+    if theta.min() < -PROB_SLACK or theta.max() > 1.0 + PROB_SLACK:
         raise ValidationError("probability matrix entries must lie in [0, 1]")
     n = theta.shape[0]
     rng = np.random.default_rng(seed)

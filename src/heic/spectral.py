@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EigenSolverError, ValidationError
+from .errors import EigenSolverError
 from .model import require_symmetric
 
 
@@ -81,10 +81,7 @@ def symmetric_eigvals(m) -> SortedSpectrum:
 def normalize_adjacency(adj) -> np.ndarray:
     """Divide every entry by the node count n."""
     arr = require_symmetric(adj, "adjacency")
-    n = arr.shape[0]
-    if n < 1:
-        raise ValidationError("matrix must have at least one row")
-    return arr / n
+    return arr / arr.shape[0]
 
 
 def delta_2(a, b) -> float:

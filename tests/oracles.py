@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
 from heic.errors import QuadratureError
-from heic.harmonics import DEFAULT_QUADRATURE, QuadratureConfig, gegenbauer, sphere_weight_total
+from heic.harmonics import QUAD_MAX_PANELS, QUAD_NODES, QUAD_TOL, gegenbauer, sphere_weight_total
 
 
 def delta2_bruteforce(a, b) -> float:
@@ -81,7 +81,7 @@ def threshold_eigenvalue_exact(k: int, tau: float = 0.0) -> float:
 
 
 def _adaptive_integral(
-    fn, segments, quad: QuadratureConfig, min_degree: int = 0
+    fn, segments, tol: float, max_panels: int, min_degree: int = 0
 ) -> tuple[float, float]:
     """Integrate fn over the given segments by bisection until |I2 - I1| <= tol.
 
@@ -93,7 +93,7 @@ def _adaptive_integral(
     QuadratureError carrying the best running estimate when the budget is
     exhausted.
     """
-    x, w = legendre.leggauss(quad.nodes)
+    x, w = legendre.leggauss(QUAD_NODES)
     total_width = sum(b - a for a, b in segments)
 
     def panel(a: float, b: float) -> float:
@@ -106,7 +106,7 @@ def _adaptive_integral(
     for a, b in segments:
         if b <= a:
             continue
-        pieces = 1 + max(0, min_degree) // (2 * quad.nodes)
+        pieces = 1 + max(0, min_degree) // (2 * QUAD_NODES)
         edges = np.linspace(a, b, pieces + 1)
         stack = [(lo, hi, panel(lo, hi)) for lo, hi in zip(edges[:-1], edges[1:])]
         panels += pieces
@@ -117,14 +117,14 @@ def _adaptive_integral(
             panels += 2
             fine = left + right
             local_err = abs(fine - coarse)
-            local_tol = quad.tol * (hi - lo) / total_width
+            local_tol = tol * (hi - lo) / total_width
             if local_err <= local_tol or (hi - lo) < 4.0 * np.finfo(float).eps:
                 value += fine
                 err += local_err
-            elif panels >= quad.max_panels:
+            elif panels >= max_panels:
                 best = value + fine + sum(c for _, _, c in stack)
                 raise QuadratureError(
-                    f"quadrature did not converge within {quad.max_panels} panels",
+                    f"quadrature did not converge within {max_panels} panels",
                     best_estimate=best,
                     error_estimate=err + local_err,
                 )
@@ -135,7 +135,7 @@ def _adaptive_integral(
 
 
 def funck_hecke_eigenvalue(
-    link, d: int, k: int, quad: QuadratureConfig = DEFAULT_QUADRATURE
+    link, d: int, k: int, tol: float = QUAD_TOL, max_panels: int = QUAD_MAX_PANELS
 ) -> tuple[float, float]:
     """Level-k eigenvalue of the kernel operator and its quadrature error estimate.
 
@@ -155,6 +155,6 @@ def funck_hecke_eigenvalue(
         {math.acos(t) for t in link.discontinuities if -1.0 < t < 1.0} | {0.0, math.pi}
     )
     segments = list(zip(cuts[:-1], cuts[1:]))
-    raw, raw_err = _adaptive_integral(integrand, segments, quad, min_degree=k)
+    raw, raw_err = _adaptive_integral(integrand, segments, tol, max_panels, min_degree=k)
     norm = sphere_weight_total(d)
     return raw / norm, raw_err / norm

@@ -52,6 +52,18 @@ class TestSampleCommand:
         gram = io.read_matrix_csv(gram_csv)
         np.testing.assert_allclose(np.diag(gram), 1.0 / 40.0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--link", "threshold:abc"), ("--link", "threshold:nan"), ("--link", "affine:0.5,x"),
+         ("--seed", "-1")],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, flag, value):
+        argv = ["sample", "--link", "threshold:0", "--d", "3", "--n", "20", "--seed", "1"]
+        argv[argv.index(flag) + 1] = value
+        assert cli.cli_main([*argv, "--out", str(tmp_path / "g.edges")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_seed_reproducible(self, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"
@@ -96,6 +108,12 @@ class TestEstimateCommand:
             ]
         )
         assert code == 1
+
+    def test_directory_input_is_one_error_line(self, tmp_path, capsys):
+        out = str(tmp_path / "g.csv")
+        code = cli.cli_main(["estimate", "--input", str(tmp_path), "--dim", "3", "--out-gram", out])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_duplicate_edge_is_validation_error(self, tmp_path, capsys):
         edges = tmp_path / "dup.edges"
@@ -199,6 +217,12 @@ class TestStudyCommands:
             ("mse-study", {"d": 1}),
             ("mse-study", {"workers": 2}),
             ("dim-study", {"n_grid": [30], "d_max": 29}),
+            ("mse-study", {"d": "three"}),
+            ("mse-study", {"d": 3.7}),
+            ("mse-study", {"n_grid": 60}),
+            ("mse-study", {"seed": -1}),
+            ("mse-study", {"link": {"kind": "affine", "a": "x", "b": 0.5}}),
+            ("convergence-study", {"rho": {"kind": "log", "value": 8.0}}),
         ],
     )
     def test_unrunnable_config_rejected_before_replicates(
@@ -211,6 +235,12 @@ class TestStudyCommands:
         cfg, out = self._write_config(tmp_path, **overrides)
         assert cli.cli_main([command, "--config", str(cfg)]) == 1
         assert not out.exists()
+
+    def test_config_not_an_object_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("5\n")
+        assert cli.cli_main(["mse-study", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: experiment config must be a JSON object")
 
     @pytest.mark.parametrize("command", ["mse-study", "dim-study", "convergence-study"])
     def test_every_replicate_failed_exits_two(self, tmp_path, monkeypatch, capsys, command):

@@ -237,6 +237,12 @@ class TestHeicPipeline:
         with pytest.raises(ValidationError, match="0 or 1"):
             heic.heic(np.full((12, 12), 0.5), 3)
 
+    def test_rejects_self_loop(self):
+        adjacency = np.ones((12, 12)) - np.eye(12)
+        adjacency[5, 5] = 1.0
+        with pytest.raises(ValidationError, match="diagonal"):
+            heic.heic(adjacency, 3)
+
     def test_empty_graph_flagged_degenerate(self):
         estimate, diag = heic.heic(np.zeros((8, 8)), 3)
         assert diag.degenerate

@@ -46,9 +46,18 @@ class TestRhoRule:
         with pytest.raises(ValidationError):
             RhoRule("weird", 0.5)
 
+    def test_nan_constant_rejected(self):
+        with pytest.raises(ValidationError, match="positive"):
+            RhoRule("log", math.nan)
+
     def test_from_spec(self):
         assert experiments.rho_rule_from_spec(0.4).kind == "constant"
         assert experiments.rho_rule_from_spec({"kind": "log", "c": 2.0}).value == 2.0
+
+    @pytest.mark.parametrize("spec", [{"kind": "log"}, {"kind": "log", "value": 2.0}])
+    def test_from_spec_needs_c(self, spec):
+        with pytest.raises(ValidationError, match="missing 'c'"):
+            experiments.rho_rule_from_spec(spec)
 
 
 class TestExperimentConfig:
@@ -91,6 +100,16 @@ class TestExperimentConfig:
         assert ExperimentConfig.from_dict(raw).d == 3
         with pytest.raises(ValidationError, match="workers"):
             ExperimentConfig.from_dict({**raw, "workers": 2})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("d", "three"), ("d", 3.7), ("d", True), ("replicates", 2.0), ("n_grid", 60),
+         ("n_grid", [60, "90"]), ("seed", -1), ("rho", {"kind": "log", "c": "8"})],
+    )
+    def test_bad_value_names_its_key(self, key, value):
+        raw = {"link": "threshold:0", "d": 3, "n_grid": [60], "replicates": 1, "seed": 1}
+        with pytest.raises(ValidationError, match=rf"(^|'){key}\b"):
+            ExperimentConfig.from_dict({**raw, key: value})
 
 
 class TestReplicateSeeds:
@@ -276,6 +295,20 @@ class TestConvergenceStudy:
         observed = heic.run_spectrum_convergence(cfg, matrix="observed")[0].delta2
         noiseless = heic.run_spectrum_convergence(cfg, matrix="noiseless")[0].delta2
         assert observed == noiseless
+
+    def test_solver_failure_is_eigen_solver_error(self, monkeypatch):
+        real = np.linalg.eigvalsh
+
+        def no_convergence(m):
+            # The analytic reference's Gauss-Legendre nodes use eigvalsh too;
+            # only the 60-node graph's solve fails.
+            if m.shape == (60, 60):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return real(m)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        records = heic.run_spectrum_convergence(_config(n_grid=(60,), replicates=1, k_max=10))
+        assert records[0].error.startswith("EigenSolverError: ")
 
     def test_matrix_mode_validated(self):
         with pytest.raises(ValidationError):

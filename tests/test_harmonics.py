@@ -6,14 +6,9 @@ import pytest
 import scipy.special
 
 import heic
+from heic import harmonics
 from heic.errors import QuadratureError, ValidationError
-from heic.harmonics import (
-    AnalyticSpectrum,
-    QuadratureConfig,
-    SpectrumLevel,
-    funck_hecke_table,
-    sphere_weight_total,
-)
+from heic.harmonics import AnalyticSpectrum, SpectrumLevel, funck_hecke_table, sphere_weight_total
 from oracles import funck_hecke_eigenvalue, threshold_eigenvalue_exact
 
 
@@ -122,9 +117,8 @@ class TestFunckHeckeEigenvalue:
                 assert lam0 == pytest.approx(0.5, abs=max(1e-9, 10 * err))
 
     def test_budget_exhaustion_raises_with_estimate(self):
-        quad = QuadratureConfig(tol=1e-30, max_panels=8)
         with pytest.raises(QuadratureError) as excinfo:
-            funck_hecke_eigenvalue(heic.threshold(0.0), 3, 1, quad)
+            funck_hecke_eigenvalue(heic.threshold(0.0), 3, 1, tol=1e-30, max_panels=8)
         assert math.isfinite(excinfo.value.best_estimate)
 
     def test_weight_totals(self):
@@ -143,9 +137,11 @@ class TestFunckHeckeTable:
                     assert values[k] == pytest.approx(lam, abs=1e-9)
                 assert errs.max() < 1e-10
 
-    def test_budget_exhaustion(self):
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "QUAD_TOL", 1e-30)
+        monkeypatch.setattr(harmonics, "QUAD_MAX_PANELS", 64)
         with pytest.raises(QuadratureError):
-            funck_hecke_table(heic.threshold(0.0), 3, 5, QuadratureConfig(tol=1e-30, max_panels=64))
+            funck_hecke_table(heic.threshold(0.0), 3, 5)
 
 
 def _spectrum_from_values(eigs, d=3):
@@ -153,7 +149,7 @@ def _spectrum_from_values(eigs, d=3):
         SpectrumLevel(k=k, eigenvalue=float(v), multiplicity=heic.harmonic_space_dim(d, k), quad_err=0.0)
         for k, v in enumerate(eigs)
     )
-    return AnalyticSpectrum(d=d, link_label="synthetic", levels=levels, k_max=len(eigs) - 1)
+    return AnalyticSpectrum(d=d, levels=levels, k_max=len(eigs) - 1)
 
 
 class TestAnalyticSpectrum:

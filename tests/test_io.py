@@ -42,6 +42,22 @@ def test_matrix_csv_roundtrip_exact(tmp_path):
     np.testing.assert_array_equal(io.read_matrix_csv(path), m)
 
 
+def test_matrix_csv_bytes(tmp_path):
+    m = np.array([[-0.0, 5e-324], [1e300, np.nan]])
+    path = tmp_path / "m.csv"
+    io.write_matrix_csv(path, m)
+    expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in m.tolist())
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("i, j, value, match", [(0, 1, 0.5, "0 or 1"), (2, 2, 1.0, "diagonal")])
+def test_edge_list_write_rejects_non_graph(tmp_path, i, j, value, match):
+    adj = np.zeros((3, 3))
+    adj[i, j] = adj[j, i] = value
+    with pytest.raises(ValidationError, match=match):
+        io.write_edge_list(tmp_path / "g.edges", adj)
+
+
 def test_matrix_csv_rejects_garbage(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1,2\n3,oops\n")

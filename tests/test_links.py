@@ -70,7 +70,7 @@ class TestTableAndCustom:
 
 class TestLinkSpecs:
     def test_shorthands(self):
-        assert heic.link_from_spec("threshold:0.25").params["tau"] == 0.25
+        assert heic.link_from_spec("threshold:0.25").discontinuities == (0.25,)
         link = heic.link_from_spec("affine:0.5,0.5")
         assert link(1.0) == 1.0
 

@@ -156,6 +156,10 @@ class TestEdgeDensity:
         with pytest.raises(ValidationError):
             heic.edge_density(np.zeros((1, 1)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValidationError, match="non-empty"):
+            heic.edge_density(np.zeros((0, 0)))
+
 
 class TestModelLevelProperties:
     def test_edge_density_tracks_mean_connectivity(self):

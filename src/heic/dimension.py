@@ -3,7 +3,10 @@
 For each candidate d the cluster search returns the best separation of any
 d consecutive sorted eigenvalues; the candidate whose score is largest is
 the dimension estimate.  One eigenvalue computation (no eigenvectors)
-serves all candidates.
+serves all candidates: numpy's eigvalsh, a tridiagonal reduction and
+dsterf, whose values match those of heic()'s partial solve bit for bit, so
+from spectral.PARTIAL_SOLVE_MIN_N nodes on heic(adjacency, d) reports the
+score of candidate d as its gap.
 
 estimate_dimension validates its adjacency once, at the top (square,
 finite, symmetric), together with the candidates; scan_spectrum validates

@@ -16,9 +16,12 @@ for estimation; it only enters the simulation-side diagnostics
 
 heic() validates its adjacency once, at the top (square, finite, symmetric,
 0/1 entries, room for a window of size d), and then trusts it through one
-eigh call.  noise_bound validates its matrix.  The stage functions that
-take a SortedSpectrum (find_cluster, gram_estimate, event_e_check) check
-only their scalar arguments and the window's fit, never a matrix.
+solve (spectral.window_eigh): every eigenvalue for the scan, then the
+eigenvectors of the chosen window, which from PARTIAL_SOLVE_MIN_N nodes on
+are the only ones computed.  noise_bound validates its matrix.  The stage
+functions that take a SortedSpectrum (find_cluster, gram_estimate,
+event_e_check) check only their scalar arguments and the window's fit,
+never a matrix.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import require_adjacency, require_symmetric
-from .spectral import SortedSpectrum, descending_eigh
+from .spectral import SortedSpectrum, window_eigh
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,10 @@ def gram_estimate(spec: SortedSpectrum, cluster: ClusterSelection) -> GramEstima
         raise ValidationError("cluster does not fit the spectrum")
     if spec.vectors is None:
         raise ValidationError("spectrum was computed without eigenvectors")
-    v = spec.vectors[:, list(cluster.indices)]
+    return _projector(spec.window_vectors(cluster.start, cluster.start + cluster.d), cluster)
+
+
+def _projector(v: np.ndarray, cluster: ClusterSelection) -> GramEstimate:
     # v @ v.T is a symmetric rank-d update (BLAS syrk), so exactly symmetric.
     g = v @ v.T / cluster.d
     return GramEstimate(matrix=g, d=cluster.d, cluster=cluster, scale=1.0 / cluster.d)
@@ -171,7 +177,7 @@ def heic(
     rho: Optional[float] = None,
     analytic_gap: Optional[float] = None,
 ) -> tuple[GramEstimate, HeicDiagnostics]:
-    """Full pipeline: validate, normalize, eigendecompose, locate the cluster, project.
+    """Full pipeline: validate, normalize, solve, locate the cluster, project.
 
     When both rho and the analytic gap of the generating link are supplied
     (simulation studies), the diagnostics carry the cluster-quality check.
@@ -181,9 +187,12 @@ def heic(
     adjacency, density = require_adjacency(adjacency)
     n = adjacency.shape[0]
     _require_window(n, d)
-    spec = descending_eigh(adjacency / n)
+    solved = window_eigh(adjacency / n)
+    spec = SortedSpectrum(values=solved.values)
     cluster = find_cluster(spec, d)
-    estimate = gram_estimate(spec, cluster)
+    vectors = solved.window_vectors(cluster.start, cluster.start + d)
+    del solved  # frees its n x n arrays before the projector is built
+    estimate = _projector(vectors, cluster)
     event_e = None
     if rho is not None and analytic_gap is not None:
         event_e = event_e_check(spec, cluster, analytic_gap, rho)

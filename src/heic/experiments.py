@@ -181,7 +181,7 @@ def replicate_seeds(base_seed: int, n: int, replicate: int) -> tuple[int, int]:
 
 
 def worker_count() -> int:
-    """Threads that run study replicates: the HEIC_WORKERS variable, default 1.
+    """Threads that run study replicates: the HEIC_WORKERS variable (>= 1), default 1.
 
     More threads do not help where BLAS already uses every core: on 2 cores
     (OpenBLAS 0.3.31, 2 threads) the three study commands of the benchmark's
@@ -192,9 +192,12 @@ def worker_count() -> int:
     if not env:
         return 1
     try:
-        return max(1, int(env))
+        workers = int(env)
     except ValueError as exc:
         raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
+    if workers < 1:
+        raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {env!r}")
+    return workers
 
 
 def _run_replicates(cfg: ExperimentConfig, compute, failed) -> list:

@@ -68,8 +68,11 @@ def write_matrix_csv(path, m) -> None:
 
 
 def read_matrix_csv(path) -> np.ndarray:
+    lines = Path(path).read_text().splitlines()
+    # Checked here: numpy would warn on a file without rows and return an empty array.
+    if not any(line.strip() for line in lines):
+        raise ValidationError(f"{path}: dense CSV has no rows")
     try:
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(lines, delimiter=",", ndmin=2, comments=None)
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed dense CSV ({exc})") from exc
-    return np.asarray(arr, dtype=float)

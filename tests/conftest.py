@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import heic
 from heic.experiments import ExperimentConfig, RhoRule
@@ -53,8 +54,9 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Run one call; return its matrix validation passes and eigh / eigvalsh calls."""
-    counts = dict.fromkeys(("validate", "eigh", "eigvalsh"), 0)
+    """Run one call; return its matrix validation passes, eigh / eigvalsh calls and
+    tridiagonal reductions (LAPACK dsytrd)."""
+    counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd"), 0)
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -69,6 +71,7 @@ def count_calls(monkeypatch):
             monkeypatch.setattr(module, "require_symmetric", validate)
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(lapack, "dsytrd", counting("dsytrd", lapack.dsytrd))
 
     def run(fn, *args, **kwargs):
         counts.update(dict.fromkeys(counts, 0))
@@ -76,6 +79,12 @@ def count_calls(monkeypatch):
         return dict(counts)
 
     return run
+
+
+@pytest.fixture
+def partial_solve(monkeypatch):
+    """heic() takes the partial tridiagonal solve at every size."""
+    monkeypatch.setattr(heic.spectral, "PARTIAL_SOLVE_MIN_N", 0)
 
 
 THRESHOLD_GAP_K3 = 0.25  # separation of the level-1 eigenvalue in the k<=3 spectrum

@@ -53,6 +53,19 @@ def cluster_scan_bruteforce(values, d) -> tuple[int, float]:
     return best_start, best_gap
 
 
+def eigh_projector(adjacency, d) -> tuple[int, np.ndarray]:
+    """Cluster start and projector (1/d) V V^T from the full eigh of A/n.
+
+    The reference for the partial solver: every eigenvector is computed and
+    the window is found by the brute-force scan.
+    """
+    n = adjacency.shape[0]
+    values, vectors = np.linalg.eigh(adjacency / n)
+    start, _ = cluster_scan_bruteforce(values[::-1], d)
+    v = vectors[:, ::-1][:, start : start + d]
+    return start, v @ v.T / d
+
+
 def grid_values():
     """Hypothesis strategy: one value of a small dyadic grid that includes 0,
     so exact ties and zeros are common."""

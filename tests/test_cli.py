@@ -165,6 +165,15 @@ class TestSpectrumAndEigCommands:
         assert cli.cli_main(["eig", "--input", str(m_csv), "--out", str(tmp_path / "eig.csv")]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_eig_empty_csv_is_one_error_line(self, tmp_path, capsys, text):
+        m_csv = tmp_path / "m.csv"
+        m_csv.write_text(text)
+        assert cli.cli_main(["eig", "--input", str(m_csv), "--out", str(tmp_path / "eig.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
 
 class TestStudyCommands:
     def _write_config(self, tmp_path, **overrides):
@@ -234,6 +243,20 @@ class TestStudyCommands:
         monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
         cfg, out = self._write_config(tmp_path, **overrides)
         assert cli.cli_main([command, "--config", str(cfg)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_non_positive_workers_rejected_before_replicates(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
+        monkeypatch.setenv(experiments.WORKERS_ENV, workers)
+        cfg, out = self._write_config(tmp_path)
+        assert cli.cli_main(["mse-study", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {experiments.WORKERS_ENV} must be >= 1")
         assert not out.exists()
 
     def test_config_not_an_object_rejected(self, tmp_path, capsys):

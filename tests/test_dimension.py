@@ -63,7 +63,7 @@ class TestEstimateDimension:
 
     def test_single_decomposition_shared_by_candidates(self, count_calls):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1}
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1, "dsytrd": 0}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heic
+from heic import spectral
 from heic.errors import ValidationError
 from heic.spectral import SortedSpectrum, symmetric_eigvals
-from oracles import cluster_scan_bruteforce, sorted_spectra
+from oracles import cluster_scan_bruteforce, eigh_projector, sorted_spectra
 
 
 def _spectrum(values):
@@ -16,6 +17,14 @@ def _spectrum(values):
 
 
 WORKED = [1.0, 0.5, 0.48, 0.46, 0.10]
+
+
+def _seeded_graph(n, seed, link=heic.threshold(0.0)):
+    """Seeded d=3, rho=1 adjacency, drawn as the studies draw replicate 0."""
+    latent_seed, adjacency_seed = heic.replicate_seeds(seed, n, 0)
+    sample = heic.sample_uniform_sphere(n, 3, latent_seed)
+    theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=1.0, n=n))
+    return heic.sample_adjacency(theta, adjacency_seed)
 
 
 class TestGaps:
@@ -223,7 +232,47 @@ class TestHeicPipeline:
 
     def test_validates_once_and_solves_once(self, count_calls):
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0}
+        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0, "dsytrd": 0}
+
+    @pytest.mark.parametrize("min_n, solver", [(13, "eigh"), (12, "dsytrd")])
+    def test_partial_solve_from_min_n(self, count_calls, monkeypatch, min_n, solver):
+        monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+        counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, solver: 1}
+
+    def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
+        # The partial solve's dsytrd + dsterf is the arithmetic of the
+        # dimension scan's eigvalsh, so heic reports the candidate's score exactly.
+        for n in (60, 200):
+            for seed in range(20):
+                adjacency = _seeded_graph(n, seed)
+                _, diag = heic.heic(adjacency, 3)
+                assert diag.gap == heic.estimate_dimension(adjacency).scores[2]
+
+    @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)])
+    def test_matches_full_eigh_reference(self, partial_solve, link):
+        for n, seed in ((60, 1), (150, 2), (400, 3), (800, 4)):
+            adjacency = _seeded_graph(n, seed, link)
+            estimate, diag = heic.heic(adjacency, 3)
+            start, projector = eigh_projector(adjacency, 3)
+            assert diag.cluster_start == start
+            assert np.linalg.norm(estimate.matrix - projector) <= 1e-8
+            assert np.array_equal(estimate.matrix, estimate.matrix.T)
+
+    @pytest.mark.parametrize("min_n", [0, spectral.PARTIAL_SOLVE_MIN_N], ids=["partial", "eigh"])
+    @pytest.mark.parametrize("edges", [0.0, 1.0], ids=["empty", "complete"])
+    def test_degenerate_window_is_orthonormal(self, monkeypatch, min_n, edges):
+        # Every window of the empty graph, and every window of K_200 that
+        # skips its top eigenvalue, lies inside one eigenvalue of
+        # multiplicity n - 1 or n: the d eigenvectors are a tied basis.
+        monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+        n, d = 200, 3
+        adjacency = np.full((n, n), edges) - edges * np.eye(n)
+        estimate, _ = heic.heic(adjacency, d)
+        assert np.trace(estimate.matrix) == pytest.approx(1.0, abs=1e-12)
+        # d G = V V^T is the orthogonal projector onto d orthonormal columns.
+        projector = d * estimate.matrix
+        assert np.abs(projector @ projector - projector).max() <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):

@@ -136,6 +136,12 @@ class TestWorkerCount:
         with pytest.raises(ValidationError):
             worker_count()
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_env_non_positive_rejected(self, monkeypatch, value):
+        monkeypatch.setenv(experiments.WORKERS_ENV, value)
+        with pytest.raises(ValidationError, match=experiments.WORKERS_ENV):
+            worker_count()
+
     def test_default_is_sequential(self, monkeypatch):
         monkeypatch.delenv(experiments.WORKERS_ENV, raising=False)
         assert worker_count() == 1

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heic
-from heic.errors import ValidationError
-from heic.spectral import symmetric_eigvals
+from heic.errors import EigenSolverError, ValidationError
+from heic.spectral import symmetric_eigvals, tridiagonalize
 from oracles import delta2_bruteforce, grid_values
 
 
@@ -72,6 +78,63 @@ class TestSymmetricEig:
         np.testing.assert_array_equal(spec.values, [0.7, 0.1, -0.3])
         recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
         np.testing.assert_allclose(recon, np.diag([0.1, 0.7, -0.3]), atol=1e-15)
+
+
+def _symmetric(n, seed):
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return (m + m.T) / 2.0
+
+
+class TestTridiagonalize:
+    @pytest.mark.parametrize("n", [1, 2, 17, 64, 300])
+    def test_values_match_eigvalsh_bitwise(self, n):
+        upper = np.triu(np.random.default_rng(n).random((n, n)) < 0.3, k=1) / n
+        for m in (upper + upper.T, _symmetric(n, n)):
+            expected = np.linalg.eigvalsh(m)[::-1]
+            np.testing.assert_array_equal(tridiagonalize(m.copy()).values, expected)
+
+    def test_reduces_in_place(self):
+        m = _symmetric(50, 3)
+        assert np.shares_memory(tridiagonalize(m).reflectors, m)
+
+    @pytest.mark.parametrize("start, stop", [(0, 1), (1, 4), (20, 27), (37, 40)])
+    def test_window_vectors_match_eigh(self, start, stop):
+        m = _symmetric(40, 5)
+        v = tridiagonalize(m.copy()).window_vectors(start, stop)
+        values, vectors = np.linalg.eigh(m)
+        reference = vectors[:, ::-1][:, start:stop]
+        assert v.shape == (40, stop - start)
+        np.testing.assert_allclose(v @ v.T, reference @ reference.T, atol=1e-12)
+        np.testing.assert_allclose(m @ v, v * values[::-1][start:stop], atol=1e-12)
+
+    @pytest.mark.parametrize("edges", [0.0, 1.0], ids=["empty", "complete"])
+    @pytest.mark.parametrize("start", [1, 197])
+    def test_tied_window_vectors_orthonormal(self, edges, start):
+        n = 200
+        m = (np.full((n, n), edges) - edges * np.eye(n)) / n
+        tri = tridiagonalize(m.copy())
+        v = tri.window_vectors(start, start + 3)
+        assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-12
+        assert np.abs(m @ v - v * tri.values[start : start + 3]).max() <= 1e-12
+
+    @pytest.mark.parametrize("solver", ["eigvalsh_tridiagonal", "eigh_tridiagonal"])
+    def test_solver_failure_is_eigen_solver_error(self, monkeypatch, partial_solve, solver):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, solver, no_convergence)
+        with pytest.raises(EigenSolverError, match="failed to converge"):
+            heic.heic(np.ones((12, 12)) - np.eye(12), 3)
+
+    def test_import_heic_leaves_scipy_unloaded(self):
+        # scipy's import alone costs about 0.3 s; the solver imports it on first use.
+        src = str(Path(heic.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, heic; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestNormalizeAdjacency:

@@ -3,10 +3,12 @@
 For each candidate d the cluster search returns the best separation of any
 d consecutive sorted eigenvalues; the candidate whose score is largest is
 the dimension estimate.  One eigenvalue computation (no eigenvectors)
-serves all candidates: numpy's eigvalsh, a tridiagonal reduction and
-dsterf, whose values match those of heic()'s partial solve bit for bit, so
-from spectral.PARTIAL_SOLVE_MIN_N nodes on heic(adjacency, d) reports the
-score of candidate d as its gap.
+serves all candidates: spectral.descending_eigvalsh, a tridiagonal
+reduction and dsterf.  From spectral.PARTIAL_SOLVE_MIN_N nodes on that is
+the in-place reduction heic()'s partial solve makes, so heic(adjacency, d)
+reports the score of candidate d as its gap.  Below, it is numpy's
+eigvalsh, whose values match the reduction's bit for bit; heic() takes the
+full eigh there, whose eigenvalues may differ in the last digit.
 
 estimate_dimension validates its adjacency once, at the top (square,
 finite, symmetric), together with the candidates; scan_spectrum validates

@@ -12,8 +12,9 @@ a call, so where numpy and scipy calls alternate, as when a study samples a
 graph and then solves it, the pools contend.  Below PARTIAL_SOLVE_MIN_N,
 where that costs more than the partial solve saves, window_eigh is numpy's
 full eigh.  descending_eigvalsh, for callers that need eigenvalues only,
-is numpy's at every size: its dsyevd runs the same dsytrd + dsterf and
-gives bit-identical values here.
+switches at the same size: from PARTIAL_SOLVE_MIN_N nodes on it is the same
+in-place reduction, below it numpy's eigvalsh, whose dsyevd runs dsytrd +
+dsterf too and gives bit-identical values here.
 
 Spectra are sorted in decreasing order: the reversed view of LAPACK's
 ascending output, paired column by column with the eigenvectors when
@@ -24,8 +25,9 @@ V V^T.
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
 the matrix is square, finite and symmetric.  tridiagonalize overwrites the
-copy it is given.  scipy is imported on first use (about 0.3 s), not by
-``import heic``.
+copy it is given, and so does descending_eigvalsh from
+PARTIAL_SOLVE_MIN_N nodes on.  scipy is imported on first use (about 0.3 s),
+not by ``import heic``.
 """
 
 from __future__ import annotations
@@ -125,11 +127,6 @@ def descending_eigh(arr: np.ndarray) -> SortedSpectrum:
     return SortedSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
 
 
-def descending_eigvalsh(arr: np.ndarray) -> SortedSpectrum:
-    """Eigenvalues only of a validated symmetric matrix, sorted decreasingly."""
-    return SortedSpectrum(values=_solve(np.linalg.eigvalsh, arr)[::-1])
-
-
 def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
@@ -167,9 +164,22 @@ def window_eigh(arr: np.ndarray) -> Union[SortedSpectrum, Tridiagonal]:
     return descending_eigh(arr)
 
 
+def descending_eigvalsh(arr: np.ndarray) -> SortedSpectrum:
+    """Eigenvalues only of a validated symmetric matrix, sorted decreasingly.
+
+    From PARTIAL_SOLVE_MIN_N rows on, arr must be a float64 copy owned by
+    the caller: tridiagonalize overwrites it.
+    """
+    if arr.shape[0] >= PARTIAL_SOLVE_MIN_N:
+        return SortedSpectrum(values=tridiagonalize(arr).values)
+    return SortedSpectrum(values=_solve(np.linalg.eigvalsh, arr)[::-1])
+
+
 def _symmetrized(m) -> np.ndarray:
     arr = require_symmetric(m, "matrix", tol=1e-8)
-    return (arr + arr.T) / 2.0
+    s = arr + arr.T
+    s *= 0.5  # halving is exact: the bits of (arr + arr.T) / 2, without a second n x n array
+    return s
 
 
 def symmetric_eig(m) -> SortedSpectrum:

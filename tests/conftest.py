@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,29 @@ def count_calls(monkeypatch):
 
 
 @pytest.fixture
+def traced_peak():
+    """Run one call; return the peak memory traced during it, in bytes.
+
+    numpy reports its array buffers to tracemalloc, so an n x n float64
+    temporary shows as 8 n^2 bytes; LAPACK's own workspace does not show.
+    Import what the call imports before tracing it.
+    """
+
+    def run(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run
+
+
+@pytest.fixture
 def partial_solve(monkeypatch):
-    """heic() takes the partial tridiagonal solve at every size."""
+    """heic() takes the partial tridiagonal solve, and the eigenvalue-only
+    solvers the same reduction, at every size."""
     monkeypatch.setattr(heic.spectral, "PARTIAL_SOLVE_MIN_N", 0)
 
 

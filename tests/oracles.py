@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 from numpy.polynomial import legendre
 
-from heic.errors import QuadratureError
+from heic.errors import QuadratureError, ValidationError
 from heic.harmonics import QUAD_MAX_PANELS, QUAD_NODES, QUAD_TOL, gegenbauer, sphere_weight_total
 
 
@@ -64,6 +64,23 @@ def eigh_projector(adjacency, d) -> tuple[int, np.ndarray]:
     start, _ = cluster_scan_bruteforce(values[::-1], d)
     v = vectors[:, ::-1][:, start : start + d]
     return start, v @ v.T / d
+
+
+def require_symmetric_whole(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
+    """The whole-matrix symmetry check, the reference for heic.model.require_symmetric.
+
+    One n x n difference arr - arr.T and the max-abs scale np.abs(arr).max(),
+    with the same messages.
+    """
+    arr = np.asarray(m, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValidationError(f"{name} must be non-empty and square, got shape {arr.shape}")
+    largest = float(np.abs(arr).max())
+    if not math.isfinite(largest):
+        raise ValidationError(f"{name} has non-finite entries")
+    if float(np.abs(arr - arr.T).max()) > tol * max(1.0, largest):
+        raise ValidationError(f"{name} is not symmetric")
+    return arr
 
 
 def grid_values():

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 import heic
 from heic.errors import ValidationError
+from heic.model import SYMMETRY_TILE
 from heic.spectral import SortedSpectrum
 from oracles import cluster_scan_bruteforce, sorted_spectra
 
@@ -64,6 +65,19 @@ class TestEstimateDimension:
     def test_single_decomposition_shared_by_candidates(self, count_calls):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
         assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1, "dsytrd": 0}
+
+    def test_one_reduction_from_min_n(self, count_calls, partial_solve):
+        adjacency = self._adjacency(n=80)
+        counts = count_calls(heic.estimate_dimension, adjacency, d_max=10)
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1}
+        values = np.linalg.eigvalsh(adjacency / 80)[::-1]
+        expected = [heic.window_gaps(values, d).max() for d in range(1, 11)]
+        assert heic.estimate_dimension(adjacency, d_max=10).scores.tolist() == expected
+
+    def test_reduction_holds_one_n_by_n_array(self, traced_peak, partial_solve):
+        # A/n, reduced in place, plus O(n) workspace; a second n x n array would reach 2.
+        adjacency = self._adjacency(n=3 * SYMMETRY_TILE + 17)
+        assert traced_peak(heic.estimate_dimension, adjacency) < 1.5 * adjacency.nbytes
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):

@@ -241,13 +241,16 @@ class TestHeicPipeline:
         assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, solver: 1}
 
     def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
-        # The partial solve's dsytrd + dsterf is the arithmetic of the
-        # dimension scan's eigvalsh, so heic reports the candidate's score exactly.
+        # From PARTIAL_SOLVE_MIN_N on, heic and the dimension scan share one
+        # reduction, dsytrd + dsterf, which is also the arithmetic of numpy's
+        # eigvalsh, so heic reports the candidate's score exactly.
         for n in (60, 200):
             for seed in range(20):
                 adjacency = _seeded_graph(n, seed)
                 _, diag = heic.heic(adjacency, 3)
                 assert diag.gap == heic.estimate_dimension(adjacency).scores[2]
+                values = np.linalg.eigvalsh(adjacency / n)[::-1]
+                assert diag.gap == heic.window_gaps(values, 3).max()
 
     @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)])
     def test_matches_full_eigh_reference(self, partial_solve, link):
@@ -273,6 +276,33 @@ class TestHeicPipeline:
         # d G = V V^T is the orthogonal projector onto d orthonormal columns.
         projector = d * estimate.matrix
         assert np.abs(projector @ projector - projector).max() <= 1e-12
+
+    @pytest.mark.parametrize("min_n", [0, spectral.PARTIAL_SOLVE_MIN_N], ids=["partial", "eigh"])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3),
+        plane=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+        angle=st.floats(0.0, 2.0 * math.pi),
+    )
+    def test_projector_ignores_window_basis(self, min_n, signs, plane, angle):
+        # Sign flips and a rotation within the window change V but not V V^T.
+        rotation = np.eye(3)
+        i, j = plane
+        c, s = math.cos(angle), math.sin(angle)
+        rotation[[i, i, j, j], [i, j, i, j]] = c, -s, s, c
+        q = np.diag(signs) @ rotation
+        adjacency = _seeded_graph(120, 7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+            reference, ref_diag = heic.heic(adjacency, 3)
+            solved = spectral.Tridiagonal if min_n == 0 else spectral.SortedSpectrum
+            window_vectors = solved.window_vectors
+            mp.setattr(
+                solved, "window_vectors", lambda self, start, stop: window_vectors(self, start, stop) @ q
+            )
+            estimate, diag = heic.heic(adjacency, 3)
+        assert diag == ref_diag
+        np.testing.assert_allclose(estimate.matrix, reference.matrix, rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):

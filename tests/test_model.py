@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heic
 from heic.errors import ValidationError
-from oracles import funck_hecke_eigenvalue
+from heic.model import SYMMETRY_TILE, require_adjacency, require_symmetric
+from oracles import funck_hecke_eigenvalue, require_symmetric_whole
 
 
 class TestSampleUniformSphere:
@@ -159,6 +162,91 @@ class TestEdgeDensity:
     def test_rejects_empty(self):
         with pytest.raises(ValidationError, match="non-empty"):
             heic.edge_density(np.zeros((0, 0)))
+
+
+TILE = SYMMETRY_TILE
+# Around one, two and three tiles: exact multiples and partial last tiles.
+SIZES = (1, 2, 37, TILE, TILE + 1, 2 * TILE, 2 * TILE + 37, 3 * TILE - 1)
+
+
+def _tile_range(n, k):
+    return k * TILE, min(n, (k + 1) * TILE)
+
+
+@st.composite
+def perturbed_symmetric(draw, region):
+    """(matrix, tol): an exactly symmetric dyadic matrix with one entry changed.
+
+    region says where: inside a tile on the diagonal, in a tile off it, in
+    the last partial tile, or ("non-finite") a NaN, inf or -inf anywhere.
+    The change is a multiple of the bound tol * max(1, max|a_ij|), so it
+    lands below, on and above it; mirrored, it keeps the matrix symmetric.
+    """
+    sizes = {
+        "diagonal": SIZES,
+        "off-diagonal": [n for n in SIZES if n > TILE],
+        "last-partial": [n for n in SIZES if n % TILE],
+        "non-finite": SIZES,
+    }[region]
+    n = draw(st.sampled_from(sizes))
+    tiles = -(-n // TILE)
+    scale = draw(st.sampled_from([2.0**-12, 1.0, 2.0**12]))
+    tol = draw(st.sampled_from([1e-10, 1e-8, 2.0**-20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = rng.integers(-4, 5, size=(n, n)) * (scale / 4)
+    m = m + m.T
+    if region == "diagonal":
+        lo, hi = _tile_range(n, draw(st.integers(0, tiles - 1)))
+        rows = cols = st.integers(lo, hi - 1)
+    elif region == "off-diagonal":
+        a, b = draw(st.lists(st.integers(0, tiles - 1), min_size=2, max_size=2, unique=True))
+        (row_lo, row_hi), (col_lo, col_hi) = _tile_range(n, a), _tile_range(n, b)
+        rows, cols = st.integers(row_lo, row_hi - 1), st.integers(col_lo, col_hi - 1)
+    elif region == "last-partial":
+        rows = cols = st.integers(n - n % TILE, n - 1)
+    else:
+        rows = cols = st.integers(0, n - 1)
+    i, j = draw(rows), draw(cols)
+    if region == "non-finite":
+        value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    else:
+        bound = tol * max(1.0, float(np.abs(m).max()))
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        factor = draw(st.sampled_from([0.5, 1.0, 2.0, 1e12]))
+        value = m[i, j] + sign * factor * bound
+    m[i, j] = value
+    if draw(st.booleans()):
+        m[j, i] = value
+    return m, tol
+
+
+def _outcome(check, m, tol):
+    try:
+        return check(m, "matrix", tol)
+    except ValidationError as exc:
+        return str(exc)
+
+
+class TestRequireSymmetric:
+    @pytest.mark.parametrize("region", ["diagonal", "off-diagonal", "last-partial", "non-finite"])
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(data=st.data())
+    def test_matches_whole_matrix_check(self, region, data):
+        m, tol = data.draw(perturbed_symmetric(region))
+        expected = _outcome(require_symmetric_whole, m, tol)
+        got = _outcome(require_symmetric, m, tol)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert got is m
+
+    def test_no_n_by_n_float64_temporary(self, traced_peak):
+        n = 3 * TILE + 17
+        upper = np.triu(np.random.default_rng(4).random((n, n)) < 0.5, k=1)
+        adjacency = (upper | upper.T).astype(float)
+        for check in (require_symmetric, require_adjacency):
+            # One n x n float64 temporary alone would reach the input's size.
+            assert traced_peak(check, adjacency) < adjacency.nbytes, check.__name__
 
 
 class TestModelLevelProperties:

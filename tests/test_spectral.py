@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import heic
 from heic.errors import EigenSolverError, ValidationError
-from heic.spectral import symmetric_eigvals, tridiagonalize
+from heic.spectral import _symmetrized, symmetric_eigvals, tridiagonalize
 from oracles import delta2_bruteforce, grid_values
 
 
@@ -72,6 +72,19 @@ class TestSymmetricEig:
         for solve in (heic.symmetric_eig, symmetric_eigvals):
             with pytest.raises(ValidationError, match="non-finite"):
                 solve(m)
+
+    def test_symmetrized_halves_in_place(self, traced_peak):
+        # Halving is exact, so s *= 0.5 gives (m + m.T) / 2 bit for bit, and
+        # the sum is the only n x n array allocated.
+        m = _symmetric(300, 21)
+        m[4, 250] += 1e-9
+        np.testing.assert_array_equal(_symmetrized(m), (m + m.T) / 2.0)
+        assert traced_peak(_symmetrized, m) < 1.5 * m.nbytes
+
+    def test_eigvals_from_min_n_are_eigvalsh_bitwise(self, count_calls, partial_solve):
+        m = _symmetric(40, 9)
+        assert count_calls(symmetric_eigvals, m)["dsytrd"] == 1
+        np.testing.assert_array_equal(symmetric_eigvals(m).values, np.linalg.eigvalsh(m)[::-1])
 
     def test_from_values(self):
         spec = heic.SortedSpectrum.from_values([0.1, 0.7, -0.3])

@@ -48,7 +48,6 @@ from .harmonics import (
     gap1_analytic,
     gegenbauer,
     harmonic_space_dim,
-    sobolev_norm,
 )
 from .links import LinkFunction, affine, builtin_links, custom, link_from_spec, table, threshold
 from .model import (
@@ -116,7 +115,6 @@ __all__ = [
     "sample_adjacency",
     "sample_uniform_sphere",
     "scan_spectrum",
-    "sobolev_norm",
     "symmetric_eig",
     "table",
     "threshold",

@@ -12,8 +12,9 @@ Subcommands:
 * ``dim-study``         -- dimension-recovery study from a JSON config,
 * ``convergence-study`` -- spectrum matching-distance study from a config.
 
-Exit codes: 0 success, 1 validation/usage error, 2 numeric failure (also
-a study whose every replicate failed; its CSV of NaN rows is still written).
+Exit codes: 0 success, 1 validation/usage error or too little memory for
+the graph, 2 numeric failure (also a study whose every replicate failed;
+its CSV of NaN rows is still written).
 """
 
 from __future__ import annotations
@@ -70,21 +71,14 @@ def _cmd_sample(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     spectrum = analytic_spectrum(link_from_spec(args.link), args.d, args.kmax)
-    lines = ["k,eigenvalue,multiplicity,quad_err"]
-    for lv in spectrum.levels:
-        lines.append(
-            f"{lv.k},{io.format_float(lv.eigenvalue)},{lv.multiplicity},"
-            f"{io.format_float(lv.quad_err)}"
-        )
-    _write_lines(args.out, lines)
+    rows = [(lv.k, lv.eigenvalue, lv.multiplicity, lv.quad_err) for lv in spectrum.levels]
+    io.write_table(args.out, "k,eigenvalue,multiplicity,quad_err", rows)
     return 0
 
 
 def _cmd_eig(args) -> int:
     spec = symmetric_eigvals(io.read_matrix_csv(args.input))
-    lines = ["index,eigenvalue"]
-    lines.extend(f"{i},{io.format_float(v)}" for i, v in enumerate(spec.values))
-    _write_lines(args.out, lines)
+    io.write_table(args.out, "index,eigenvalue", enumerate(spec.values))
     return 0
 
 
@@ -93,13 +87,9 @@ def _cmd_estimate(args) -> int:
     estimate, diag = heic(adjacency, args.dim)
     io.write_matrix_csv(args.out_gram, estimate.matrix)
     if args.out_diag:
-        lines = [
-            "gap,diameter,cluster_start,top_eigenvalue,edge_density",
-            f"{io.format_float(diag.gap)},{io.format_float(diag.diameter)},"
-            f"{diag.cluster_start},{io.format_float(diag.top_eigenvalue)},"
-            f"{io.format_float(diag.edge_density)}",
-        ]
-        _write_lines(args.out_diag, lines)
+        header = "gap,diameter,cluster_start,top_eigenvalue,edge_density"
+        row = (diag.gap, diag.diameter, diag.cluster_start, diag.top_eigenvalue, diag.edge_density)
+        io.write_table(args.out_diag, header, [row])
     if diag.degenerate:
         print("warning: zero separation score, estimate is degenerate", file=sys.stderr)
     return 0
@@ -107,11 +97,7 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_dimension(args) -> int:
     scan = estimate_dimension(io.read_edge_list(args.input), d_max=args.dmax)
-    lines = ["candidate_d,score"]
-    lines.extend(
-        f"{d},{io.format_float(s)}" for d, s in zip(scan.candidates, scan.scores)
-    )
-    _write_lines(args.out, lines)
+    io.write_table(args.out, "candidate_d,score", zip(scan.candidates, scan.scores))
     print(f"chosen dimension: {scan.chosen}")
     return 0
 
@@ -156,16 +142,6 @@ def _study_exit(errors) -> int:
     classes = ", ".join(sorted({error.split(":", 1)[0] for error in errors}))
     print(f"numeric failure: all {len(errors)} replicates failed ({classes})", file=sys.stderr)
     return 2
-
-
-def _write_lines(path, lines) -> None:
-    text = "\n".join(lines) + "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        from pathlib import Path
-
-        Path(path).write_text(text)
 
 
 def _build_parser() -> _Parser:
@@ -241,7 +217,7 @@ def cli_main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

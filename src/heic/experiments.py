@@ -9,10 +9,10 @@ Three studies mirror the synthetic-data evaluation of the estimator:
 
 Replicates own their entire state: the RNG streams for the latent points
 and for the adjacency coin flips are derived by hashing
-(base seed, n, replicate), so results are independent of scheduling.
+(base seed, n, replicate), so results are independent of run order.
 One runner executes every study in sorted (n, replicate) order, which
-makes the CSV output byte-identical across runs and worker counts.  A
-replicate that raises becomes a NaN row whose error names the exception.
+makes the CSV output byte-identical across runs.  A replicate that raises
+becomes a NaN row whose error names the exception.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Optional
@@ -42,11 +40,9 @@ from .model import (
     sample_uniform_sphere,
 )
 from .spectral import delta_2, descending_eigvalsh
-from .io import format_float
+from .io import write_table
 
 log = logging.getLogger(__name__)
-
-WORKERS_ENV = "HEIC_WORKERS"
 
 MSE_CSV_HEADER = "n,replicate,mse,gap,diameter,seconds"
 DIMENSION_CSV_HEADER = "replicate,candidate_d,score"
@@ -180,26 +176,6 @@ def replicate_seeds(base_seed: int, n: int, replicate: int) -> tuple[int, int]:
     return int(latent), int(adjacency)
 
 
-def worker_count() -> int:
-    """Threads that run study replicates: the HEIC_WORKERS variable (>= 1), default 1.
-
-    More threads do not help where BLAS already uses every core: on 2 cores
-    (OpenBLAS 0.3.31, 2 threads) the three study commands of the benchmark's
-    studies-small workload took a median 1.18 s with HEIC_WORKERS=2 against
-    0.84 s with 1 (10 alternating runs each; every run with 2 was slower).
-    """
-    env = os.environ.get(WORKERS_ENV)
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError as exc:
-        raise ValidationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-    if workers < 1:
-        raise ValidationError(f"{WORKERS_ENV} must be >= 1, got {env!r}")
-    return workers
-
-
 def _run_replicates(cfg: ExperimentConfig, compute, failed) -> list:
     """compute(n, replicate) for every job of the study, in sorted (n, replicate) order.
 
@@ -207,8 +183,7 @@ def _run_replicates(cfg: ExperimentConfig, compute, failed) -> list:
     failed(n, replicate, error), where error is "<exception class>: <message>".
     """
 
-    def run(job):
-        n, replicate = job
+    def run(n: int, replicate: int):
         try:
             return compute(n, replicate)
         except Exception as exc:  # noqa: BLE001 - studies must survive bad replicates
@@ -216,11 +191,7 @@ def _run_replicates(cfg: ExperimentConfig, compute, failed) -> list:
             return failed(n, replicate, f"{type(exc).__name__}: {exc}")
 
     jobs = sorted((n, r) for n in cfg.n_grid for r in range(cfg.replicates))
-    workers = worker_count()
-    if workers <= 1:
-        return [run(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, jobs))
+    return [run(n, r) for n, r in jobs]
 
 
 @dataclass(frozen=True)
@@ -270,14 +241,11 @@ def write_mse_csv(records, path, timing: bool = False) -> None:
     written as 0 to keep re-runs byte-identical; pass timing=True to record
     the measured values instead.
     """
-    lines = [MSE_CSV_HEADER]
-    for rec in records:
-        seconds = format_float(rec.seconds) if timing else "0"
-        lines.append(
-            f"{rec.n},{rec.replicate},{format_float(rec.mse)},{format_float(rec.gap)},"
-            f"{format_float(rec.diameter)},{seconds}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [
+        (rec.n, rec.replicate, rec.mse, rec.gap, rec.diameter, rec.seconds if timing else 0)
+        for rec in records
+    ]
+    write_table(path, MSE_CSV_HEADER, rows)
 
 
 @dataclass(frozen=True)
@@ -329,11 +297,9 @@ def run_dimension_study(cfg: ExperimentConfig) -> DimensionStudyResult:
 
 def write_dimension_csv(result: DimensionStudyResult, path) -> None:
     """Per-replicate score rows plus a trailing summary row with the recovery rate."""
-    lines = [DIMENSION_CSV_HEADER]
-    for rec in result.records:
-        lines.append(f"{rec.replicate},{rec.candidate_d},{format_float(rec.score)}")
-    lines.append(f"summary,{result.true_d},{format_float(result.recovery_rate)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(rec.replicate, rec.candidate_d, rec.score) for rec in result.records]
+    rows.append(("summary", result.true_d, result.recovery_rate))
+    write_table(path, DIMENSION_CSV_HEADER, rows)
 
 
 @dataclass(frozen=True)
@@ -372,7 +338,5 @@ def run_spectrum_convergence(
 
 
 def write_convergence_csv(records, path) -> None:
-    lines = [CONVERGENCE_CSV_HEADER]
-    for rec in records:
-        lines.append(f"{rec.n},{rec.replicate},{format_float(rec.delta2)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = [(rec.n, rec.replicate, rec.delta2) for rec in records]
+    write_table(path, CONVERGENCE_CSV_HEADER, rows)

@@ -219,27 +219,3 @@ def gap1_analytic(spectrum: AnalyticSpectrum) -> float:
     others = [lv.eigenvalue for lv in spectrum.levels if lv.k != 1]
     others.append(0.0)
     return float(min(abs(lam1 - x) for x in others))
-
-
-def sobolev_norm(
-    link: LinkFunction, d: int, s: float, k_max: int = DEFAULT_K_MAX
-) -> tuple[float, bool]:
-    """Weighted Sobolev series of f, truncated at k_max.
-
-    Returns the partial sum sum_k dim_k * lambda_k^2 * (1 + k(k + 2*gamma + 1))^s
-    and a flag set when the last three levels still carry more than 1e-6 of
-    the total mass, i.e. the series has not visibly converged.
-    """
-    gamma = _require_dim(d)
-    if s < 0:
-        raise ValidationError(f"regularity must be >= 0, got {s}")
-    if k_max < 3:
-        raise ValidationError(f"k_max must be >= 3 to judge the tail, got {k_max}")
-    values, _ = funck_hecke_table(link, d, k_max)
-    k = np.arange(k_max + 1)
-    dims = np.array([harmonic_space_dim(d, j) for j in k], dtype=float)
-    terms = dims * values * values * (1.0 + k * (k + 2.0 * gamma + 1.0)) ** s
-    value = float(terms.sum())
-    tail = float(terms[-3:].sum())
-    tail_flag = value > 0.0 and tail > 1e-6 * value
-    return value, tail_flag

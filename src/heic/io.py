@@ -1,12 +1,15 @@
-"""File formats: whitespace edge lists and dense CSV matrices.
+"""File formats: whitespace edge lists, dense CSV matrices and CSV tables.
 
 Edge list: a header line ``n=<count>`` followed by one ``i j`` pair per
 edge (0-based, i < j, unique, whitespace separated).  Dense CSV: one row per line,
 comma separated, 17 significant digits so float64 values round-trip.
+Table: a header line, then one comma-separated line per row, floats with
+17 significant digits and every other cell as ``str`` gives it.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,20 @@ from .model import require_adjacency
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def write_table(path, header: str, rows) -> None:
+    """Write a CSV table to path, or to stdout when path is "-"."""
+    lines = [header]
+    lines.extend(
+        ",".join(format_float(cell) if isinstance(cell, float) else str(cell) for cell in row)
+        for row in rows
+    )
+    text = "\n".join(lines) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def write_edge_list(path, adj) -> None:

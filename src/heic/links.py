@@ -147,6 +147,14 @@ def builtin_links() -> dict[str, LinkFunction]:
     }
 
 
+# The keys a dict link spec may hold, per kind.
+_SPEC_KEYS = {
+    "threshold": {"kind", "tau"},
+    "affine": {"kind", "a", "b"},
+    "table": {"kind", "t", "values"},
+}
+
+
 def link_from_spec(spec) -> LinkFunction:
     """Build a link from a JSON-style dict or a CLI shorthand string.
 
@@ -170,11 +178,14 @@ def link_from_spec(spec) -> LinkFunction:
         raise ValidationError(f"unknown link shorthand {spec!r}")
     if isinstance(spec, dict):
         kind = str(spec.get("kind", "")).lower()
+        if kind not in _SPEC_KEYS:
+            raise ValidationError(f"unknown link kind {kind!r}")
+        unknown = sorted(set(spec) - _SPEC_KEYS[kind])
+        if unknown:
+            raise ValidationError(f"{kind} link has unknown keys {unknown}")
         if kind == "threshold":
             return threshold(spec.get("tau", 0.0))
         if kind == "affine":
             return affine(spec.get("a"), spec.get("b"))
-        if kind == "table":
-            return table(spec.get("t"), spec.get("values"))
-        raise ValidationError(f"unknown link kind {kind!r}")
+        return table(spec.get("t"), spec.get("values"))
     raise ValidationError(f"cannot interpret link spec {spec!r}")

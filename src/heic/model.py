@@ -176,8 +176,9 @@ def sample_adjacency(theta, seed: int) -> np.ndarray:
         raise ValidationError("probability matrix entries must lie in [0, 1]")
     n = theta.shape[0]
     rng = np.random.default_rng(seed)
-    u = rng.random((n, n))
-    upper = np.triu(u < np.clip(theta, 0.0, 1.0), k=1).astype(float)
+    # The uniforms lie in [0, 1), so comparing them with theta flips the same
+    # coins as comparing them with clip(theta, 0, 1) would, within the slack.
+    upper = np.triu(rng.random((n, n)) < theta, k=1).astype(float)
     return upper + upper.T
 
 

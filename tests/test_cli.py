@@ -245,25 +245,21 @@ class TestStudyCommands:
         assert cli.cli_main([command, "--config", str(cfg)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-5"])
-    def test_non_positive_workers_rejected_before_replicates(
-        self, tmp_path, monkeypatch, capsys, workers
-    ):
-        def no_replicate(*args, **kwargs):
-            raise AssertionError("a replicate ran")
-
-        monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
-        monkeypatch.setenv(experiments.WORKERS_ENV, workers)
-        cfg, out = self._write_config(tmp_path)
-        assert cli.cli_main(["mse-study", "--config", str(cfg)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {experiments.WORKERS_ENV} must be >= 1")
-        assert not out.exists()
-
     def test_config_not_an_object_rejected(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text("5\n")
         assert cli.cli_main(["mse-study", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: experiment config must be a JSON object")
+
+    def test_misspelt_link_key_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
+        cfg, out = self._write_config(tmp_path, link={"kind": "threshold", "taus": 0.5})
+        assert cli.cli_main(["convergence-study", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: threshold link has unknown keys ['taus']\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mse-study", "dim-study", "convergence-study"])
     def test_every_replicate_failed_exits_two(self, tmp_path, monkeypatch, capsys, command):
@@ -292,6 +288,16 @@ class TestStudyCommands:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command", [["estimate", "--dim", "3"], ["dimension"]])
+    def test_oversized_graph_is_one_error_line(self, tmp_path, capsys, command):
+        # The 10^7 x 10^7 float64 adjacency (728 TiB) exceeds any address space.
+        edges = tmp_path / "huge.edges"
+        edges.write_text("n=10000000\n0 1\n")
+        out = ["--out-gram", str(tmp_path / "g.csv")] if command[0] == "estimate" else []
+        assert cli.cli_main([*command, "--input", str(edges), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_command(self, capsys):
         assert cli.cli_main(["frobnicate"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from heic.experiments import (
     ExperimentConfig,
     RhoRule,
     replicate_seeds,
-    worker_count,
     write_convergence_csv,
     write_dimension_csv,
     write_mse_csv,
@@ -126,27 +125,6 @@ class TestReplicateSeeds:
         assert len(seen) == 20
 
 
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(experiments.WORKERS_ENV, "3")
-        assert worker_count() == 3
-
-    def test_env_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv(experiments.WORKERS_ENV, "many")
-        with pytest.raises(ValidationError):
-            worker_count()
-
-    @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_env_non_positive_rejected(self, monkeypatch, value):
-        monkeypatch.setenv(experiments.WORKERS_ENV, value)
-        with pytest.raises(ValidationError, match=experiments.WORKERS_ENV):
-            worker_count()
-
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv(experiments.WORKERS_ENV, raising=False)
-        assert worker_count() == 1
-
-
 class TestMseStudy:
     def test_records_sorted_and_complete(self):
         for n_grid in ((60, 90), (90, 60)):
@@ -178,15 +156,6 @@ class TestMseStudy:
             np.linalg.norm(estimate.matrix - heic.gram_population(sample), "fro") ** 2,
             abs=1e-12,
         )
-
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.delenv(experiments.WORKERS_ENV, raising=False)
-        sequential = heic.run_mse_study(_config())
-        monkeypatch.setenv(experiments.WORKERS_ENV, "4")
-        threaded = heic.run_mse_study(_config())
-        assert [(r.n, r.replicate, r.mse, r.gap, r.diameter) for r in sequential] == [
-            (r.n, r.replicate, r.mse, r.gap, r.diameter) for r in threaded
-        ]
 
     def test_failures_become_nan_rows(self, monkeypatch):
         real = experiments.heic
@@ -319,6 +288,71 @@ class TestConvergenceStudy:
     def test_matrix_mode_validated(self):
         with pytest.raises(ValidationError):
             heic.run_spectrum_convergence(_config(), matrix="fuzzy")
+
+
+class TestStudyCsvWriters:
+    """The study CSVs on hand-built records, byte for byte."""
+
+    nan = math.nan
+    MSE_RECORDS = [
+        experiments.MseRecord(60, 0, 0.25, np.float64(0.1), -0.0, 1.5),
+        experiments.MseRecord(60, 1, nan, nan, nan, nan, "RuntimeError: synthetic"),
+    ]
+
+    def test_mse_seconds_written_as_zero(self, tmp_path):
+        path = tmp_path / "mse.csv"
+        write_mse_csv(self.MSE_RECORDS, path)
+        assert path.read_bytes() == (
+            b"n,replicate,mse,gap,diameter,seconds\n"
+            b"60,0,0.25,0.10000000000000001,-0,0\n"
+            b"60,1,nan,nan,nan,0\n"
+        )
+
+    def test_mse_seconds_with_timing(self, tmp_path):
+        path = tmp_path / "mse.csv"
+        write_mse_csv(self.MSE_RECORDS, path, timing=True)
+        assert path.read_bytes() == (
+            b"n,replicate,mse,gap,diameter,seconds\n"
+            b"60,0,0.25,0.10000000000000001,-0,1.5\n"
+            b"60,1,nan,nan,nan,nan\n"
+        )
+
+    def test_dimension_rows_and_summary(self, tmp_path):
+        records = [
+            experiments.DimensionScoreRecord(0, 1, 5e-324),
+            experiments.DimensionScoreRecord(0, 2, 0.125),
+            experiments.DimensionScoreRecord(1, 1, self.nan),
+            experiments.DimensionScoreRecord(1, 2, self.nan),
+        ]
+        result = experiments.DimensionStudyResult(
+            records=records,
+            chosen=[2, None],
+            recovery_rate=0.5,
+            true_d=2,
+            true_d_outside_candidates=False,
+            errors=[None, "RuntimeError: synthetic"],
+        )
+        path = tmp_path / "dim.csv"
+        write_dimension_csv(result, path)
+        assert path.read_bytes() == (
+            b"replicate,candidate_d,score\n"
+            b"0,1,4.9406564584124654e-324\n"
+            b"0,2,0.125\n"
+            b"1,1,nan\n"
+            b"1,2,nan\n"
+            b"summary,2,0.5\n"
+        )
+
+    def test_convergence_rows(self, tmp_path):
+        records = [
+            experiments.ConvergenceRecord(60, 0, 1.0 / 3.0),
+            experiments.ConvergenceRecord(90, 0, self.nan, "QuadratureError: synthetic"),
+        ]
+        path = tmp_path / "conv.csv"
+        write_convergence_csv(records, path)
+        assert path.read_bytes() == (
+            b"n,replicate,delta2\n60,0,0.33333333333333331\n90,0,nan\n"
+        )
 
 
 class TestLatentCovarianceConcentration:

@@ -217,27 +217,6 @@ class TestGap1Analytic:
             heic.gap1_analytic(_spectrum_from_values([0.5, 0.1]))
 
 
-class TestSobolevNorm:
-    def test_affine_series_value(self):
-        value, flag = heic.sobolev_norm(heic.affine(0.5, 0.5), 3, s=1.0, k_max=10)
-        assert value == pytest.approx(7.0 / 12.0, abs=1e-10)
-        assert not flag
-
-    def test_constant_link(self):
-        value, flag = heic.sobolev_norm(heic.affine(0.35, 0.0), 3, s=2.5, k_max=10)
-        assert value == pytest.approx(0.35**2, abs=1e-10)
-        assert not flag
-
-    def test_threshold_series_diverges(self):
-        value, flag = heic.sobolev_norm(heic.threshold(0.0), 3, s=2.0, k_max=40)
-        assert flag
-        assert value > 0.0
-
-    def test_negative_regularity_rejected(self):
-        with pytest.raises(ValidationError):
-            heic.sobolev_norm(heic.threshold(0.0), 3, s=-1.0)
-
-
 class TestAdditionTheorem:
     @pytest.mark.parametrize("d", [3, 4, 5])
     def test_level_one_identity_on_random_pairs(self, d):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,24 @@ def test_matrix_csv_bytes(tmp_path):
     io.write_matrix_csv(path, m)
     expected = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in m.tolist())
     assert path.read_bytes() == expected.encode()
+
+
+def test_table_bytes(tmp_path):
+    rows = [
+        (0, np.int64(7), np.float64(0.1), "summary"),
+        (-1, -0.0, 5e-324, math.nan),
+    ]
+    path = tmp_path / "t.csv"
+    io.write_table(path, "a,b,c,d", rows)
+    expected = "a,b,c,d\n0,7,0.10000000000000001,summary\n-1,-0,4.9406564584124654e-324,nan\n"
+    assert path.read_bytes() == expected.encode()
+
+
+def test_table_dash_goes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    io.write_table("-", "k,value", [(1, 0.5), (2, 1e300)])
+    assert capsys.readouterr().out == "k,value\n1,0.5\n2,1.0000000000000001e+300\n"
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("i, j, value, match", [(0, 1, 0.5, "0 or 1"), (2, 2, 1.0, "diagonal")])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,18 @@ class TestLinkSpecs:
             heic.link_from_spec("mystery:1")
         with pytest.raises(ValidationError):
             heic.link_from_spec({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "spec, unknown",
+        [
+            ({"kind": "threshold", "taus": 0.5}, "['taus']"),
+            ({"kind": "affine", "a": 0.5, "b": 0.5, "tau": 0.0}, "['tau']"),
+            ({"kind": "table", "t": [-1, 1], "value": [0, 1], "values": [0, 1]}, "['value']"),
+        ],
+    )
+    def test_dict_unknown_keys_rejected(self, spec, unknown):
+        with pytest.raises(ValidationError, match=re.escape(f"unknown keys {unknown}")):
+            heic.link_from_spec(spec)
 
     def test_builtins(self):
         links = heic.builtin_links()

@@ -133,6 +133,26 @@ class TestSampleAdjacency:
         with pytest.raises(ValidationError):
             heic.sample_adjacency(np.full((3, 3), 1.5), seed=1)
 
+    def test_slack_entries_match_clipped_copy(self):
+        # Entries within PROB_SLACK outside [0, 1] flip the coins as their clipped values do.
+        rng = np.random.default_rng(4)
+        theta = rng.random((40, 40))
+        theta[rng.random((40, 40)) < 0.2] = -1e-12
+        theta[rng.random((40, 40)) < 0.2] = 1.0 + 1e-12
+        theta = np.triu(theta, k=1)
+        theta += theta.T
+        assert theta.min() == -1e-12 and theta.max() == 1.0 + 1e-12
+        clipped = np.clip(theta, 0.0, 1.0)
+        for seed in range(3):
+            adj = heic.sample_adjacency(theta, seed=seed)
+            assert adj.tobytes() == heic.sample_adjacency(clipped, seed=seed).tobytes()
+
+    def test_holds_two_n_by_n_float64_arrays(self, traced_peak):
+        # The upper triangle and the symmetric result; the uniforms are freed first.
+        theta = np.full((500, 500), 0.5)
+        np.fill_diagonal(theta, 0.0)
+        assert traced_peak(heic.sample_adjacency, theta, 1) < 2.5 * theta.nbytes
+
     def test_two_step_determinism(self):
         def build():
             sample = heic.sample_uniform_sphere(60, 3, seed=11)

@@ -49,7 +49,7 @@ from .harmonics import (
     gegenbauer,
     harmonic_space_dim,
 )
-from .links import LinkFunction, affine, builtin_links, custom, link_from_spec, table, threshold
+from .links import LinkFunction, affine, custom, link_from_spec, table, threshold
 from .model import (
     GraphModel,
     LatentSample,
@@ -89,7 +89,6 @@ __all__ = [
     "addition_constant",
     "affine",
     "analytic_spectrum",
-    "builtin_links",
     "custom",
     "delta_2",
     "edge_density",

@@ -59,7 +59,7 @@ def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
 
 def scan_spectrum(spec: SortedSpectrum, candidates) -> DimensionScan:
     """Score each candidate d on an already-computed sorted spectrum."""
-    return _scan(spec.values, _require_candidates(candidates, spec.n))
+    return _scan(spec.values, _require_candidates(candidates, len(spec.values)))
 
 
 def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:

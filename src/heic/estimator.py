@@ -6,9 +6,10 @@ a tight cluster that is well separated from the rest of the spectrum (the
 top eigenvalue tracks the mean connectivity and is excluded).  The search
 scans every window of d consecutive sorted eigenvalues starting at sorted
 position 1 and picks the window with the largest separation from the
-eigenvalues outside it; the corresponding eigenvectors V give the Gram
-estimate (1/d) V V^T whose entries, scaled by n, estimate the latent inner
-products <X_i, X_j>.
+eigenvalues outside it.  Its n x d eigenvectors V are the estimate: the
+projector (1/d) V V^T, whose entries scaled by n estimate the latent inner
+products <X_i, X_j>, is built only when GramEstimate.matrix is read, and
+sqrt(n/d) V estimates the latent positions up to an orthogonal transform.
 
 The scan is scale free, so the edge-density parameter rho is never needed
 for estimation; it only enters the simulation-side diagnostics
@@ -18,10 +19,10 @@ heic() validates its adjacency once, at the top (square, finite, symmetric,
 0/1 entries, room for a window of size d), and then trusts it through one
 solve (spectral.window_eigh): every eigenvalue for the scan, then the
 eigenvectors of the chosen window, which from PARTIAL_SOLVE_MIN_N nodes on
-are the only ones computed.  noise_bound validates its matrix.  The stage
-functions that take a SortedSpectrum (find_cluster, gram_estimate,
-event_e_check) check only their scalar arguments and the window's fit,
-never a matrix.
+are the only ones computed.  It runs the public stages (find_cluster,
+gram_estimate, event_e_check) on the solver's result as it is; they read
+only its values and window_vectors, check only their scalar arguments and
+the window's fit, and never a matrix.  noise_bound validates its matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import require_adjacency, require_symmetric
-from .spectral import SortedSpectrum, window_eigh
+from .spectral import Spectrum, window_eigh
 
 
 @dataclass(frozen=True)
@@ -54,12 +55,20 @@ class ClusterSelection:
 
 @dataclass(frozen=True)
 class GramEstimate:
-    """Rank-d projector estimate of the population Gram matrix."""
+    """Rank-d projector estimate (1/d) V V^T of the population Gram matrix.
 
-    matrix: np.ndarray
-    d: int
+    vectors is the n x d window basis V, orthonormal columns;
+    sqrt(n/d) V estimates the latent positions up to an orthogonal transform.
+    """
+
+    vectors: np.ndarray
     cluster: ClusterSelection
-    scale: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The n x n projector (1/d) V V^T, built on each access; trace 1, PSD, rank <= d."""
+        # v @ v.T is a symmetric rank-d update (BLAS syrk), so exactly symmetric.
+        return self.vectors @ self.vectors.T / self.cluster.d
 
 
 @dataclass(frozen=True)
@@ -103,13 +112,13 @@ def window_gaps(values, d: int) -> np.ndarray:
     return np.minimum(steps[: len(values) - d], np.append(steps[d:], np.inf))
 
 
-def find_cluster(spec: SortedSpectrum, d: int) -> ClusterSelection:
+def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     """Window of d consecutive sorted eigenvalues with the largest separation.
 
     Ties return the smallest start index.  The achieved gap is the
     spectrum's size-d cluster score.
     """
-    _require_window(spec.n, d)
+    _require_window(len(spec.values), d)
     gaps = window_gaps(spec.values, d)
     start = int(np.argmax(gaps)) + 1
     window = spec.values[start : start + d]
@@ -123,23 +132,15 @@ def find_cluster(spec: SortedSpectrum, d: int) -> ClusterSelection:
     )
 
 
-def gram_estimate(spec: SortedSpectrum, cluster: ClusterSelection) -> GramEstimate:
-    """(1/d) V V^T over the selected eigenvectors; trace 1, PSD, rank <= d."""
-    if cluster.indices[-1] >= spec.n or cluster.start < 1:
+def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
+    """The estimate over the selected window's eigenvectors."""
+    if cluster.indices[-1] >= len(spec.values) or cluster.start < 1:
         raise ValidationError("cluster does not fit the spectrum")
-    if spec.vectors is None:
-        raise ValidationError("spectrum was computed without eigenvectors")
-    return _projector(spec.window_vectors(cluster.start, cluster.start + cluster.d), cluster)
-
-
-def _projector(v: np.ndarray, cluster: ClusterSelection) -> GramEstimate:
-    # v @ v.T is a symmetric rank-d update (BLAS syrk), so exactly symmetric.
-    g = v @ v.T / cluster.d
-    return GramEstimate(matrix=g, d=cluster.d, cluster=cluster, scale=1.0 / cluster.d)
+    return GramEstimate(spec.window_vectors(cluster.start, cluster.start + cluster.d), cluster)
 
 
 def event_e_check(
-    spec: SortedSpectrum, cluster: ClusterSelection, gap_analytic: float, rho: float
+    spec: Spectrum, cluster: ClusterSelection, gap_analytic: float, rho: float
 ) -> EventEReport:
     """Simulation-side check that the selected cluster looks like the true one.
 
@@ -177,30 +178,29 @@ def heic(
     rho: Optional[float] = None,
     analytic_gap: Optional[float] = None,
 ) -> tuple[GramEstimate, HeicDiagnostics]:
-    """Full pipeline: validate, normalize, solve, locate the cluster, project.
+    """Full pipeline: validate, normalize, solve, locate the cluster, keep its eigenvectors.
 
-    When both rho and the analytic gap of the generating link are supplied
-    (simulation studies), the diagnostics carry the cluster-quality check.
-    A zero separation score marks the estimate as degenerate (e.g. the
-    empty graph), signalled in the diagnostics rather than raised.
+    No n x n projector is built: the estimate holds the n x d window basis V,
+    and its matrix property builds (1/d) V V^T on request.  When both rho
+    and the analytic gap of the generating link are supplied (simulation
+    studies), the diagnostics carry the cluster-quality check.  A zero
+    separation score marks the estimate as degenerate (e.g. the empty
+    graph), signalled in the diagnostics rather than raised.
     """
     adjacency, density = require_adjacency(adjacency)
     n = adjacency.shape[0]
     _require_window(n, d)
     solved = window_eigh(adjacency / n)
-    spec = SortedSpectrum(values=solved.values)
-    cluster = find_cluster(spec, d)
-    vectors = solved.window_vectors(cluster.start, cluster.start + d)
-    del solved  # frees its n x n arrays before the projector is built
-    estimate = _projector(vectors, cluster)
+    cluster = find_cluster(solved, d)
+    estimate = gram_estimate(solved, cluster)
     event_e = None
     if rho is not None and analytic_gap is not None:
-        event_e = event_e_check(spec, cluster, analytic_gap, rho)
+        event_e = event_e_check(solved, cluster, analytic_gap, rho)
     diagnostics = HeicDiagnostics(
         gap=cluster.gap,
         diameter=cluster.diameter,
         cluster_start=cluster.start,
-        top_eigenvalue=float(spec.values[0]),
+        top_eigenvalue=float(solved.values[0]),
         edge_density=density,
         degenerate=cluster.gap <= 0.0,
         event_e=event_e,

@@ -137,6 +137,9 @@ class ExperimentConfig:
             raise ValidationError("n grid must not be empty")
         if any(n < self.d + 2 for n in self.n_grid):
             raise ValidationError("every n must be at least d + 2")
+        repeated = sorted({n for n in self.n_grid if self.n_grid.count(n) > 1})
+        if repeated:
+            raise ValidationError(f"n grid repeats {repeated}")
         if self.replicates < 1:
             raise ValidationError("replicate count must be >= 1")
         if self.seed < 0:

@@ -90,7 +90,7 @@ def gegenbauer(k: int, gamma: float, t):
     if k < 0:
         raise ValidationError(f"degree must be >= 0, got {k}")
     arr = np.asarray(t, dtype=float)
-    if arr.size and float(np.abs(arr).max()) > 1.0 + 1e-12:
+    if arr.size and not float(np.abs(arr).max()) <= 1.0 + 1e-12:  # NaN fails too
         raise ValidationError("Gegenbauer argument outside [-1, 1]")
     *_, cur = _gegenbauer_levels(k, gamma, np.clip(arr, -1.0, 1.0))
     return float(cur) if cur.ndim == 0 else cur

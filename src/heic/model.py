@@ -43,7 +43,7 @@ class LatentSample:
         if n < 1 or d < 2 or d != self.dim:
             raise ValidationError(f"invalid latent sample shape ({n}, {d}) for dim={self.dim}")
         norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
             raise ValidationError("latent rows must be unit vectors within 1e-12")
         object.__setattr__(self, "points", pts)
 

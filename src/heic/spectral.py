@@ -16,11 +16,13 @@ switches at the same size: from PARTIAL_SOLVE_MIN_N nodes on it is the same
 in-place reduction, below it numpy's eigvalsh, whose dsyevd runs dsytrd +
 dsterf too and gives bit-identical values here.
 
-Spectra are sorted in decreasing order: the reversed view of LAPACK's
-ascending output, paired column by column with the eigenvectors when
-those are computed.  Eigenvector signs (and bases within repeated
-eigenvalues) are arbitrary; consumers must only use projector products
-V V^T.
+A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
+decreasingly (the reversed view of LAPACK's ascending output), plus
+window_vectors(start, stop), the eigenvectors of sorted positions
+start .. stop-1; a SortedSpectrum without eigenvectors raises
+ValidationError there.  Eigenvector signs (and bases within repeated
+eigenvalues) are arbitrary; consumers may use V only up to an orthogonal
+transform, as in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
@@ -37,7 +39,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EigenSolverError
+from .errors import EigenSolverError, ValidationError
 from .model import require_symmetric
 
 
@@ -51,12 +53,10 @@ class SortedSpectrum:
     values: np.ndarray
     vectors: Optional[np.ndarray] = None
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
         """A copy of the eigenvectors for sorted positions start .. stop-1."""
+        if self.vectors is None:
+            raise ValidationError("spectrum was computed without eigenvectors")
         return self.vectors[:, start:stop].copy()
 
     @classmethod
@@ -152,7 +152,10 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
 PARTIAL_SOLVE_MIN_N = 1200
 
 
-def window_eigh(arr: np.ndarray) -> Union[SortedSpectrum, Tridiagonal]:
+Spectrum = Union[SortedSpectrum, Tridiagonal]
+
+
+def window_eigh(arr: np.ndarray) -> Spectrum:
     """Every eigenvalue of a validated symmetric matrix, sorted decreasingly.
 
     The result's window_vectors(start, stop) gives the eigenvectors of

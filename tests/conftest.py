@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import sys
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+from scipy.linalg import lapack, orthogonal_procrustes
 
 import heic
 from heic.experiments import ExperimentConfig, RhoRule
@@ -19,6 +20,7 @@ class SimSummary:
     """Scalars extracted from one simulated estimation run (matrices dropped)."""
 
     fro_err: float
+    position_err: float
     cluster_mean: float
     top_eigenvalue: float
     gap: float
@@ -37,9 +39,15 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
         theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=rho, n=n))
         adjacency = heic.sample_adjacency(theta, adjacency_seed)
         estimate, diag = heic.heic(adjacency, d, rho=rho, analytic_gap=analytic_gap)
+        # sqrt(n/d) V estimates the latent positions X up to an orthogonal transform.
+        positions = math.sqrt(n / d) * estimate.vectors
+        rotation, _ = orthogonal_procrustes(positions, sample.points)
         out.append(
             SimSummary(
                 fro_err=float(np.linalg.norm(estimate.matrix - heic.gram_population(sample))),
+                position_err=float(
+                    np.linalg.norm(positions @ rotation - sample.points) / np.linalg.norm(sample.points)
+                ),
                 cluster_mean=float(estimate.cluster.values.mean()),
                 top_eigenvalue=diag.top_eigenvalue,
                 gap=diag.gap,

@@ -11,6 +11,7 @@ from numpy.polynomial import legendre
 
 from heic.errors import QuadratureError, ValidationError
 from heic.harmonics import QUAD_MAX_PANELS, QUAD_NODES, QUAD_TOL, gegenbauer, sphere_weight_total
+from heic.links import affine, threshold
 
 
 def delta2_bruteforce(a, b) -> float:
@@ -95,6 +96,11 @@ def sorted_spectra(min_size: int = 3, max_size: int = 12):
     return st.lists(grid_values(), min_size=min_size, max_size=max_size).map(
         lambda xs: np.array(sorted(xs, reverse=True))
     )
+
+
+def builtin_links() -> dict:
+    """The two standing example links of the tests: threshold(0) and affine(0.5, 0.5)."""
+    return {"threshold0": threshold(0.0), "half_affine": affine(0.5, 0.5)}
 
 
 def legendre_level_integral(k: int, lo: float, hi: float) -> float:

@@ -232,6 +232,7 @@ class TestStudyCommands:
             ("mse-study", {"seed": -1}),
             ("mse-study", {"link": {"kind": "affine", "a": "x", "b": 0.5}}),
             ("convergence-study", {"rho": {"kind": "log", "value": 8.0}}),
+            ("convergence-study", {"n_grid": [60, 60]}),
         ],
     )
     def test_unrunnable_config_rejected_before_replicates(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,7 +169,8 @@ class TestGramEstimate:
         cluster = heic.find_cluster(spec, 2)
         est = heic.gram_estimate(spec, cluster)
         assert np.trace(est.matrix) == pytest.approx(1.0, abs=1e-9)
-        assert est.scale == 0.5
+        assert est.vectors.shape == (5, 2)
+        np.testing.assert_allclose(est.vectors.T @ est.vectors, np.eye(2), atol=1e-12)
 
     def test_rotation_invariance(self):
         rng = np.random.default_rng(41)
@@ -328,6 +330,31 @@ class TestHeicPipeline:
         assert diag.gap == 0.0
         assert diag.edge_density == 0.0
         assert np.trace(estimate.matrix) == pytest.approx(1.0, abs=1e-9)
+
+    def test_latent_positions_up_to_rotation(self, sims_threshold_1000, sims_threshold_2000):
+        # X^T X / n -> I / d, so sqrt(n/d) V aligns with X after an orthogonal
+        # Procrustes rotation, and the relative error shrinks as n grows.
+        errs_1000 = [s.position_err for s in sims_threshold_1000]
+        errs_2000 = [s.position_err for s in sims_threshold_2000]
+        assert max(errs_1000 + errs_2000) < 0.1
+        assert np.median(errs_2000) < np.median(errs_1000)
+
+    @pytest.mark.parametrize("min_n", [0, spectral.PARTIAL_SOLVE_MIN_N], ids=["partial", "eigh"])
+    def test_result_holds_no_n_by_n_array(self, monkeypatch, min_n):
+        # The estimate keeps the n x d window basis V; the n x n projector is
+        # built only when estimate.matrix is read.
+        monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+        n, d = 600, 3
+        adjacency = _seeded_graph(n, 5)
+        heic.heic(adjacency, d)  # imports what the call imports before tracing
+        tracemalloc.start()
+        try:
+            estimate, _ = heic.heic(adjacency, d)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert estimate.vectors.shape == (n, d)
+        assert held < 0.05 * 8 * n * n
 
     def test_top_eigenvalue_exclusion(self, sims_threshold_1000):
         for s in sims_threshold_1000:

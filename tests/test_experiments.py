@@ -86,6 +86,8 @@ class TestExperimentConfig:
             _config(n_grid=())
         with pytest.raises(ValidationError):
             _config(n_grid=(4,), d=3)
+        with pytest.raises(ValidationError, match=r"repeats \[60\]"):
+            _config(n_grid=(60, 90, 60))
 
     def test_dimensions_validated(self):
         # the sampler needs the sphere S^(d-1) with d >= 2

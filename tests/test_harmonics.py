@@ -9,7 +9,7 @@ import heic
 from heic import harmonics
 from heic.errors import QuadratureError, ValidationError
 from heic.harmonics import AnalyticSpectrum, SpectrumLevel, funck_hecke_table, sphere_weight_total
-from oracles import funck_hecke_eigenvalue, threshold_eigenvalue_exact
+from oracles import builtin_links, funck_hecke_eigenvalue, threshold_eigenvalue_exact
 
 
 class TestHarmonicSpaceDim:
@@ -76,6 +76,12 @@ class TestGegenbauer:
                     atol=1e-12,
                 )
 
+    def test_nan_argument_rejected(self):
+        with pytest.raises(ValidationError, match="outside"):
+            heic.gegenbauer(2, 0.5, float("nan"))
+        with pytest.raises(ValidationError, match="outside"):
+            heic.gegenbauer(2, 0.5, np.array([0.1, np.nan]))
+
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             heic.gegenbauer(2, 0.0, 0.5)
@@ -111,7 +117,7 @@ class TestFunckHeckeEigenvalue:
 
     def test_mean_connectivity_closed_form(self):
         # Both standing links average to 1/2 under the symmetric weight, every d.
-        for link in heic.builtin_links().values():
+        for link in builtin_links().values():
             for d in (3, 4, 5):
                 lam0, err = funck_hecke_eigenvalue(link, d, 0)
                 assert lam0 == pytest.approx(0.5, abs=max(1e-9, 10 * err))
@@ -129,7 +135,7 @@ class TestFunckHeckeEigenvalue:
 
 class TestFunckHeckeTable:
     def test_matches_per_level_path(self):
-        for link in heic.builtin_links().values():
+        for link in builtin_links().values():
             for d in (3, 4, 5):
                 values, errs = funck_hecke_table(link, d, 12)
                 for k in range(13):
@@ -166,7 +172,7 @@ class TestAnalyticSpectrum:
         assert all(abs(lv.eigenvalue) < 1e-12 for lv in sp.levels[2:])
 
     def test_level_zero_dominates(self):
-        for link in heic.builtin_links().values():
+        for link in builtin_links().values():
             for d in (3, 4, 5):
                 sp = heic.analytic_spectrum(link, d, 15)
                 eigs = sp.eigenvalues()
@@ -246,7 +252,7 @@ class TestOperatorActionMonteCarlo:
         phi_cloud = math.sqrt(3.0) * cloud[:, 0]
         tests = rng.standard_normal((5, 3))
         tests /= np.linalg.norm(tests, axis=1)[:, None]
-        for link in heic.builtin_links().values():
+        for link in builtin_links().values():
             lam1, _ = funck_hecke_eigenvalue(link, 3, 1)
             for x in tests:
                 samples = link(np.clip(cloud @ x, -1.0, 1.0)) * phi_cloud

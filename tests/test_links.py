@@ -69,6 +69,13 @@ class TestTableAndCustom:
         with pytest.raises(ValidationError):
             heic.threshold(0.0)(1.5)
 
+    def test_nan_argument_rejected(self):
+        # threshold(0) would map NaN to probability 0: NaN <= 0 is False.
+        with pytest.raises(ValidationError, match="outside"):
+            heic.threshold(0.0)(float("nan"))
+        with pytest.raises(ValidationError, match="outside"):
+            heic.threshold(0.0)(np.array([0.5, np.nan]))
+
 
 class TestLinkSpecs:
     def test_shorthands(self):
@@ -99,7 +106,3 @@ class TestLinkSpecs:
     def test_dict_unknown_keys_rejected(self, spec, unknown):
         with pytest.raises(ValidationError, match=re.escape(f"unknown keys {unknown}")):
             heic.link_from_spec(spec)
-
-    def test_builtins(self):
-        links = heic.builtin_links()
-        assert set(links) == {"threshold0", "half_affine"}

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import heic
 from heic.errors import ValidationError
 from heic.model import SYMMETRY_TILE, require_adjacency, require_symmetric
-from oracles import funck_hecke_eigenvalue, require_symmetric_whole
+from oracles import builtin_links, funck_hecke_eigenvalue, require_symmetric_whole
 
 
 class TestSampleUniformSphere:
@@ -35,6 +35,12 @@ class TestSampleUniformSphere:
             heic.sample_uniform_sphere(0, 3, seed=1)
         with pytest.raises(ValidationError):
             heic.sample_uniform_sphere(5, 1, seed=1)
+
+    def test_nan_rows_rejected(self):
+        points = heic.sample_uniform_sphere(4, 3, seed=7).points.copy()
+        points[2] = np.nan
+        with pytest.raises(ValidationError, match="unit vectors"):
+            heic.LatentSample(dim=3, points=points, seed=7)
 
 
 class TestGramPopulation:
@@ -273,7 +279,7 @@ class TestModelLevelProperties:
     def test_edge_density_tracks_mean_connectivity(self):
         # lambda_0 = 1/2 for both standing links; n=1000, rho=1, tolerance 0.05.
         n = 1000
-        for link in heic.builtin_links().values():
+        for link in builtin_links().values():
             sample = heic.sample_uniform_sphere(n, 3, seed=31)
             theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=1.0, n=n))
             adj = heic.sample_adjacency(theta, seed=32)
@@ -284,7 +290,7 @@ class TestModelLevelProperties:
         # The mean connectivity profile is constant over the sphere, so rows
         # of theta concentrate around a common value.
         n = 2000
-        for link in heic.builtin_links().values():
+        for link in builtin_links().values():
             sample = heic.sample_uniform_sphere(n, 3, seed=41)
             theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=1.0, n=n))
             rows = theta.sum(axis=1)

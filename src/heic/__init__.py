@@ -8,7 +8,6 @@ spherical harmonics.  An analytic spectrum computed by quadrature serves
 as the validation oracle.
 """
 
-from .dimension import DimensionScan, estimate_dimension, scan_spectrum
 from .errors import (
     EigenSolverError,
     HeicError,
@@ -18,14 +17,16 @@ from .errors import (
 )
 from .estimator import (
     ClusterSelection,
+    DimensionScan,
     EventEReport,
     GramEstimate,
     HeicDiagnostics,
+    estimate_dimension,
     event_e_check,
     find_cluster,
     gram_estimate,
     heic,
-    noise_bound,
+    scan_spectrum,
     window_gaps,
 )
 from .experiments import (
@@ -104,7 +105,6 @@ __all__ = [
     "heic",
     "inner_products",
     "link_from_spec",
-    "noise_bound",
     "normalize_adjacency",
     "probability_matrix",
     "replicate_seeds",

@@ -25,9 +25,8 @@ import sys
 import numpy as np
 
 from . import io
-from .dimension import DEFAULT_D_MAX, estimate_dimension
 from .errors import NumericError, ValidationError
-from .estimator import heic
+from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .experiments import (
     ExperimentConfig,
     run_dimension_study,
@@ -77,8 +76,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    spec = symmetric_eigvals(io.read_matrix_csv(args.input))
-    io.write_table(args.out, "index,eigenvalue", enumerate(spec.values))
+    values = symmetric_eigvals(io.read_matrix_csv(args.input))
+    io.write_table(args.out, "index,eigenvalue", enumerate(values))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Eigenvalue-cluster search and Gram matrix reconstruction.
+"""Eigenvalue-cluster search, Gram matrix reconstruction and dimension recovery.
 
 Given the adjacency matrix of a graph sampled from an inner-product kernel
 on S^{d-1}, the d eigenvalues tied to the degree-1 spherical harmonics form
@@ -11,31 +11,48 @@ projector (1/d) V V^T, whose entries scaled by n estimate the latent inner
 products <X_i, X_j>, is built only when GramEstimate.matrix is read, and
 sqrt(n/d) V estimates the latent positions up to an orthogonal transform.
 
-The scan is scale free, so the edge-density parameter rho is never needed
-for estimation; it only enters the simulation-side diagnostics
-(event_e_check, noise_bound).
+The latent dimension is a byproduct of the same scan: each candidate d
+scores the best separation of any d consecutive sorted eigenvalues, and
+the candidate whose score is largest is the estimate.  Ties pick the
+smallest d, because np.argmax returns the first maximum and the default
+candidates 1 .. d_max increase.  The scores read eigenvalues only, so one
+eigenvalue-only solve serves every candidate: spectral.descending_eigvalsh,
+a tridiagonal reduction and dsterf.  From spectral.PARTIAL_SOLVE_MIN_N
+nodes on that is the in-place reduction heic()'s partial solve makes, so
+heic(adjacency, d) reports the score of candidate d as its gap.  Below, it
+is numpy's eigvalsh, whose values match the reduction's bit for bit;
+heic() takes the full eigh there, whose eigenvalues may differ in the last
+digit.
 
-heic() validates its adjacency once, at the top (square, finite, symmetric,
-0/1 entries, room for a window of size d), and then trusts it through one
-solve (spectral.window_eigh): every eigenvalue for the scan, then the
-eigenvectors of the chosen window, which from PARTIAL_SOLVE_MIN_N nodes on
-are the only ones computed.  It runs the public stages (find_cluster,
-gram_estimate, event_e_check) on the solver's result as it is; they read
-only its values and window_vectors, check only their scalar arguments and
-the window's fit, and never a matrix.  noise_bound validates its matrix.
+The scan is scale free, so the edge-density parameter rho is never needed
+for estimation; it only enters the simulation-side check event_e_check.
+
+heic() and estimate_dimension validate their adjacency once, at the top,
+with model.require_adjacency (square, finite, symmetric, 0/1 entries, no
+self-loops), so both accept and reject the same graphs with the same
+messages, and check their window sizes against n with _require_window.
+They then trust it through one solve.  heic() solves with
+spectral.window_eigh: every eigenvalue for the scan, then the eigenvectors
+of the chosen window, which from PARTIAL_SOLVE_MIN_N nodes on are the only
+ones computed.  It runs the public stages (find_cluster, gram_estimate,
+event_e_check) on the solver's result as it is; they read only its values
+and window_vectors, check only their scalar arguments and the window's
+fit, and never a matrix.  scan_spectrum validates only the candidates
+against the spectrum it is given.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import ValidationError
-from .model import require_adjacency, require_symmetric
-from .spectral import Spectrum, window_eigh
+from .model import require_adjacency
+from .spectral import Spectrum, descending_eigvalsh, window_eigh
+
+DEFAULT_D_MAX = 15
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,13 @@ class HeicDiagnostics:
     edge_density: float
     degenerate: bool
     event_e: Optional[EventEReport] = None
+
+
+@dataclass(frozen=True)
+class DimensionScan:
+    candidates: tuple[int, ...]
+    scores: np.ndarray
+    chosen: int
 
 
 def _require_window(n: int, d: int) -> None:
@@ -155,22 +179,6 @@ def event_e_check(
     return EventEReport(ok=ok, diameter=cluster.diameter, gap=cluster.gap, threshold=threshold)
 
 
-def noise_bound(theta, alpha: float) -> float:
-    """Heuristic high-probability bound on ||observed/n - theta/n||_op.
-
-    3*sqrt(2*D0)/n + sqrt(log(n/alpha))/n with D0 the largest row sum of
-    theta*(1-theta).  The universal constant on the second term is not
-    pinned by theory; it is fixed to 1 here, so treat the value as a
-    diagnostic scale, not a certified bound.
-    """
-    arr = require_symmetric(theta, "probability matrix")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    n = arr.shape[0]
-    d0 = float((arr * (1.0 - arr)).sum(axis=1).max())
-    return 3.0 * math.sqrt(2.0 * d0) / n + math.sqrt(math.log(n / alpha)) / n
-
-
 def heic(
     adjacency,
     d: int,
@@ -206,3 +214,33 @@ def heic(
         event_e=event_e,
     )
     return estimate, diagnostics
+
+
+def _require_candidates(candidates, n: int) -> tuple[int, ...]:
+    candidates = tuple(int(d) for d in candidates)
+    if not candidates:
+        raise ValidationError("candidate set must not be empty")
+    for d in candidates:
+        _require_window(n, d)
+    return candidates
+
+
+def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
+    scores = np.array([window_gaps(values, d).max() for d in candidates])
+    chosen = candidates[int(np.argmax(scores))]
+    return DimensionScan(candidates=candidates, scores=scores, chosen=chosen)
+
+
+def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
+    """Score each candidate d on an already-computed sorted spectrum."""
+    return _scan(spec.values, _require_candidates(candidates, len(spec.values)))
+
+
+def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
+    """Scan candidate dimensions 1 .. d_max on an adjacency matrix."""
+    if d_max < 1:
+        raise ValidationError(f"d_max must be >= 1, got {d_max}")
+    adjacency, _ = require_adjacency(adjacency)
+    n = adjacency.shape[0]
+    candidates = _require_candidates(range(1, d_max + 1), n)
+    return _scan(descending_eigvalsh(adjacency / n), candidates)

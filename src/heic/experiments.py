@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dimension import DEFAULT_D_MAX, estimate_dimension
 from .errors import ValidationError
-from .estimator import heic
+from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
 from .model import (
@@ -225,6 +224,7 @@ def run_mse_study(cfg: ExperimentConfig) -> list[MseRecord]:
         start = time.perf_counter()
         sample, adjacency, _ = _simulate_graph(cfg, n, r)
         estimate, diag = heic(adjacency, cfg.d)
+        del adjacency  # the error below holds three n x n arrays; the graph would be a fourth
         # Mean squared entrywise error on the O(1) scale: entries of n*G
         # estimate the latent inner products.
         diff = n * estimate.matrix - n * gram_population(sample)
@@ -332,8 +332,7 @@ def run_spectrum_convergence(
 
     def replicate(n: int, r: int) -> ConvergenceRecord:
         _, m, rho = _simulate_graph(cfg, n, r, observed=matrix == "observed")
-        spectrum = descending_eigvalsh(m / (n * rho))
-        return ConvergenceRecord(n, r, delta_2(spectrum.values, reference))
+        return ConvergenceRecord(n, r, delta_2(descending_eigvalsh(m / (n * rho)), reference))
 
     return _run_replicates(
         cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)

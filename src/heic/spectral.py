@@ -12,17 +12,17 @@ a call, so where numpy and scipy calls alternate, as when a study samples a
 graph and then solves it, the pools contend.  Below PARTIAL_SOLVE_MIN_N,
 where that costs more than the partial solve saves, window_eigh is numpy's
 full eigh.  descending_eigvalsh, for callers that need eigenvalues only,
-switches at the same size: from PARTIAL_SOLVE_MIN_N nodes on it is the same
-in-place reduction, below it numpy's eigvalsh, whose dsyevd runs dsytrd +
-dsterf too and gives bit-identical values here.
+returns the sorted values array and switches at the same size: from
+PARTIAL_SOLVE_MIN_N nodes on it is the same in-place reduction, below it
+numpy's eigvalsh, whose dsyevd runs dsytrd + dsterf too and gives
+bit-identical values here.
 
 A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
 decreasingly (the reversed view of LAPACK's ascending output), plus
 window_vectors(start, stop), the eigenvectors of sorted positions
-start .. stop-1; a SortedSpectrum without eigenvectors raises
-ValidationError there.  Eigenvector signs (and bases within repeated
-eigenvalues) are arbitrary; consumers may use V only up to an orthogonal
-transform, as in the projector V V^T.
+start .. stop-1.  Eigenvector signs (and bases within repeated eigenvalues)
+are arbitrary; consumers may use V only up to an orthogonal transform, as
+in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
@@ -35,36 +35,24 @@ not by ``import heic``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
-from .errors import EigenSolverError, ValidationError
+from .errors import EigenSolverError
 from .model import require_symmetric
 
 
 @dataclass(frozen=True)
 class SortedSpectrum:
-    """Eigenvalues sorted decreasingly; column i of vectors pairs with values[i].
-
-    vectors is None when only the eigenvalues were computed.
-    """
+    """Eigenvalues sorted decreasingly; column i of vectors pairs with values[i]."""
 
     values: np.ndarray
-    vectors: Optional[np.ndarray] = None
+    vectors: np.ndarray
 
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
         """A copy of the eigenvectors for sorted positions start .. stop-1."""
-        if self.vectors is None:
-            raise ValidationError("spectrum was computed without eigenvectors")
         return self.vectors[:, start:stop].copy()
-
-    @classmethod
-    def from_values(cls, values) -> "SortedSpectrum":
-        """Spectrum of diag(values): coordinate-axis eigenvectors, sorted."""
-        vals = np.asarray(values, dtype=float).ravel()
-        order = np.argsort(-vals, kind="stable")
-        return cls(values=vals[order], vectors=np.eye(vals.size)[:, order])
 
 
 def _solve(solver, *args, **kwargs):
@@ -167,15 +155,15 @@ def window_eigh(arr: np.ndarray) -> Spectrum:
     return descending_eigh(arr)
 
 
-def descending_eigvalsh(arr: np.ndarray) -> SortedSpectrum:
+def descending_eigvalsh(arr: np.ndarray) -> np.ndarray:
     """Eigenvalues only of a validated symmetric matrix, sorted decreasingly.
 
     From PARTIAL_SOLVE_MIN_N rows on, arr must be a float64 copy owned by
     the caller: tridiagonalize overwrites it.
     """
     if arr.shape[0] >= PARTIAL_SOLVE_MIN_N:
-        return SortedSpectrum(values=tridiagonalize(arr).values)
-    return SortedSpectrum(values=_solve(np.linalg.eigvalsh, arr)[::-1])
+        return tridiagonalize(arr).values
+    return _solve(np.linalg.eigvalsh, arr)[::-1]
 
 
 def _symmetrized(m) -> np.ndarray:
@@ -190,7 +178,7 @@ def symmetric_eig(m) -> SortedSpectrum:
     return descending_eigh(_symmetrized(m))
 
 
-def symmetric_eigvals(m) -> SortedSpectrum:
+def symmetric_eigvals(m) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix, sorted decreasingly; no eigenvectors."""
     return descending_eigvalsh(_symmetrized(m))
 

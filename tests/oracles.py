@@ -12,6 +12,7 @@ from numpy.polynomial import legendre
 from heic.errors import QuadratureError, ValidationError
 from heic.harmonics import QUAD_MAX_PANELS, QUAD_NODES, QUAD_TOL, gegenbauer, sphere_weight_total
 from heic.links import affine, threshold
+from heic.spectral import SortedSpectrum
 
 
 def delta2_bruteforce(a, b) -> float:
@@ -34,6 +35,13 @@ def delta2_bruteforce(a, b) -> float:
                     cost += (a[i] - b[j]) ** 2 - b[j] * b[j]
                 best = min(best, cost)
     return math.sqrt(max(best, 0.0))
+
+
+def diagonal_spectrum(values) -> SortedSpectrum:
+    """Spectrum of diag(values): coordinate-axis eigenvectors, sorted decreasingly."""
+    vals = np.asarray(values, dtype=float).ravel()
+    order = np.argsort(-vals, kind="stable")
+    return SortedSpectrum(values=vals[order], vectors=np.eye(vals.size)[:, order])
 
 
 def cluster_scan_bruteforce(values, d) -> tuple[int, float]:

@@ -13,8 +13,7 @@ import pytest
 
 import heic
 from heic import cli
-from heic.spectral import SortedSpectrum
-from oracles import cluster_scan_bruteforce, delta2_bruteforce
+from oracles import cluster_scan_bruteforce, delta2_bruteforce, diagonal_spectrum
 
 GRID = (200, 500, 1000, 2000)
 
@@ -62,8 +61,8 @@ def test_criterion_2_addition_identity():
 
 def test_criterion_3_cluster_on_exact_spectrum():
     flat = np.repeat([0.5, -0.25, 0.0, 0.0625], [1, 3, 5, 7])
-    cluster = heic.find_cluster(SortedSpectrum.from_values(flat), 3)
-    values = SortedSpectrum.from_values(flat).values[list(cluster.indices)]
+    cluster = heic.find_cluster(diagonal_spectrum(flat), 3)
+    values = diagonal_spectrum(flat).values[list(cluster.indices)]
     ok = bool(np.all(values == -0.25)) and cluster.gap == 0.25
     _report(3, ok, f"selected values {values.tolist()}, gap {cluster.gap!r}")
 
@@ -75,7 +74,7 @@ def test_criterion_4_bruteforce_equivalence():
         n = int(rng.integers(5, 13))
         values = np.sort(rng.uniform(-1.0, 1.0, size=n))[::-1]
         d = int(rng.integers(1, n - 2))
-        cluster = heic.find_cluster(SortedSpectrum.from_values(values), d)
+        cluster = heic.find_cluster(diagonal_spectrum(values), d)
         if (cluster.start, cluster.gap) != cluster_scan_bruteforce(values, d):
             window_ok = False
             break

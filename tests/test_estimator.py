@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 import heic
 from heic import spectral
 from heic.errors import ValidationError
-from heic.spectral import SortedSpectrum, symmetric_eigvals
-from oracles import cluster_scan_bruteforce, eigh_projector, sorted_spectra
-
-
-def _spectrum(values):
-    return SortedSpectrum.from_values(np.asarray(values, dtype=float))
+from oracles import cluster_scan_bruteforce, diagonal_spectrum, eigh_projector, sorted_spectra
 
 
 WORKED = [1.0, 0.5, 0.48, 0.46, 0.10]
@@ -48,7 +43,7 @@ class TestGaps:
         np.testing.assert_array_equal(heic.window_gaps(np.array([0.7, 0.3, 0.3]), 1), [0.0, 0.0])
 
     def test_index_ranges(self):
-        spec = _spectrum([1.0, 0.5, 0.48])
+        spec = diagonal_spectrum([1.0, 0.5, 0.48])
         with pytest.raises(ValidationError):
             heic.find_cluster(spec, 0)
         with pytest.raises(ValidationError):
@@ -74,7 +69,7 @@ class TestClusterGap:
         # when it is the best separated value.
         values = np.array([1.0, 0.1, 0.09, 0.08, 0.07])
         assert heic.window_gaps(values, 3).size == 2
-        assert heic.find_cluster(_spectrum(values), 1).start >= 1
+        assert heic.find_cluster(diagonal_spectrum(values), 1).start >= 1
 
     def test_matches_bruteforce_min_distance(self):
         rng = np.random.default_rng(23)
@@ -92,7 +87,7 @@ class TestClusterGap:
 
 class TestFindCluster:
     def test_worked_example(self):
-        spec = _spectrum(WORKED)
+        spec = diagonal_spectrum(WORKED)
         cluster = heic.find_cluster(spec, 3)
         assert cluster.indices == (1, 2, 3)
         assert cluster.gap == pytest.approx(0.36)
@@ -101,14 +96,14 @@ class TestFindCluster:
 
     def test_exact_flattened_threshold_spectrum(self):
         sp = heic.analytic_spectrum(heic.threshold(0.0), 3, 3)
-        spec = _spectrum(sp.flattened())
+        spec = diagonal_spectrum(sp.flattened())
         cluster = heic.find_cluster(spec, 3)
         assert cluster.start == 13
         np.testing.assert_allclose(spec.values[list(cluster.indices)], -0.25, atol=1e-10)
         assert cluster.gap == pytest.approx(0.25, abs=1e-10)
 
     def test_all_equal_ties_break_to_first(self):
-        cluster = heic.find_cluster(_spectrum([0.2] * 8), 3)
+        cluster = heic.find_cluster(diagonal_spectrum([0.2] * 8), 3)
         assert cluster.start == 1
         assert cluster.gap == 0.0
 
@@ -118,7 +113,7 @@ class TestFindCluster:
             n = int(rng.integers(5, 13))
             values = np.sort(rng.uniform(-1.0, 1.0, size=n))[::-1]
             d = int(rng.integers(1, n - 2))
-            cluster = heic.find_cluster(_spectrum(values), d)
+            cluster = heic.find_cluster(diagonal_spectrum(values), d)
             start_bf, gap_bf = cluster_scan_bruteforce(values, d)
             assert (cluster.start, cluster.gap) == (start_bf, gap_bf)
 
@@ -135,18 +130,18 @@ class TestFindCluster:
                 min(left[i - 1], left[i + d - 1]) for i in range(1, n - d)
             ]
             expected = max(interior + [left[n - d - 1]])
-            cluster = heic.find_cluster(_spectrum(values), d)
+            cluster = heic.find_cluster(diagonal_spectrum(values), d)
             assert cluster.gap == expected
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(37)
         values = np.sort(rng.uniform(-1.0, 1.0, size=11))[::-1]
-        base = heic.find_cluster(_spectrum(values), 3)
+        base = heic.find_cluster(diagonal_spectrum(values), 3)
         for c in (2.0, 0.5):  # powers of two scale without rounding
-            scaled = heic.find_cluster(_spectrum(c * values), 3)
+            scaled = heic.find_cluster(diagonal_spectrum(c * values), 3)
             assert scaled.indices == base.indices
             assert scaled.gap == c * base.gap
-        scaled = heic.find_cluster(_spectrum(3.0 * values), 3)
+        scaled = heic.find_cluster(diagonal_spectrum(3.0 * values), 3)
         assert scaled.indices == base.indices
         assert scaled.gap == pytest.approx(3.0 * base.gap, rel=1e-12)
 
@@ -154,13 +149,13 @@ class TestFindCluster:
     @given(values=sorted_spectra(), data=st.data())
     def test_matches_bruteforce_with_ties(self, values, data):
         d = data.draw(st.integers(1, values.size - 2), label="d")
-        cluster = heic.find_cluster(_spectrum(values), d)
+        cluster = heic.find_cluster(diagonal_spectrum(values), d)
         assert (cluster.start, cluster.gap) == cluster_scan_bruteforce(values, d)
         np.testing.assert_array_equal(cluster.values, values[cluster.start : cluster.start + d])
 
     def test_too_small_spectrum_rejected(self):
         with pytest.raises(ValidationError):
-            heic.find_cluster(_spectrum([1.0, 0.5, 0.3]), 2)
+            heic.find_cluster(diagonal_spectrum([1.0, 0.5, 0.3]), 2)
 
 
 class TestGramEstimate:
@@ -203,11 +198,6 @@ class TestGramEstimate:
             for d in (1, 3, 4):
                 g = heic.gram_estimate(spec, heic.find_cluster(spec, d)).matrix
                 assert np.array_equal(g, g.T), (n, d)
-
-    def test_needs_eigenvectors(self):
-        spec = symmetric_eigvals(np.diag([5.0, 3.0, 2.0, 1.0, 0.5]))
-        with pytest.raises(ValidationError, match="without eigenvectors"):
-            heic.gram_estimate(spec, heic.find_cluster(spec, 2))
 
     def test_pilot_error_gate(self, sims_threshold_1500):
         # 10 seeded runs; the Frobenius error stays below the pilot constant
@@ -306,24 +296,6 @@ class TestHeicPipeline:
         assert diag == ref_diag
         np.testing.assert_allclose(estimate.matrix, reference.matrix, rtol=0.0, atol=1e-15)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, bad):
-        adjacency = np.ones((12, 12)) - np.eye(12)
-        adjacency[3, 7] = adjacency[7, 3] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
-            heic.heic(adjacency, 3)
-
-    def test_rejects_non_binary_before_solving(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        with pytest.raises(ValidationError, match="0 or 1"):
-            heic.heic(np.full((12, 12), 0.5), 3)
-
-    def test_rejects_self_loop(self):
-        adjacency = np.ones((12, 12)) - np.eye(12)
-        adjacency[5, 5] = 1.0
-        with pytest.raises(ValidationError, match="diagonal"):
-            heic.heic(adjacency, 3)
-
     def test_empty_graph_flagged_degenerate(self):
         estimate, diag = heic.heic(np.zeros((8, 8)), 3)
         assert diag.degenerate
@@ -365,14 +337,14 @@ class TestHeicPipeline:
 class TestEventECheck:
     def test_exact_flattened_spectrum_passes(self):
         sp = heic.analytic_spectrum(heic.threshold(0.0), 3, 3)
-        spec = SortedSpectrum.from_values(sp.flattened())
+        spec = diagonal_spectrum(sp.flattened())
         cluster = heic.find_cluster(spec, 3)
         report = heic.event_e_check(spec, cluster, gap_analytic=0.25, rho=1.0)
         assert report.ok
         assert report.threshold == pytest.approx(0.125)
 
     def test_flat_spectrum_fails(self):
-        spec = SortedSpectrum.from_values(np.full(10, 0.3))
+        spec = diagonal_spectrum(np.full(10, 0.3))
         cluster = heic.find_cluster(spec, 3)
         assert not heic.event_e_check(spec, cluster, gap_analytic=0.25, rho=1.0).ok
 
@@ -380,34 +352,37 @@ class TestEventECheck:
         assert sum(s.event_ok for s in sims_threshold_2000) >= 18
 
     def test_requires_positive_gap(self):
-        spec = SortedSpectrum.from_values(np.linspace(1.0, 0.0, 8))
+        spec = diagonal_spectrum(np.linspace(1.0, 0.0, 8))
         cluster = heic.find_cluster(spec, 2)
         with pytest.raises(ValidationError):
             heic.event_e_check(spec, cluster, gap_analytic=0.0, rho=1.0)
 
 
-class TestNoiseBound:
-    def test_zero_matrix_reduces_to_log_term(self):
-        n, alpha = 50, 0.05
-        assert heic.noise_bound(np.zeros((n, n)), alpha) == pytest.approx(
-            math.sqrt(math.log(n / alpha)) / n
-        )
+# Both graph commands validate through model.require_adjacency, so they
+# reject the same inputs with the same messages, before any solve.
+GRAPH_COMMANDS = {
+    "heic": lambda adjacency: heic.heic(adjacency, 3),
+    "estimate_dimension": lambda adjacency: heic.estimate_dimension(adjacency, d_max=5),
+}
 
-    def test_certain_edges_also_reduce(self):
-        n, alpha = 40, 0.1
-        theta = np.ones((n, n)) - np.eye(n)
-        assert heic.noise_bound(theta, alpha) == pytest.approx(
-            math.sqrt(math.log(n / alpha)) / n
-        )
 
-    def test_half_probabilities(self):
-        n, alpha = 1000, 0.05
-        theta = np.full((n, n), 0.5)
-        np.fill_diagonal(theta, 0.0)
-        d0 = 0.25 * (n - 1)
-        expected = 3.0 * math.sqrt(2.0 * d0) / n + math.sqrt(math.log(n / alpha)) / n
-        assert heic.noise_bound(theta, alpha) == pytest.approx(expected, rel=1e-12)
+@pytest.mark.parametrize("command", GRAPH_COMMANDS.values(), ids=list(GRAPH_COMMANDS))
+class TestAdjacencyBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, command, bad):
+        adjacency = np.ones((12, 12)) - np.eye(12)
+        adjacency[3, 7] = adjacency[7, 3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            command(adjacency)
 
-    def test_alpha_validated(self):
-        with pytest.raises(ValidationError):
-            heic.noise_bound(np.zeros((4, 4)), 1.5)
+    def test_rejects_non_binary_before_solving(self, monkeypatch, command):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            command(np.full((12, 12), 0.5))
+
+    def test_rejects_self_loop(self, command):
+        adjacency = np.ones((12, 12)) - np.eye(12)
+        adjacency[5, 5] = 1.0
+        with pytest.raises(ValidationError, match="diagonal"):
+            command(adjacency)

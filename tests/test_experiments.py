@@ -192,6 +192,14 @@ class TestMseStudy:
         assert plain.read_text().splitlines()[1].endswith(",0")
         assert not timed.read_text().splitlines()[1].endswith(",0")
 
+    def test_replicate_releases_graph_before_error(self, traced_peak):
+        # The error line holds three n x n float64 arrays; with the adjacency
+        # still referenced it held a fourth (4.01 n^2).  Sampling (~3.15 n^2)
+        # now sets the peak.
+        n = 600
+        heic.run_mse_study(_config(n_grid=(60,), replicates=1))  # imports before tracing
+        assert traced_peak(heic.run_mse_study, _config(n_grid=(n,), replicates=1)) < 3.3 * 8 * n * n
+
 
 class TestDimensionStudy:
     def test_small_study_shape(self, tmp_path):

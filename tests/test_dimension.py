@@ -6,6 +6,7 @@ import heic
 from heic.errors import ValidationError
 from heic.model import SYMMETRY_TILE
 from oracles import cluster_scan_bruteforce, diagonal_spectrum, sorted_spectra
+from test_estimator import RejectsBadAdjacency
 
 
 class TestScanSpectrum:
@@ -49,7 +50,11 @@ class TestScanSpectrum:
             heic.scan_spectrum(spec, [5])
 
 
-class TestEstimateDimension:
+class TestEstimateDimension(RejectsBadAdjacency):
+    @staticmethod
+    def command(adjacency):
+        return heic.estimate_dimension(adjacency, d_max=5)
+
     def _adjacency(self, n=260, seed=61):
         sample = heic.sample_uniform_sphere(n, 3, seed)
         theta = heic.probability_matrix(

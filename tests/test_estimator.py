@@ -205,7 +205,43 @@ class TestGramEstimate:
         assert sum(e <= 0.12 for e in errs) >= 9
 
 
-class TestHeicPipeline:
+class RejectsBadAdjacency:
+    """Boundary tests shared by the test classes of both graph commands.
+
+    heic and estimate_dimension validate through model.require_adjacency, so
+    they reject the same inputs with the same messages, before any solve.
+    A subclass sets ``command`` to a call of its graph command.
+    """
+
+    @staticmethod
+    def command(adjacency):
+        raise NotImplementedError
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        adjacency = np.ones((12, 12)) - np.eye(12)
+        adjacency[3, 7] = adjacency[7, 3] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            self.command(adjacency)
+
+    def test_rejects_non_binary_before_solving(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        with pytest.raises(ValidationError, match="0 or 1"):
+            self.command(np.full((12, 12), 0.5))
+
+    def test_rejects_self_loop(self):
+        adjacency = np.ones((12, 12)) - np.eye(12)
+        adjacency[5, 5] = 1.0
+        with pytest.raises(ValidationError, match="diagonal"):
+            self.command(adjacency)
+
+
+class TestHeicPipeline(RejectsBadAdjacency):
+    @staticmethod
+    def command(adjacency):
+        return heic.heic(adjacency, 3)
+
     def test_threshold_cluster_location(self, sims_threshold_1500):
         hits = sum(abs(s.cluster_mean - (-0.25)) <= 0.05 for s in sims_threshold_1500)
         assert hits >= 18
@@ -356,33 +392,3 @@ class TestEventECheck:
         cluster = heic.find_cluster(spec, 2)
         with pytest.raises(ValidationError):
             heic.event_e_check(spec, cluster, gap_analytic=0.0, rho=1.0)
-
-
-# Both graph commands validate through model.require_adjacency, so they
-# reject the same inputs with the same messages, before any solve.
-GRAPH_COMMANDS = {
-    "heic": lambda adjacency: heic.heic(adjacency, 3),
-    "estimate_dimension": lambda adjacency: heic.estimate_dimension(adjacency, d_max=5),
-}
-
-
-@pytest.mark.parametrize("command", GRAPH_COMMANDS.values(), ids=list(GRAPH_COMMANDS))
-class TestAdjacencyBoundary:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_rejects_non_finite(self, command, bad):
-        adjacency = np.ones((12, 12)) - np.eye(12)
-        adjacency[3, 7] = adjacency[7, 3] = bad
-        with pytest.raises(ValidationError, match="non-finite"):
-            command(adjacency)
-
-    def test_rejects_non_binary_before_solving(self, monkeypatch, command):
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
-        with pytest.raises(ValidationError, match="0 or 1"):
-            command(np.full((12, 12), 0.5))
-
-    def test_rejects_self_loop(self, command):
-        adjacency = np.ones((12, 12)) - np.eye(12)
-        adjacency[5, 5] = 1.0
-        with pytest.raises(ValidationError, match="diagonal"):
-            command(adjacency)

@@ -1,8 +1,9 @@
-"""Every heic name the benchmark scripts in perfbench/ use still resolves.
+"""Every heic name the benchmark scripts in perfbench/ use, or heic exports, still resolves.
 
 perfbench/run.py imports heic from the checkout it measures, so a name the
 library drops breaks the benchmark only when it runs; here it fails at once.
-The scripts are parsed, not imported or run.
+The scripts are parsed, not imported or run.  Likewise a name left in
+heic.__all__ after its definition goes breaks ``from heic import *``.
 """
 
 import ast
@@ -57,3 +58,9 @@ def test_perfbench_heic_names_resolve():
     assert any(name == "run.py" for name, _, _ in refs), "no heic reference found in perfbench/run.py"
     missing = [f"{name}:{line}: {dotted}" for name, line, dotted in refs if not _resolves(dotted)]
     assert not missing, "perfbench uses names heic no longer has:\n" + "\n".join(missing)
+
+
+def test_public_names_resolve():
+    assert len(set(heic.__all__)) == len(heic.__all__)
+    missing = [name for name in heic.__all__ if not hasattr(heic, name)]
+    assert not missing, f"heic.__all__ names what heic does not define: {missing}"

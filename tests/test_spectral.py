@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import heic
 from heic.errors import EigenSolverError, ValidationError
 from heic.spectral import _symmetrized, symmetric_eigvals, tridiagonalize
-from oracles import delta2_bruteforce, grid_values
+from oracles import delta2_bruteforce, diagonal_spectrum, grid_values
 
 
 class TestSymmetricEig:
@@ -84,6 +84,16 @@ class TestSymmetricEig:
         m = _symmetric(40, 9)
         assert count_calls(symmetric_eigvals, m)["dsytrd"] == 1
         np.testing.assert_array_equal(symmetric_eigvals(m), np.linalg.eigvalsh(m)[::-1])
+
+    def test_from_values(self):
+        # diagonal_spectrum, the test oracle for a spectrum with given values,
+        # is the decomposition symmetric_eig makes of diag(values).
+        values = [0.1, 0.7, -0.3]
+        spec = diagonal_spectrum(values)
+        np.testing.assert_array_equal(spec.values, [0.7, 0.1, -0.3])
+        np.testing.assert_array_equal(spec.values, heic.symmetric_eig(np.diag(values)).values)
+        recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
+        np.testing.assert_allclose(recon, np.diag(values), atol=1e-15)
 
 
 def _symmetric(n, seed):

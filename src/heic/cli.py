@@ -121,7 +121,7 @@ def _cmd_dim_study(args) -> int:
     result = run_dimension_study(cfg)
     write_dimension_csv(result, cfg.out)
     print(f"recovery rate: {result.recovery_rate:.3f} (true d={result.true_d})")
-    if result.true_d_outside_candidates:
+    if cfg.d > cfg.d_max:
         print("warning: true_d_outside_candidates", file=sys.stderr)
     return _study_exit(result.errors)
 

@@ -90,11 +90,9 @@ class GramEstimate:
 
 @dataclass(frozen=True)
 class EventEReport:
-    """Cluster-quality check: diameter below and separation above rho*gap/2."""
+    """Cluster-quality check: diameter below and separation above threshold = rho*gap/2."""
 
     ok: bool
-    diameter: float
-    gap: float
     threshold: float
 
 
@@ -172,11 +170,12 @@ def event_e_check(
     only available when the model is known: diameter < rho*gap/2 and
     separation >= rho*gap/2.
     """
-    if gap_analytic <= 0:
-        raise ValidationError("analytic gap must be positive for the cluster check")
+    if not gap_analytic > 0:  # NaN fails both checks
+        raise ValidationError(f"analytic gap must be positive for the cluster check, got {gap_analytic}")
+    if not 0.0 < rho <= 1.0:
+        raise ValidationError(f"rho must lie in (0, 1], got {rho}")
     threshold = rho * gap_analytic / 2.0
-    ok = cluster.diameter < threshold and cluster.gap >= threshold
-    return EventEReport(ok=ok, diameter=cluster.diameter, gap=cluster.gap, threshold=threshold)
+    return EventEReport(cluster.diameter < threshold and cluster.gap >= threshold, threshold)
 
 
 def heic(

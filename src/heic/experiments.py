@@ -173,6 +173,9 @@ def replicate_seeds(base_seed: int, n: int, replicate: int) -> tuple[int, int]:
     Hashing the triple through a seed sequence keeps streams independent of
     scheduling order and of each other.
     """
+    for name, value in (("base_seed", base_seed), ("n", n), ("replicate", replicate)):
+        if value < 0:
+            raise ValidationError(f"{name} must be >= 0, got {value}")
     ss = np.random.SeedSequence(entropy=(int(base_seed), int(n), int(replicate)))
     latent, adjacency = ss.generate_state(2, np.uint64)
     return int(latent), int(adjacency)
@@ -264,7 +267,6 @@ class DimensionStudyResult:
     chosen: list[Optional[int]]
     recovery_rate: float
     true_d: int
-    true_d_outside_candidates: bool
     errors: list[Optional[str]]
 
 
@@ -293,7 +295,6 @@ def run_dimension_study(cfg: ExperimentConfig) -> DimensionStudyResult:
         chosen=chosen,
         recovery_rate=chosen.count(cfg.d) / len(chosen),
         true_d=cfg.d,
-        true_d_outside_candidates=cfg.d > cfg.d_max,
         errors=[error for _, _, error in results],
     )
 

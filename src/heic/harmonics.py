@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import QuadratureError, ValidationError
-from .links import LinkFunction
+from .links import RANGE_SLACK, LinkFunction
 
 DEFAULT_K_MAX = 25
 
@@ -85,12 +85,12 @@ def gegenbauer(k: int, gamma: float, t):
 
     Accepts scalar or array t in [-1, 1].
     """
-    if gamma <= 0:
+    if not gamma > 0:  # NaN fails too
         raise ValidationError(f"Gegenbauer parameter must be positive, got {gamma}")
     if k < 0:
         raise ValidationError(f"degree must be >= 0, got {k}")
     arr = np.asarray(t, dtype=float)
-    if arr.size and not float(np.abs(arr).max()) <= 1.0 + 1e-12:  # NaN fails too
+    if arr.size and not float(np.abs(arr).max()) <= 1.0 + RANGE_SLACK:  # NaN fails too
         raise ValidationError("Gegenbauer argument outside [-1, 1]")
     *_, cur = _gegenbauer_levels(k, gamma, np.clip(arr, -1.0, 1.0))
     return float(cur) if cur.ndim == 0 else cur
@@ -175,9 +175,11 @@ class AnalyticSpectrum:
     flattened view and in gap computations.
     """
 
-    d: int
     levels: tuple[SpectrumLevel, ...]
-    k_max: int
+
+    @property
+    def k_max(self) -> int:
+        return len(self.levels) - 1
 
     def eigenvalues(self) -> np.ndarray:
         """Per-level eigenvalues, index k = 0 .. k_max."""
@@ -204,7 +206,7 @@ def analytic_spectrum(link: LinkFunction, d: int, k_max: int = DEFAULT_K_MAX) ->
         )
         for k in range(k_max + 1)
     ]
-    return AnalyticSpectrum(d=d, levels=tuple(levels), k_max=k_max)
+    return AnalyticSpectrum(tuple(levels))
 
 
 def gap1_analytic(spectrum: AnalyticSpectrum) -> float:

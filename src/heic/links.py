@@ -7,10 +7,13 @@ domain.  Built-in kinds:
 * ``threshold(tau)``   -- 1 if t <= tau else 0 (the hard geometric graph),
 * ``affine(a, b)``     -- a + b*t, validated to stay in [0, 1],
 * ``table(ts, values)``-- piecewise-linear interpolation of sample points,
-* ``custom(fn)``       -- arbitrary callable, validated by probing.
+* ``custom(fn)``       -- arbitrary callable.
 
-Custom and table links are probed at 1024 Chebyshev-spaced points and
-rejected if any value leaves [0, 1] by more than 1e-12.  Declared
+Every link is probed once, when it is built, through its evaluator
+LinkFunction.__call__ at 1024 Chebyshev-spaced points.  The evaluator is the
+one range check: a value that is not finite or leaves [0, 1] by more than
+1e-12 raises ``<label> link leaves [0, 1]: range [lo, hi]``, at the probe or
+at a later evaluation that hits a spike the probe missed.  Declared
 discontinuities are carried along so quadrature can split the domain there.
 """
 
@@ -30,48 +33,33 @@ _N_PROBE = 1024
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """A connection-probability profile over inner products in [-1, 1]."""
+    """A connection-probability profile over inner products in [-1, 1], probed when built."""
 
-    kind: str
     fn: Callable[[np.ndarray], np.ndarray]
     discontinuities: tuple[float, ...] = ()
-    label: str = ""
+    label: str = "custom"
+
+    def __post_init__(self):
+        j = np.arange(_N_PROBE)
+        self(np.cos(np.pi * (2 * j + 1) / (2 * _N_PROBE)))  # the Chebyshev points
 
     def __call__(self, t):
         """Evaluate at t (scalar or array).
 
-        Values more than 1e-12 outside [0, 1] are rejected; smaller float
-        dust is clipped.
+        Values more than 1e-12 outside [0, 1], or not finite, are rejected;
+        smaller float dust is clipped.
         """
         arr = np.asarray(t, dtype=float)
         # Written so that NaN, which fails every comparison, fails the check.
         if arr.size and not (arr.min() >= -1.0 - RANGE_SLACK and arr.max() <= 1.0 + RANGE_SLACK):
             raise ValidationError("link argument outside [-1, 1]")
         out = np.asarray(self.fn(np.clip(arr, -1.0, 1.0)), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValidationError(f"{self.describe()} produced non-finite values")
-        if out.size and (out.min() < -RANGE_SLACK or out.max() > 1.0 + RANGE_SLACK):
-            raise ValidationError(f"{self.describe()} produced values outside [0, 1]")
+        if out.size and not (out.min() >= -RANGE_SLACK and out.max() <= 1.0 + RANGE_SLACK):
+            raise ValidationError(
+                f"{self.label} link leaves [0, 1]: range [{out.min():g}, {out.max():g}]"
+            )
         out = np.clip(out, 0.0, 1.0)
         return float(out) if out.ndim == 0 else out
-
-    def describe(self) -> str:
-        return self.label or self.kind
-
-
-def _chebyshev_points(n: int) -> np.ndarray:
-    j = np.arange(n)
-    return np.cos(np.pi * (2 * j + 1) / (2 * n))
-
-
-def _probe_range(fn, what: str) -> None:
-    vals = np.asarray(fn(_chebyshev_points(_N_PROBE)), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise ValidationError(f"{what} link produced non-finite values")
-    if vals.min() < -RANGE_SLACK or vals.max() > 1.0 + RANGE_SLACK:
-        raise ValidationError(
-            f"{what} link leaves [0, 1]: range [{vals.min():g}, {vals.max():g}]"
-        )
 
 
 def _number(value, what: str) -> float:
@@ -92,7 +80,7 @@ def threshold(tau: float) -> LinkFunction:
         return (t <= tau).astype(float)
 
     disc = (tau,) if -1.0 < tau < 1.0 else ()
-    return LinkFunction(kind="threshold", fn=fn, discontinuities=disc, label=f"threshold({tau:g})")
+    return LinkFunction(fn=fn, discontinuities=disc, label=f"threshold({tau:g})")
 
 
 def affine(a: float, b: float) -> LinkFunction:
@@ -105,7 +93,7 @@ def affine(a: float, b: float) -> LinkFunction:
     def fn(t):
         return a + b * t
 
-    return LinkFunction(kind="affine", fn=fn, label=f"affine({a:g},{b:g})")
+    return LinkFunction(fn=fn, label=f"affine({a:g},{b:g})")
 
 
 def table(ts, values) -> LinkFunction:
@@ -117,27 +105,18 @@ def table(ts, values) -> LinkFunction:
         raise ValidationError(f"table link samples must be numbers ({exc})") from exc
     if ts.ndim != 1 or ts.shape != values.shape or ts.size < 2:
         raise ValidationError("table link needs matching 1-d arrays with >= 2 samples")
-    if np.any(np.diff(ts) <= 0):
+    if not np.all(np.diff(ts) > 0):  # NaN fails too
         raise ValidationError("table link abscissae must be strictly increasing")
 
     def fn(t):
         return np.interp(t, ts, values)
 
-    _probe_range(fn, "table")
-    return LinkFunction(kind="table", fn=fn, label=f"table[{ts.size}]")
+    return LinkFunction(fn=fn, label=f"table[{ts.size}]")
 
 
 def custom(fn: Callable, label: str = "custom", discontinuities=()) -> LinkFunction:
     """Wrap an arbitrary callable; probed on [-1, 1] before acceptance."""
-
-    def vec(t):
-        return np.asarray(fn(t), dtype=float)
-
-    _probe_range(vec, label)
-    return LinkFunction(
-        kind="custom", fn=vec, discontinuities=tuple(float(x) for x in discontinuities),
-        label=label,
-    )
+    return LinkFunction(fn, tuple(float(x) for x in discontinuities), label)
 
 
 # The keys a dict link spec may hold, per kind.

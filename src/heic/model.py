@@ -21,27 +21,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .links import LinkFunction
+from .links import RANGE_SLACK, LinkFunction
 
 UNIT_NORM_TOL = 1e-12
-PROB_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class LatentSample:
-    """n latent positions as unit rows of an (n, d) matrix."""
+    """n >= 1 latent positions on S^{d-1}, d >= 2, as the unit rows of an (n, d) matrix.
 
-    dim: int
+    points is the only field: n and d are read off its shape.
+    """
+
     points: np.ndarray
-    seed: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2:
             raise ValidationError("latent points must form an (n, d) matrix")
         n, d = pts.shape
-        if n < 1 or d < 2 or d != self.dim:
-            raise ValidationError(f"invalid latent sample shape ({n}, {d}) for dim={self.dim}")
+        if n < 1 or d < 2:
+            raise ValidationError(f"invalid latent sample shape ({n}, {d})")
         norms = np.linalg.norm(pts, axis=1)
         if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # NaN fails too
             raise ValidationError("latent rows must be unit vectors within 1e-12")
@@ -131,6 +131,8 @@ def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
         raise ValidationError(f"need n >= 1, got {n}")
     if d < 2:
         raise ValidationError(f"need ambient dimension d >= 2, got {d}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pts = rng.standard_normal((n, d))
     norms = np.linalg.norm(pts, axis=1)
@@ -141,7 +143,7 @@ def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
         pts[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(pts, axis=1)
     pts /= norms[:, None]
-    return LatentSample(dim=d, points=pts, seed=int(seed))
+    return LatentSample(pts)
 
 
 def inner_products(sample: LatentSample) -> np.ndarray:
@@ -171,8 +173,10 @@ def sample_adjacency(theta, seed: int) -> np.ndarray:
 
     Symmetric 0/1 float matrix with zero diagonal; deterministic per seed.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     theta = require_symmetric(theta, "probability matrix")
-    if theta.min() < -PROB_SLACK or theta.max() > 1.0 + PROB_SLACK:
+    if theta.min() < -RANGE_SLACK or theta.max() > 1.0 + RANGE_SLACK:
         raise ValidationError("probability matrix entries must lie in [0, 1]")
     n = theta.shape[0]
     rng = np.random.default_rng(seed)

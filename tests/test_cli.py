@@ -204,6 +204,12 @@ class TestStudyCommands:
         assert "recovery rate:" in capsys.readouterr().out
         assert out.read_text().splitlines()[-1].startswith("summary,")
 
+    def test_dim_study_warns_when_true_d_is_no_candidate(self, tmp_path, capsys):
+        for d, warned in ((7, True), (3, False)):
+            cfg, _ = self._write_config(tmp_path, d=d, n_grid=[120], replicates=1, d_max=4)
+            assert cli.cli_main(["dim-study", "--config", str(cfg)]) == 0
+            assert ("warning: true_d_outside_candidates" in capsys.readouterr().err) == warned
+
     def test_convergence_study_modes(self, tmp_path):
         cfg, out = self._write_config(tmp_path, n_grid=[80], replicates=1, k_max=10)
         assert cli.cli_main(["convergence-study", "--config", str(cfg)]) == 0

@@ -390,5 +390,10 @@ class TestEventECheck:
     def test_requires_positive_gap(self):
         spec = diagonal_spectrum(np.linspace(1.0, 0.0, 8))
         cluster = heic.find_cluster(spec, 2)
-        with pytest.raises(ValidationError):
-            heic.event_e_check(spec, cluster, gap_analytic=0.0, rho=1.0)
+        cycle = np.roll(np.eye(8), 1, axis=1) + np.roll(np.eye(8), -1, axis=1)
+        nan = float("nan")
+        for gap, rho in ((0.0, 1.0), (nan, 1.0), (0.25, -1.0), (0.25, 0.0), (0.25, 1.5), (0.25, nan)):
+            with pytest.raises(ValidationError):
+                heic.event_e_check(spec, cluster, gap_analytic=gap, rho=rho)
+            with pytest.raises(ValidationError):
+                heic.heic(cycle, 2, rho=rho, analytic_gap=gap)

@@ -117,6 +117,11 @@ class TestReplicateSeeds:
     def test_deterministic(self):
         assert replicate_seeds(5, 100, 3) == replicate_seeds(5, 100, 3)
 
+    def test_rejects_negative_arguments(self):
+        for args, name in (((-1, 10, 0), "base_seed"), ((5, -10, 0), "n"), ((5, 10, -1), "replicate")):
+            with pytest.raises(ValidationError, match=f"^{name} must be >= 0"):
+                replicate_seeds(*args)
+
     def test_streams_distinct(self):
         seen = set()
         for n in (100, 200):
@@ -208,7 +213,6 @@ class TestDimensionStudy:
         assert len(result.records) == 3 * 6
         assert len(result.chosen) == 3
         assert 0.0 <= result.recovery_rate <= 1.0
-        assert not result.true_d_outside_candidates
         path = tmp_path / "scores.csv"
         write_dimension_csv(result, path)
         lines = path.read_text().splitlines()
@@ -225,7 +229,6 @@ class TestDimensionStudy:
     def test_true_dimension_outside_candidates_flagged(self):
         cfg = _config(d=7, n_grid=(120,), replicates=1, d_max=4)
         result = heic.run_dimension_study(cfg)
-        assert result.true_d_outside_candidates
         assert result.chosen[0] in (1, 2, 3, 4)
         assert result.recovery_rate == 0.0
 
@@ -339,7 +342,6 @@ class TestStudyCsvWriters:
             chosen=[2, None],
             recovery_rate=0.5,
             true_d=2,
-            true_d_outside_candidates=False,
             errors=[None, "RuntimeError: synthetic"],
         )
         path = tmp_path / "dim.csv"

@@ -85,6 +85,8 @@ class TestGegenbauer:
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             heic.gegenbauer(2, 0.0, 0.5)
+        with pytest.raises(ValidationError, match="positive"):
+            heic.gegenbauer(2, float("nan"), 0.3)
         with pytest.raises(ValidationError):
             heic.gegenbauer(2, 0.5, 1.5)
         with pytest.raises(ValidationError):
@@ -155,7 +157,7 @@ def _spectrum_from_values(eigs, d=3):
         SpectrumLevel(k=k, eigenvalue=float(v), multiplicity=heic.harmonic_space_dim(d, k), quad_err=0.0)
         for k, v in enumerate(eigs)
     )
-    return AnalyticSpectrum(d=d, levels=levels, k_max=len(eigs) - 1)
+    return AnalyticSpectrum(levels)
 
 
 class TestAnalyticSpectrum:

@@ -50,9 +50,17 @@ class TestTableAndCustom:
     def test_table_rejects_bad_range(self):
         with pytest.raises(ValidationError):
             heic.table([-1.0, 1.0], [0.0, 1.5])
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            heic.table([0.0, np.nan, 1.0], [0.5, 0.5, 0.5])
 
     def test_custom_probed_and_rejected(self):
-        with pytest.raises(ValidationError):
+        # Built links are probed through the evaluator, so one message form serves both.
+        for bad in (np.nan, np.inf, -0.5, 1.5):
+            with pytest.raises(ValidationError, match=re.escape("custom link leaves [0, 1]: range [")):
+                heic.custom(lambda t: np.where(t > 0.9, bad, 0.5))
+            with pytest.raises(ValidationError, match=re.escape("table[3] link leaves [0, 1]: range [")):
+                heic.table([-1.0, 0.0, 1.0], [0.5, 0.5, bad])
+        with pytest.raises(ValidationError, match=re.escape("custom link leaves [0, 1]")):
             heic.custom(lambda t: 0.5 + t)  # leaves [0, 1] near t = 1
 
     def test_custom_accepted(self):
@@ -61,8 +69,8 @@ class TestTableAndCustom:
 
     def test_evaluation_rejects_bad_custom_values(self):
         # Probing at 1024 points can miss a narrow spike; evaluation re-checks.
-        spike = heic.LinkFunction(kind="custom", fn=lambda t: np.where(np.abs(t) < 1e-6, 2.0, 0.5))
-        with pytest.raises(ValidationError):
+        spike = heic.LinkFunction(fn=lambda t: np.where(np.abs(t) < 1e-6, 2.0, 0.5))
+        with pytest.raises(ValidationError, match=re.escape("custom link leaves [0, 1]: range [2, 2]")):
             spike(0.0)
 
     def test_domain_validated(self):

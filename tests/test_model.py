@@ -36,21 +36,25 @@ class TestSampleUniformSphere:
         with pytest.raises(ValidationError):
             heic.sample_uniform_sphere(5, 1, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            heic.sample_uniform_sphere(3, 3, seed=-1)
+
     def test_nan_rows_rejected(self):
         points = heic.sample_uniform_sphere(4, 3, seed=7).points.copy()
         points[2] = np.nan
         with pytest.raises(ValidationError, match="unit vectors"):
-            heic.LatentSample(dim=3, points=points, seed=7)
+            heic.LatentSample(points)
 
 
 class TestGramPopulation:
     def test_standard_basis(self):
-        sample = heic.LatentSample(dim=3, points=np.eye(3), seed=0)
+        sample = heic.LatentSample(np.eye(3))
         np.testing.assert_allclose(heic.gram_population(sample), np.eye(3) / 3.0, atol=1e-15)
 
     def test_repeated_point(self):
         p = np.array([0.6, 0.8])
-        sample = heic.LatentSample(dim=2, points=np.vstack([p, p]), seed=0)
+        sample = heic.LatentSample(np.vstack([p, p]))
         np.testing.assert_allclose(heic.gram_population(sample), np.full((2, 2), 0.5), atol=1e-12)
 
     def test_psd_and_diagonal(self):
@@ -80,14 +84,14 @@ class TestProbabilityMatrix:
 
     def test_threshold_on_antipodes(self):
         pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        sample = heic.LatentSample(dim=3, points=pts, seed=0)
+        sample = heic.LatentSample(pts)
         model = heic.GraphModel(link=heic.threshold(0.0), sparsity=0.7, n=2)
         theta = heic.probability_matrix(sample, model)
         assert theta[0, 1] == pytest.approx(0.7)
 
     def test_affine_on_orthogonal_points(self):
         pts = np.eye(3)[:2]
-        sample = heic.LatentSample(dim=3, points=pts, seed=0)
+        sample = heic.LatentSample(pts)
         model = heic.GraphModel(link=heic.affine(0.5, 0.5), sparsity=0.9, n=2)
         theta = heic.probability_matrix(sample, model)
         assert theta[0, 1] == pytest.approx(0.45)
@@ -104,7 +108,7 @@ class TestProbabilityMatrix:
         theta = heic.probability_matrix(sample, model)
         rng = np.random.default_rng(0)
         perm = rng.permutation(12)
-        permuted = heic.LatentSample(dim=3, points=sample.points[perm], seed=sample.seed)
+        permuted = heic.LatentSample(sample.points[perm])
         theta_perm = heic.probability_matrix(permuted, model)
         # matmul kernels may reassociate sums per block, so equality is up to
         # one ulp rather than bitwise
@@ -139,8 +143,12 @@ class TestSampleAdjacency:
         with pytest.raises(ValidationError):
             heic.sample_adjacency(np.full((3, 3), 1.5), seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            heic.sample_adjacency(np.zeros((3, 3)), seed=-1)
+
     def test_slack_entries_match_clipped_copy(self):
-        # Entries within PROB_SLACK outside [0, 1] flip the coins as their clipped values do.
+        # Entries within RANGE_SLACK outside [0, 1] flip the coins as their clipped values do.
         rng = np.random.default_rng(4)
         theta = rng.random((40, 40))
         theta[rng.random((40, 40)) < 0.2] = -1e-12

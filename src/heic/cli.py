@@ -38,7 +38,7 @@ from .experiments import (
 )
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import link_from_spec
-from .model import GraphModel, gram_population, probability_matrix, sample_adjacency, sample_uniform_sphere
+from .model import GraphModel, gram_population, probability_matrix, sample_model_adjacency, sample_uniform_sphere
 from .spectral import symmetric_eigvals
 
 
@@ -58,11 +58,10 @@ def _cmd_sample(args) -> int:
     ss = np.random.SeedSequence(args.seed)
     latent_seed, adjacency_seed = (int(s) for s in ss.generate_state(2, np.uint64))
     sample = sample_uniform_sphere(args.n, args.d, latent_seed)
-    theta = probability_matrix(sample, GraphModel(link=link, sparsity=args.rho, n=args.n))
-    adjacency = sample_adjacency(theta, adjacency_seed)
-    io.write_edge_list(args.out, adjacency)
+    model = GraphModel(link=link, sparsity=args.rho, n=args.n)
+    io.write_edge_list(args.out, sample_model_adjacency(sample, model, adjacency_seed))
     if args.theta_out:
-        io.write_matrix_csv(args.theta_out, theta)
+        io.write_matrix_csv(args.theta_out, probability_matrix(sample, model))
     if args.gram_out:
         io.write_matrix_csv(args.gram_out, gram_population(sample))
     return 0

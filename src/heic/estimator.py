@@ -31,7 +31,13 @@ heic() and estimate_dimension validate their adjacency once, at the top,
 with model.require_adjacency (square, finite, symmetric, 0/1 entries, no
 self-loops), so both accept and reject the same graphs with the same
 messages, and check their window sizes against n with _require_window.
-They then trust it through one solve.  heic() solves with
+heic() checks its scalars rho and analytic_gap before that, so bad ones
+cost no solve.  A uint8 or bool adjacency, which the samplers and the
+edge-list reader produce, is checked where it lies, without a copy.  Each
+command then divides it into its one n x n float64 array, the working copy
+A/n that the solver overwrites; A/n has the same bits whether the
+adjacency came as uint8, bool or float64, so every output does too.  They
+then trust it through one solve.  heic() solves with
 spectral.window_eigh: every eigenvalue for the scan, then the eigenvectors
 of the chosen window, which from PARTIAL_SOLVE_MIN_N nodes on are the only
 ones computed.  It runs the public stages (find_cluster, gram_estimate,
@@ -114,6 +120,12 @@ class DimensionScan:
     chosen: int
 
 
+def _working_copy(adjacency: np.ndarray) -> np.ndarray:
+    """A/n as a new float64 array, the only n x n array a graph command makes."""
+    n = adjacency.shape[0]
+    return np.divide(adjacency, n, out=np.empty((n, n)))
+
+
 def _require_window(n: int, d: int) -> None:
     if d < 1:
         raise ValidationError(f"cluster size must be >= 1, got {d}")
@@ -161,6 +173,13 @@ def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
     return GramEstimate(spec.window_vectors(cluster.start, cluster.start + cluster.d), cluster)
 
 
+def _require_check_scalars(gap_analytic: float, rho: float) -> None:
+    if not gap_analytic > 0:  # NaN fails both checks
+        raise ValidationError(f"analytic gap must be positive for the cluster check, got {gap_analytic}")
+    if not 0.0 < rho <= 1.0:
+        raise ValidationError(f"rho must lie in (0, 1], got {rho}")
+
+
 def event_e_check(
     spec: Spectrum, cluster: ClusterSelection, gap_analytic: float, rho: float
 ) -> EventEReport:
@@ -170,10 +189,7 @@ def event_e_check(
     only available when the model is known: diameter < rho*gap/2 and
     separation >= rho*gap/2.
     """
-    if not gap_analytic > 0:  # NaN fails both checks
-        raise ValidationError(f"analytic gap must be positive for the cluster check, got {gap_analytic}")
-    if not 0.0 < rho <= 1.0:
-        raise ValidationError(f"rho must lie in (0, 1], got {rho}")
+    _require_check_scalars(gap_analytic, rho)
     threshold = rho * gap_analytic / 2.0
     return EventEReport(cluster.diameter < threshold and cluster.gap >= threshold, threshold)
 
@@ -190,18 +206,21 @@ def heic(
     No n x n projector is built: the estimate holds the n x d window basis V,
     and its matrix property builds (1/d) V V^T on request.  When both rho
     and the analytic gap of the generating link are supplied (simulation
-    studies), the diagnostics carry the cluster-quality check.  A zero
-    separation score marks the estimate as degenerate (e.g. the empty
-    graph), signalled in the diagnostics rather than raised.
+    studies), the diagnostics carry the cluster-quality check, and both
+    are checked before the adjacency.  A zero separation score marks the
+    estimate as degenerate (e.g. the empty graph), signalled in the
+    diagnostics rather than raised.
     """
+    with_event_e = rho is not None and analytic_gap is not None
+    if with_event_e:
+        _require_check_scalars(analytic_gap, rho)
     adjacency, density = require_adjacency(adjacency)
-    n = adjacency.shape[0]
-    _require_window(n, d)
-    solved = window_eigh(adjacency / n)
+    _require_window(adjacency.shape[0], d)
+    solved = window_eigh(_working_copy(adjacency))
     cluster = find_cluster(solved, d)
     estimate = gram_estimate(solved, cluster)
     event_e = None
-    if rho is not None and analytic_gap is not None:
+    if with_event_e:
         event_e = event_e_check(solved, cluster, analytic_gap, rho)
     diagnostics = HeicDiagnostics(
         gap=cluster.gap,
@@ -240,6 +259,5 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     adjacency, _ = require_adjacency(adjacency)
-    n = adjacency.shape[0]
-    candidates = _require_candidates(range(1, d_max + 1), n)
-    return _scan(descending_eigvalsh(adjacency / n), candidates)
+    candidates = _require_candidates(range(1, d_max + 1), adjacency.shape[0])
+    return _scan(descending_eigvalsh(_working_copy(adjacency)), candidates)

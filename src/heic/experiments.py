@@ -31,13 +31,7 @@ from .errors import ValidationError
 from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
-from .model import (
-    GraphModel,
-    gram_population,
-    probability_matrix,
-    sample_adjacency,
-    sample_uniform_sphere,
-)
+from .model import GraphModel, probability_matrix, sample_model_adjacency, sample_uniform_sphere
 from .spectral import delta_2, descending_eigvalsh
 from .io import write_table
 
@@ -211,13 +205,14 @@ class MseRecord:
 
 
 def _simulate_graph(cfg: ExperimentConfig, n: int, replicate: int, observed: bool = True):
-    """Latent sample, then the sampled adjacency, or Theta itself when not observed."""
+    """Latent sample, then the sampled uint8 adjacency, or Theta itself when not observed."""
     latent_seed, adjacency_seed = replicate_seeds(cfg.seed, n, replicate)
     rho = cfg.rho.rho_for(n)
     sample = sample_uniform_sphere(n, cfg.d, latent_seed)
-    theta = probability_matrix(sample, GraphModel(link=cfg.link, sparsity=rho, n=n))
-    matrix = sample_adjacency(theta, adjacency_seed) if observed else theta
-    return sample, matrix, rho
+    model = GraphModel(link=cfg.link, sparsity=rho, n=n)
+    if observed:
+        return sample, sample_model_adjacency(sample, model, adjacency_seed), rho
+    return sample, probability_matrix(sample, model), rho
 
 
 def run_mse_study(cfg: ExperimentConfig) -> list[MseRecord]:
@@ -227,11 +222,14 @@ def run_mse_study(cfg: ExperimentConfig) -> list[MseRecord]:
         start = time.perf_counter()
         sample, adjacency, _ = _simulate_graph(cfg, n, r)
         estimate, diag = heic(adjacency, cfg.d)
-        del adjacency  # the error below holds three n x n arrays; the graph would be a fourth
-        # Mean squared entrywise error on the O(1) scale: entries of n*G
-        # estimate the latent inner products.
-        diff = n * estimate.matrix - n * gram_population(sample)
-        mse = float((diff * diff).sum()) / (n * n)
+        # The mean squared entrywise error of n (1/d) V V^T against the
+        # latent inner products X X^T, which is ||V V^T/d - X X^T/n||_F^2,
+        # from d x d products alone: the trace identity
+        # tr((V^T V)^2)/d^2 - 2 ||V^T X||_F^2/(d n) + ||X^T X||_F^2/n^2
+        # builds no n x n array.
+        v, x, d = estimate.vectors, sample.points, cfg.d
+        vv, vx, xx = v.T @ v, v.T @ x, x.T @ x
+        mse = float(np.sum(vv * vv) / d**2 - 2.0 * np.sum(vx * vx) / (d * n) + np.sum(xx * xx) / n**2)
         return MseRecord(n, r, mse, diag.gap, diag.diameter, time.perf_counter() - start)
 
     nan = math.nan

@@ -1,7 +1,8 @@
 """File formats: whitespace edge lists, dense CSV matrices and CSV tables.
 
 Edge list: a header line ``n=<count>`` followed by one ``i j`` pair per
-edge (0-based, i < j, unique, whitespace separated).  Dense CSV: one row per line,
+edge (0-based, i < j, unique, whitespace separated); read_edge_list
+returns it as a symmetric uint8 0/1 adjacency.  Dense CSV: one row per line,
 comma separated, 17 significant digits so float64 values round-trip.
 Table: a header line, then one comma-separated line per row, floats with
 17 significant digits and every other cell as ``str`` gives it.
@@ -46,6 +47,7 @@ def write_edge_list(path, adj) -> None:
 
 
 def read_edge_list(path) -> np.ndarray:
+    """The graph of an edge-list file as a symmetric uint8 0/1 matrix with zero diagonal."""
     header, _, body = Path(path).read_text().strip().partition("\n")
     if not header.startswith("n="):
         raise ValidationError(f"{path}: missing 'n=<count>' header")
@@ -71,8 +73,8 @@ def read_edge_list(path) -> np.ndarray:
     repeated = keys[1:][keys[1:] == keys[:-1]]
     if repeated.size:
         raise ValidationError(f"{path}: duplicate edge {divmod(int(repeated[0]), n)}")
-    adj = np.zeros((n, n))
-    adj[i, j] = adj[j, i] = 1.0
+    adj = np.zeros((n, n), dtype=np.uint8)
+    adj[i, j] = adj[j, i] = 1
     return adj
 
 

@@ -8,9 +8,12 @@ adjacency matrix has independent Bernoulli(Theta_ij) entries above the
 diagonal.  Diagonals of Theta and the adjacency are fixed to 0 (simple
 graph, no self-loops).
 
-All matrices here are plain dense numpy arrays, kept exactly symmetric by
-construction.  Operations are pure: identical inputs and seed reproduce the
-output bit for bit.
+Theta and the Gram matrix are dense float64 arrays; an adjacency is a dense
+uint8 0/1 array, one byte per entry.  Both are kept exactly symmetric by
+construction.  The samplers flip the coins a block of rows at a time, so
+neither the n x n uniforms nor, in sample_model_adjacency, Theta itself
+ever exists whole.  Operations are pure: identical inputs and seed
+reproduce the output bit for bit.
 """
 
 from __future__ import annotations
@@ -79,17 +82,32 @@ class GraphModel:
 SYMMETRY_TILE = 256
 
 
+def _require_square(arr: np.ndarray, name: str) -> None:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
+        raise ValidationError(f"{name} must be non-empty and square, got shape {arr.shape}")
+
+
+def _mirrored_tiles(arr: np.ndarray):
+    """(tile, mirror tile transposed) for each square tile on and above the diagonal.
+
+    Together they hold every pair {a_ij, a_ji} of the square arr exactly once.
+    """
+    n, tile = arr.shape[0], SYMMETRY_TILE
+    for i in range(0, n, tile):
+        for j in range(i, n, tile):
+            yield arr[i : i + tile, j : j + tile], arr[j : j + tile, i : i + tile].T
+
+
 def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
     """Validate a dense non-empty square, finite, symmetric matrix and return it as float64.
 
     max|a_ij - a_ji| must not exceed tol * max(1, max|a_ij|).  Past the
     float64 conversion no n x n temporary is allocated: the check runs over
-    the tiles on and above the diagonal, which hold every pair {a_ij, a_ji},
-    and rejects at the first tile over the bound.
+    the tiles on and above the diagonal and rejects at the first tile over
+    the bound.
     """
     arr = np.asarray(m, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.size == 0:
-        raise ValidationError(f"{name} must be non-empty and square, got shape {arr.shape}")
+    _require_square(arr, name)
     # The max-abs scale is NaN or inf exactly when some entry is, so it
     # doubles as the finiteness check.  A NaN makes both extremes NaN, and
     # the builtin max then returns NaN too.
@@ -97,28 +115,39 @@ def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray
     if not math.isfinite(largest):
         raise ValidationError(f"{name} has non-finite entries")
     bound = tol * max(1.0, largest)
-    n, tile = arr.shape[0], SYMMETRY_TILE
-    for i in range(0, n, tile):
-        for j in range(i, n, tile):
-            diff = arr[i : i + tile, j : j + tile] - arr[j : j + tile, i : i + tile].T
-            if float(np.abs(diff, out=diff).max()) > bound:
-                raise ValidationError(f"{name} is not symmetric")
+    for upper, lower in _mirrored_tiles(arr):
+        diff = upper - lower
+        if float(np.abs(diff, out=diff).max()) > bound:
+            raise ValidationError(f"{name} is not symmetric")
     return arr
 
 
 def require_adjacency(adj) -> tuple[np.ndarray, float]:
     """Validate a simple-graph adjacency on n >= 2 nodes; return it and its edge density.
 
-    On top of require_symmetric the entries must be 0 or 1, which makes the
-    matrix exactly symmetric, and the diagonal must be 0 (no self-loops), so
-    the edge count is the number of ones halved.
+    The entries must be 0 or 1 and the matrix symmetric, with a zero
+    diagonal (no self-loops), so the edge count is the number of ones
+    halved.  A uint8 or bool array is checked where it lies and returned as
+    it is: its tiles are compared for equality (a difference would wrap
+    around in uint8), and no n x n temporary is made.  Any other dtype goes
+    through require_symmetric and is returned as float64.  Every dtype gets
+    the same message for the same fault.
     """
-    arr = require_symmetric(adj, "adjacency")
+    arr = np.asarray(adj)
+    if arr.dtype in (np.uint8, np.bool_):
+        _require_square(arr, "adjacency")
+        if not all(np.array_equal(upper, lower) for upper, lower in _mirrored_tiles(arr)):
+            raise ValidationError("adjacency is not symmetric")
+        binary = arr.dtype == np.bool_ or arr.max() <= 1
+        ones = np.count_nonzero(arr)
+    else:
+        arr = require_symmetric(arr, "adjacency")
+        ones = np.count_nonzero(arr == 1.0)
+        binary = ones + np.count_nonzero(arr == 0.0) == arr.size
     n = arr.shape[0]
     if n < 2:
         raise ValidationError("adjacency needs at least 2 nodes")
-    ones = np.count_nonzero(arr == 1.0)
-    if ones + np.count_nonzero(arr == 0.0) != arr.size:
+    if not binary:
         raise ValidationError("adjacency entries must be 0 or 1")
     if np.any(np.diagonal(arr)):
         raise ValidationError("adjacency has a nonzero diagonal (self-loop)")
@@ -159,31 +188,76 @@ def gram_population(sample: LatentSample) -> np.ndarray:
     return inner_products(sample) / sample.n
 
 
-def probability_matrix(sample: LatentSample, model: GraphModel) -> np.ndarray:
-    """Theta with Theta_ij = rho * f(<X_i, X_j>) off-diagonal, 0 on the diagonal."""
+def _require_model_size(sample: LatentSample, model: GraphModel) -> None:
     if model.n != sample.n:
         raise ValidationError(f"model.n={model.n} does not match sample n={sample.n}")
+
+
+def probability_matrix(sample: LatentSample, model: GraphModel) -> np.ndarray:
+    """Theta with Theta_ij = rho * f(<X_i, X_j>) off-diagonal, 0 on the diagonal."""
+    _require_model_size(sample, model)
     theta = model.sparsity * model.link(inner_products(sample))
     np.fill_diagonal(theta, 0.0)
     return theta
 
 
-def sample_adjacency(theta, seed: int) -> np.ndarray:
-    """Bernoulli adjacency: independent upper-triangle coin flips with means Theta.
+# The samplers hold a block of rows of Theta and of the uniforms at a time,
+# each about this many bytes of float64: a fixed row count would make a
+# block a large share of n^2 at moderate n (256 rows are 21% at n=1200).
+SAMPLE_BLOCK_BYTES = 2**21
 
-    Symmetric 0/1 float matrix with zero diagonal; deterministic per seed.
+
+def _sample_rows(n: int, theta_rows, seed: int) -> np.ndarray:
+    """Symmetric uint8 adjacency with zero diagonal from upper-triangle coins.
+
+    theta_rows(i, j) gives rows i .. j-1 of Theta.  Each block of rows draws
+    its uniforms as rng.random((j - i, n)); PCG64 fills consecutive blocks
+    with the values one rng.random((n, n)) draw would hold, so the coins do
+    not depend on the block size.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    step = max(1, SAMPLE_BLOCK_BYTES // (8 * n))
+    for i in range(0, n, step):
+        j = min(n, i + step)
+        # The uniforms lie in [0, 1), so comparing them with Theta flips the
+        # same coins as comparing them with clip(Theta, 0, 1) would, within
+        # the link's range slack.
+        upper = np.triu(rng.random((j - i, n)) < theta_rows(i, j), k=i + 1)
+        adj[i:j] |= upper
+        adj[:, i:j] |= upper.T
+    return adj
+
+
+def sample_adjacency(theta, seed: int) -> np.ndarray:
+    """Bernoulli adjacency: independent upper-triangle coin flips with means Theta.
+
+    Symmetric uint8 0/1 matrix with zero diagonal; deterministic per seed.
+    """
     theta = require_symmetric(theta, "probability matrix")
     if theta.min() < -RANGE_SLACK or theta.max() > 1.0 + RANGE_SLACK:
         raise ValidationError("probability matrix entries must lie in [0, 1]")
-    n = theta.shape[0]
-    rng = np.random.default_rng(seed)
-    # The uniforms lie in [0, 1), so comparing them with theta flips the same
-    # coins as comparing them with clip(theta, 0, 1) would, within the slack.
-    upper = np.triu(rng.random((n, n)) < theta, k=1).astype(float)
-    return upper + upper.T
+    return _sample_rows(theta.shape[0], lambda i, j: theta[i:j], seed)
+
+
+def sample_model_adjacency(sample: LatentSample, model: GraphModel, seed: int) -> np.ndarray:
+    """The coins of sample_adjacency(probability_matrix(sample, model), seed), Theta never whole.
+
+    Each block of rows of Theta is rho * f(clip(X[i:j] X^T, -1, 1)).  The
+    block product runs as a general matrix product where inner_products
+    runs a symmetric rank-k update, so an entry can differ from it in the
+    last bit; a coin differs only if its uniform falls between the two.
+    """
+    _require_model_size(sample, model)
+    x = sample.points
+
+    def theta_rows(i: int, j: int) -> np.ndarray:
+        t = x[i:j] @ x.T
+        return model.sparsity * model.link(np.clip(t, -1.0, 1.0, out=t))
+
+    return _sample_rows(sample.n, theta_rows, seed)
 
 
 def edge_density(adj) -> float:

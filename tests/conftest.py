@@ -63,8 +63,12 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Run one call; return its matrix validation passes, eigh / eigvalsh calls and
-    tridiagonal reductions (LAPACK dsytrd)."""
+    """Run one call; return its adjacency validation passes, eigh / eigvalsh calls and
+    tridiagonal reductions (LAPACK dsytrd).
+
+    A validation pass is a call of model.require_adjacency, whatever the
+    adjacency's dtype: a uint8 or bool one never reaches require_symmetric.
+    """
     counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd"), 0)
 
     def counting(key, real):
@@ -74,10 +78,10 @@ def count_calls(monkeypatch):
 
         return wrapper
 
-    validate = counting("validate", heic.model.require_symmetric)
+    validate = counting("validate", heic.model.require_adjacency)
     for name, module in list(sys.modules.items()):
-        if name.startswith("heic.") and hasattr(module, "require_symmetric"):
-            monkeypatch.setattr(module, "require_symmetric", validate)
+        if name.startswith("heic.") and hasattr(module, "require_adjacency"):
+            monkeypatch.setattr(module, "require_adjacency", validate)
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(lapack, "dsytrd", counting("dsytrd", lapack.dsytrd))

@@ -64,6 +64,22 @@ class TestSampleCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_edge_list_matches_whole_theta_sampler(self, tmp_path, monkeypatch, seed):
+        # Without --theta-out the command never builds Theta, yet it flips the
+        # coins sample_adjacency flips on the whole probability matrix.
+        n, rho = 300, 0.4
+        latent_seed, adjacency_seed = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        sample = heic.sample_uniform_sphere(n, 3, int(latent_seed))
+        theta = heic.probability_matrix(sample, heic.GraphModel(heic.affine(0.5, 0.5), rho, n))
+        expected = tmp_path / "whole.edges"
+        io.write_edge_list(expected, heic.sample_adjacency(theta, int(adjacency_seed)))
+        monkeypatch.setattr(cli, "probability_matrix", None)
+        edges = tmp_path / "g.edges"
+        argv = ["sample", "--link", "affine:0.5,0.5", "--d", "3", "--n", str(n), "--rho", str(rho)]
+        assert cli.cli_main([*argv, "--seed", str(seed), "--out", str(edges)]) == 0
+        assert edges.read_bytes() == expected.read_bytes()
+
     def test_seed_reproducible(self, tmp_path):
         first = tmp_path / "a"
         second = tmp_path / "b"

@@ -79,9 +79,11 @@ class TestEstimateDimension(RejectsBadAdjacency):
         assert heic.estimate_dimension(adjacency, d_max=10).scores.tolist() == expected
 
     def test_reduction_holds_one_n_by_n_array(self, traced_peak, partial_solve):
-        # A/n, reduced in place, plus O(n) workspace; a second n x n array would reach 2.
-        adjacency = self._adjacency(n=3 * SYMMETRY_TILE + 17)
-        assert traced_peak(heic.estimate_dimension, adjacency) < 1.5 * adjacency.nbytes
+        # A/n, reduced in place, plus O(n) workspace; a second n x n float64
+        # array would reach 2.  The bound is in float64 bytes: the adjacency is uint8.
+        n = 3 * SYMMETRY_TILE + 17
+        adjacency = self._adjacency(n=n)
+        assert traced_peak(heic.estimate_dimension, adjacency) < 1.5 * 8 * n * n
 
     def test_deterministic(self):
         adj = self._adjacency(n=120)

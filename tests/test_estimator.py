@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heic
@@ -205,6 +205,38 @@ class TestGramEstimate:
         assert sum(e <= 0.12 for e in errs) >= 9
 
 
+def _bad_graph(fault: str) -> np.ndarray:
+    """K_12 as uint8 with one fault."""
+    adjacency = np.ones((12, 12), dtype=np.uint8) - np.eye(12, dtype=np.uint8)
+    if fault == "value 2":
+        adjacency[3, 7] = adjacency[7, 3] = 2
+    elif fault == "asymmetric":
+        adjacency[3, 7] = 0
+    elif fault == "self-loop":
+        adjacency[5, 5] = 1
+    elif fault == "non-square":
+        adjacency = adjacency[:, :11]
+    elif fault == "one node":
+        adjacency = np.zeros((1, 1), dtype=np.uint8)
+    return adjacency
+
+
+_FAULT_MESSAGES = {
+    "value 2": "adjacency entries must be 0 or 1",
+    "asymmetric": "adjacency is not symmetric",
+    "self-loop": "adjacency has a nonzero diagonal (self-loop)",
+    "non-square": "adjacency must be non-empty and square, got shape (12, 11)",
+    "one node": "adjacency needs at least 2 nodes",
+}
+# A bool entry cannot hold 2.
+_FAULTS_BY_DTYPE = [
+    pytest.param(fault, dtype, id=f"{fault}-{np.dtype(dtype).name}")
+    for fault in _FAULT_MESSAGES
+    for dtype in (np.float64, np.uint8, np.bool_)
+    if not (fault == "value 2" and dtype is np.bool_)
+]
+
+
 class RejectsBadAdjacency:
     """Boundary tests shared by the test classes of both graph commands.
 
@@ -216,6 +248,17 @@ class RejectsBadAdjacency:
     @staticmethod
     def command(adjacency):
         raise NotImplementedError
+
+    @pytest.mark.parametrize("fault, dtype", _FAULTS_BY_DTYPE)
+    def test_same_message_on_every_dtype(self, monkeypatch, fault, dtype):
+        # uint8 and bool are checked in place, float64 through
+        # require_symmetric; a fault reads the same either way.
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(spectral, "tridiagonalize", None)
+        with pytest.raises(ValidationError) as info:
+            self.command(_bad_graph(fault).astype(dtype))
+        assert str(info.value) == _FAULT_MESSAGES[fault]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -387,6 +430,16 @@ class TestEventECheck:
     def test_simulated_pass_rate(self, sims_threshold_2000):
         assert sum(s.event_ok for s in sims_threshold_2000) >= 18
 
+    @pytest.mark.parametrize(
+        "rho, gap", [(-1.0, 0.25), (0.0, 0.25), (2.0, 0.25), (math.nan, 0.25), (1.0, 0.0), (1.0, math.nan)]
+    )
+    def test_heic_rejects_bad_scalars_before_solving(self, monkeypatch, rho, gap):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(spectral, "tridiagonalize", None)
+        with pytest.raises(ValidationError, match="^(rho must lie|analytic gap must be positive)"):
+            heic.heic(np.ones((12, 12)) - np.eye(12), 3, rho=rho, analytic_gap=gap)
+
     def test_requires_positive_gap(self):
         spec = diagonal_spectrum(np.linspace(1.0, 0.0, 8))
         cluster = heic.find_cluster(spec, 2)
@@ -397,3 +450,60 @@ class TestEventECheck:
                 heic.event_e_check(spec, cluster, gap_analytic=gap, rho=rho)
             with pytest.raises(ValidationError):
                 heic.heic(cycle, 2, rho=rho, analytic_gap=gap)
+
+
+class TestAdjacencyDtypes:
+    """A uint8 (as sampled), bool or float64 copy of one graph: the same A/n, the same bits out."""
+
+    @pytest.fixture(params=["eigh", "partial"])
+    def solver(self, request):
+        if request.param == "partial":
+            request.getfixturevalue("partial_solve")
+        return request.param
+
+    # The solver fixture patches PARTIAL_SOLVE_MIN_N once for all examples.
+    @settings(
+        max_examples=20,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.integers(12, 160),
+        d=st.sampled_from([2, 3, 4]),
+        link=st.sampled_from([heic.threshold(0.0), heic.affine(0.5, 0.5)]),
+        rho=st.sampled_from([1.0, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_outputs_bitwise_equal(self, solver, n, d, link, rho, seed):
+        sample = heic.sample_uniform_sphere(n, d, seed)
+        theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=rho, n=n))
+        graph = heic.sample_adjacency(theta, seed)
+        outputs = []
+        for dtype in (np.uint8, np.bool_, np.float64):
+            adjacency = graph.astype(dtype)
+            estimate, diag = heic.heic(adjacency, d)
+            scan = heic.estimate_dimension(adjacency, d_max=min(8, n - 2))
+            outputs.append(
+                (
+                    estimate.vectors.tobytes(),
+                    estimate.cluster.values.tobytes(),
+                    diag,
+                    scan.scores.tobytes(),
+                    scan.chosen,
+                )
+            )
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize(
+        "command", [lambda a: heic.heic(a, 3), heic.estimate_dimension], ids=["heic", "estimate_dimension"]
+    )
+    def test_uint8_graph_holds_one_float64_array(self, traced_peak, command):
+        # At n=1200 both commands take the in-place tridiagonal reduction.
+        # Above the uint8 graph the caller holds, each makes A/n (8 n^2
+        # bytes) and O(n) workspace; the n x d window basis is 0.3% of 8 n^2.
+        n = 1200
+        adjacency = _seeded_graph(n, 9)
+        assert adjacency.dtype == np.uint8
+        command(adjacency)  # imports what the call imports before tracing
+        assert traced_peak(command, adjacency) < 1.1 * 8 * n * n

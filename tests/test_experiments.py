@@ -198,12 +198,13 @@ class TestMseStudy:
         assert not timed.read_text().splitlines()[1].endswith(",0")
 
     def test_replicate_releases_graph_before_error(self, traced_peak):
-        # The error line holds three n x n float64 arrays; with the adjacency
-        # still referenced it held a fourth (4.01 n^2).  Sampling (~3.15 n^2)
-        # now sets the peak.
-        n = 600
+        # The replicate holds one n x n float64 array, heic()'s working copy
+        # of A/n, beside the uint8 graph (n^2 bytes): sampling runs in blocks
+        # of rows and the error comes from d x d products.  At n=1200 heic()
+        # takes the partial solve, whose scipy import conftest has made.
+        n = 1200
         heic.run_mse_study(_config(n_grid=(60,), replicates=1))  # imports before tracing
-        assert traced_peak(heic.run_mse_study, _config(n_grid=(n,), replicates=1)) < 3.3 * 8 * n * n
+        assert traced_peak(heic.run_mse_study, _config(n_grid=(n,), replicates=1)) < 1.2 * 8 * n * n
 
 
 class TestDimensionStudy:

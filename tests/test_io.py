@@ -15,7 +15,9 @@ def test_edge_list_roundtrip(tmp_path):
     path = tmp_path / "g.edges"
     io.write_edge_list(path, adj)
     assert path.read_text().splitlines()[0] == "n=30"
-    np.testing.assert_array_equal(io.read_edge_list(path), adj)
+    read = io.read_edge_list(path)
+    assert read.dtype == adj.dtype == np.uint8
+    assert read.tobytes() == adj.tobytes()
 
 
 def test_edge_list_header_required(tmp_path):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import heic
 from heic.errors import ValidationError
-from heic.model import SYMMETRY_TILE, require_adjacency, require_symmetric
+from heic import model as heic_model
+from heic.model import SYMMETRY_TILE, require_adjacency, require_symmetric, sample_model_adjacency
 from oracles import builtin_links, funck_hecke_eigenvalue, require_symmetric_whole
 
 
@@ -161,11 +162,59 @@ class TestSampleAdjacency:
             adj = heic.sample_adjacency(theta, seed=seed)
             assert adj.tobytes() == heic.sample_adjacency(clipped, seed=seed).tobytes()
 
-    def test_holds_two_n_by_n_float64_arrays(self, traced_peak):
-        # The upper triangle and the symmetric result; the uniforms are freed first.
-        theta = np.full((500, 500), 0.5)
+    def test_holds_no_n_by_n_float64_array(self, traced_peak):
+        # The uint8 result (1/8 of theta's bytes) and one block of rows: about
+        # 2 MB of uniforms, 18% of theta at n=1200, with its bool masks.
+        n = 1200
+        theta = np.full((n, n), 0.5)
         np.fill_diagonal(theta, 0.0)
-        assert traced_peak(heic.sample_adjacency, theta, 1) < 2.5 * theta.nbytes
+        assert traced_peak(heic.sample_adjacency, theta, 1) < 0.5 * theta.nbytes
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        n=st.one_of(st.integers(2, 40), st.sampled_from([7, 90, 257, 300])),
+        d=st.sampled_from([2, 3, 4, 5, 8]),
+        link=st.sampled_from([heic.threshold(0.0), heic.affine(0.5, 0.5)]),
+        rho=st.sampled_from([1.0, 0.1]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_blocked_coins_equal_dense_coins(self, n, d, link, rho, seed, data):
+        # Both samplers, in blocks of any row count, flip the coins of one
+        # (n, n) draw compared with the whole Theta.  The points come from
+        # sample_uniform_sphere: hand-built ones can put an inner product
+        # exactly on a threshold, where a last-bit difference between the
+        # block product and inner_products' rank-k update flips a coin.
+        sample = heic.sample_uniform_sphere(n, d, seed)
+        model = heic.GraphModel(link=link, sparsity=rho, n=n)
+        theta = heic.probability_matrix(sample, model)
+        upper = np.triu(np.random.default_rng(seed).random((n, n)) < theta, 1)
+        dense = (upper | upper.T).astype(np.uint8)
+        rows = data.draw(st.integers(1, n), label="rows per block")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heic_model, "SAMPLE_BLOCK_BYTES", 8 * n * rows)
+            blocked = heic.sample_adjacency(theta, seed)
+            model_blocked = sample_model_adjacency(sample, model, seed)
+        assert blocked.dtype == model_blocked.dtype == np.uint8
+        assert blocked.tobytes() == dense.tobytes()
+        assert model_blocked.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)], ids=["threshold", "affine"])
+    def test_model_sampler_matches_whole_theta(self, link):
+        # At n=1300, with the default blocks of 201 rows, about a thousand
+        # block inner products differ from inner_products' in the last bit
+        # (numpy's OpenBLAS); no coin may differ.
+        n = 1300
+        sample = heic.sample_uniform_sphere(n, 3, seed=n)
+        model = heic.GraphModel(link=link, sparsity=0.5, n=n)
+        expected = heic.sample_adjacency(heic.probability_matrix(sample, model), 8)
+        assert sample_model_adjacency(sample, model, 8).tobytes() == expected.tobytes()
+
+    def test_model_sampler_rejects_mismatched_n(self):
+        sample = heic.sample_uniform_sphere(4, 3, seed=5)
+        model = heic.GraphModel(link=heic.threshold(0.0), sparsity=1.0, n=5)
+        with pytest.raises(ValidationError, match="does not match"):
+            sample_model_adjacency(sample, model, 1)
 
     def test_two_step_determinism(self):
         def build():
@@ -281,6 +330,18 @@ class TestRequireSymmetric:
         for check in (require_symmetric, require_adjacency):
             # One n x n float64 temporary alone would reach the input's size.
             assert traced_peak(check, adjacency) < adjacency.nbytes, check.__name__
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
+    def test_integer_adjacency_checked_in_place(self, traced_peak, dtype):
+        # No copy and no n x n temporary: the tiles' equality masks are the
+        # largest allocation, far below the input's own n^2 bytes.
+        n = 3 * TILE + 17
+        upper = np.triu(np.random.default_rng(4).random((n, n)) < 0.5, k=1)
+        adjacency = (upper | upper.T).astype(dtype)
+        checked, density = require_adjacency(adjacency)
+        assert checked is adjacency
+        assert density == np.count_nonzero(upper) / (n * (n - 1) / 2)
+        assert traced_peak(require_adjacency, adjacency) < adjacency.nbytes / 4
 
 
 class TestModelLevelProperties:

@@ -85,8 +85,11 @@ def _cmd_estimate(args) -> int:
     estimate, diag = heic(adjacency, args.dim)
     io.write_matrix_csv(args.out_gram, estimate.matrix)
     if args.out_diag:
-        header = "gap,diameter,cluster_start,top_eigenvalue,edge_density"
-        row = (diag.gap, diag.diameter, diag.cluster_start, diag.top_eigenvalue, diag.edge_density)
+        header = "gap,diameter,cluster_start,top_eigenvalue,edge_density,degenerate,solver,margin"
+        row = (
+            diag.gap, diag.diameter, diag.cluster_start, diag.top_eigenvalue, diag.edge_density,
+            diag.degenerate, diag.solver, diag.margin,
+        )
         io.write_table(args.out_diag, header, [row])
     if diag.degenerate:
         print("warning: zero separation score, estimate is degenerate", file=sys.stderr)

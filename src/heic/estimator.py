@@ -17,12 +17,28 @@ the candidate whose score is largest is the estimate.  Ties pick the
 smallest d, because np.argmax returns the first maximum and the default
 candidates 1 .. d_max increase.  The scores read eigenvalues only, so one
 eigenvalue-only solve serves every candidate: spectral.descending_eigvalsh,
-a tridiagonal reduction and dsterf.  From spectral.PARTIAL_SOLVE_MIN_N
-nodes on that is the in-place reduction heic()'s partial solve makes, so
-heic(adjacency, d) reports the score of candidate d as its gap.  Below, it
-is numpy's eigvalsh, whose values match the reduction's bit for bit;
-heic() takes the full eigh there, whose eigenvalues may differ in the last
-digit.
+a tridiagonal reduction and dsterf (numpy's eigvalsh below
+spectral.PARTIAL_SOLVE_MIN_N nodes, with the same bits).  The dimension scan
+always takes this full reduction: its small candidates score windows inside
+the bulk, with gaps far below the bulk's width, which no partial spectrum
+can certify.
+
+heic() has three solver routes (see spectral.py), and names the one it took
+in HeicDiagnostics.solver:
+
+- "eigh" below PARTIAL_SOLVE_MIN_N nodes: every eigenpair;
+- "certified" from PARTIAL_SOLVE_MIN_N nodes on, when the edge density is
+  at least CERTIFIED_MIN_DENSITY: a few eigenpairs at each end, proved to
+  be the extremes by two inertia counts, with every other eigenvalue
+  bounded to an interval.  certify_window then proves from these alone
+  which window the full scan would pick (the rule is in its docstring).
+  The gap is the same score, from Ritz values within a few ulps;
+- "tridiagonal" from PARTIAL_SOLVE_MIN_N nodes on otherwise, and whenever
+  the certified route fails (ARPACK past its budget, an inertia count that
+  disagrees, or a window rule that does not certify): the reduction, every
+  eigenvalue, and the window's eigenvectors alone.  Its eigenvalues are the
+  dimension scan's bit for bit, so heic(adjacency, d) then reports the
+  score of candidate d as its gap exactly.
 
 The scan is scale free, so the edge-density parameter rho is never needed
 for estimation; it only enters the simulation-side check event_e_check.
@@ -30,21 +46,19 @@ for estimation; it only enters the simulation-side check event_e_check.
 heic() and estimate_dimension validate their adjacency once, at the top,
 with model.require_adjacency (square, finite, symmetric, 0/1 entries, no
 self-loops), so both accept and reject the same graphs with the same
-messages, and check their window sizes against n with _require_window.
-heic() checks its scalars rho and analytic_gap before that, so bad ones
-cost no solve.  A uint8 or bool adjacency, which the samplers and the
-edge-list reader produce, is checked where it lies, without a copy.  Each
-command then divides it into its one n x n float64 array, the working copy
-A/n that the solver overwrites; A/n has the same bits whether the
-adjacency came as uint8, bool or float64, so every output does too.  They
-then trust it through one solve.  heic() solves with
-spectral.window_eigh: every eigenvalue for the scan, then the eigenvectors
-of the chosen window, which from PARTIAL_SOLVE_MIN_N nodes on are the only
-ones computed.  It runs the public stages (find_cluster, gram_estimate,
-event_e_check) on the solver's result as it is; they read only its values
-and window_vectors, check only their scalar arguments and the window's
-fit, and never a matrix.  scan_spectrum validates only the candidates
-against the spectrum it is given.
+messages, and check their window sizes (integers, against n) with
+_require_window.  heic() checks its scalars rho and analytic_gap before
+that, so bad ones cost no solve.  A uint8 or bool adjacency, which the
+samplers and the edge-list reader produce, is checked where it lies,
+without a copy.  Each command then divides it into its one n x n float64
+array, the working copy A/n that the solvers read and overwrite; the
+certified route writes A/n back into it before it falls back.  A/n has the
+same bits whether the adjacency came as uint8, bool or float64, so every
+output does too.  They then trust it through the solve.  heic() picks its
+window as find_cluster does and reports the margin over the runner-up, then
+keeps the window's eigenvectors and runs event_e_check, which reads only
+the window.  scan_spectrum validates only the candidates against the
+spectrum it is given.
 """
 
 from __future__ import annotations
@@ -54,9 +68,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import spectral
 from .errors import ValidationError
 from .model import require_adjacency
-from .spectral import Spectrum, descending_eigvalsh, window_eigh
+from .spectral import Spectrum, descending_eigvalsh, extreme_pairs, window_eigh
 
 DEFAULT_D_MAX = 15
 
@@ -104,12 +119,23 @@ class EventEReport:
 
 @dataclass(frozen=True)
 class HeicDiagnostics:
+    """How heic() chose its window.
+
+    solver names the route: "eigh", "tridiagonal" or "certified".  margin is
+    the chosen window's gap minus the largest gap of any other window: the
+    selection margin over the runner-up on the two full routes, and on the
+    certified route the certificate margin, against the largest bound on
+    another window's gap.
+    """
+
     gap: float
     diameter: float
     cluster_start: int
     top_eigenvalue: float
     edge_density: float
     degenerate: bool
+    solver: str
+    margin: float
     event_e: Optional[EventEReport] = None
 
 
@@ -120,13 +146,19 @@ class DimensionScan:
     chosen: int
 
 
-def _working_copy(adjacency: np.ndarray) -> np.ndarray:
-    """A/n as a new float64 array, the only n x n array a graph command makes."""
+def _working_copy(adjacency: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """A/n as float64, the only n x n array a graph command makes; into out when given."""
     n = adjacency.shape[0]
-    return np.divide(adjacency, n, out=np.empty((n, n)))
+    return np.divide(adjacency, n, out=np.empty((n, n)) if out is None else out)
+
+
+def _require_integer(value, name: str) -> None:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _require_window(n: int, d: int) -> None:
+    _require_integer(d, "cluster size")
     if d < 1:
         raise ValidationError(f"cluster size must be >= 1, got {d}")
     if n < d + 2:
@@ -146,6 +178,27 @@ def window_gaps(values, d: int) -> np.ndarray:
     return np.minimum(steps[: len(values) - d], np.append(steps[d:], np.inf))
 
 
+def _selection(window: np.ndarray, start: int, gap: float) -> ClusterSelection:
+    d = window.size
+    return ClusterSelection(
+        d=d,
+        start=start,
+        indices=tuple(range(start, start + d)),
+        gap=gap,
+        diameter=float(window[0] - window[-1]),
+        values=window,
+    )
+
+
+def _best_window(values: np.ndarray, d: int) -> tuple[ClusterSelection, float]:
+    """The best window, as find_cluster picks it, and its margin over the runner-up."""
+    gaps = window_gaps(values, d)
+    best = int(np.argmax(gaps))
+    gap = float(gaps[best])
+    gaps[best] = -np.inf
+    return _selection(values[best + 1 : best + 1 + d], best + 1, gap), gap - float(gaps.max())
+
+
 def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     """Window of d consecutive sorted eigenvalues with the largest separation.
 
@@ -153,17 +206,53 @@ def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     spectrum's size-d cluster score.
     """
     _require_window(len(spec.values), d)
-    gaps = window_gaps(spec.values, d)
-    start = int(np.argmax(gaps)) + 1
-    window = spec.values[start : start + d]
-    return ClusterSelection(
-        d=d,
-        start=start,
-        indices=tuple(range(start, start + d)),
-        gap=float(gaps[start - 1]),
-        diameter=float(window[0] - window[-1]),
-        values=window,
-    )
+    return _best_window(spec.values, d)[0]
+
+
+def certify_window(
+    top, bottom, lower: float, upper: float, n: int, d: int, slack: float
+) -> Optional[tuple[int, float, float]]:
+    """The window find_cluster would pick on a spectrum known only at its ends, or None.
+
+    The n sorted eigenvalues are known at the top (the decreasing values
+    top, at positions 0 .. t-1) and the bottom (bottom, decreasing, at
+    positions n-b .. n-1), each within slack; every other eigenvalue lies
+    in [lower, upper].  Returns (start, gap, margin) when one window is
+    proved best, else None.
+
+    The rule.  A step between two known eigenvalues is exact: its computed
+    value is within 2 slack of the true one.  A step that touches the
+    middle is bounded by the middle's range: at most the upper end of the
+    value above it minus the lower end of the value below it.  A window's
+    gap is the smaller of its two steps (one for the window that ends at
+    position n-1), so it is exact when its steps are, and otherwise at most
+    the smaller of their bounds.  Let the best exact window have computed
+    gap G, and every other window a bound U_i (for an exact window, its
+    computed gap plus 2 slack).  If G - 2 slack > U_i for every other i,
+    the best window's true gap exceeds every other window's true gap, so
+    the full scan's argmax is unique and is this window, whatever the
+    middle holds, and G is its score within 2 slack.  margin is
+    G - max U_i, and the rule certifies when margin > 2 slack.
+    """
+    top = np.asarray(top, dtype=float)
+    bottom = np.asarray(bottom, dtype=float)
+    middle = n - top.size - bottom.size
+    known = np.concatenate([top, np.full(middle, np.nan), bottom])
+    high = np.concatenate([top + slack, np.full(middle, upper), bottom + slack])
+    low = np.concatenate([top - slack, np.full(middle, lower), bottom - slack])
+    steps = known[:-1] - known[1:]  # NaN where a step touches the middle
+    bounds = np.where(np.isnan(steps), high[:-1] - low[1:], steps + 2.0 * slack)
+    exact = np.minimum(steps[: n - d], np.append(steps[d:], np.inf))
+    bound = np.minimum(bounds[: n - d], np.append(bounds[d:], np.inf))
+    if np.isnan(exact).all():
+        return None
+    best = int(np.nanargmax(exact))
+    gap = float(exact[best])
+    bound[best] = -np.inf
+    margin = gap - float(bound.max())
+    if not margin > 2.0 * slack:
+        return None
+    return best + 1, gap, margin
 
 
 def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
@@ -173,9 +262,12 @@ def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
     return GramEstimate(spec.window_vectors(cluster.start, cluster.start + cluster.d), cluster)
 
 
-def _require_check_scalars(gap_analytic: float, rho: float) -> None:
+def _require_gap(gap_analytic: float) -> None:
     if not gap_analytic > 0:  # NaN fails both checks
         raise ValidationError(f"analytic gap must be positive for the cluster check, got {gap_analytic}")
+
+
+def _require_rho(rho: float) -> None:
     if not 0.0 < rho <= 1.0:
         raise ValidationError(f"rho must lie in (0, 1], got {rho}")
 
@@ -189,9 +281,47 @@ def event_e_check(
     only available when the model is known: diameter < rho*gap/2 and
     separation >= rho*gap/2.
     """
-    _require_check_scalars(gap_analytic, rho)
+    _require_gap(gap_analytic)
+    _require_rho(rho)
     threshold = rho * gap_analytic / 2.0
     return EventEReport(cluster.diameter < threshold and cluster.gap >= threshold, threshold)
+
+
+# The certified route is tried from PARTIAL_SOLVE_MIN_N nodes on when the
+# edge density is at least CERTIFIED_MIN_DENSITY.  Measured with threshold(0)
+# graphs, d=3, on 2 cores, at rho = 1, 40 ln n/n and 8 ln n/n:
+# - n=3000, densities 0.5, 0.053, 0.011: at 0.5 ARPACK converged in 71-80
+#   products and heic() certified in 0.7-0.9 s, against 1.5-1.7 s for the
+#   reduction; at 0.053 it needed 224-254 products, past the budget of 120,
+#   so routing it would cost about 0.2 s more; at 0.011 it converged after
+#   316 products, but the window's gap of 0.002 did not certify.
+# - n=1200, densities 0.5, 0.118, 0.024: 71-88 products and certified;
+#   157 products; 235 products and no certificate.
+CERTIFIED_MIN_DENSITY = 0.25
+
+
+def _certified_window(adjacency: np.ndarray, work: np.ndarray, d: int):
+    """(pairs, cluster, margin) from the certified route, or None with work holding A/n."""
+    pairs = extreme_pairs(work, 2 * d + 5)
+    if pairs is None:
+        return None
+    n = work.shape[0]
+    window = certify_window(pairs.top, pairs.bottom, pairs.lower, pairs.upper, n, d, pairs.slack)
+    if window is None or not pairs.confirm(work, lambda: _working_copy(adjacency, out=work)):
+        return None
+    start, gap, margin = window
+    return pairs, _selection(pairs.window(start, start + d)[0], start, gap), margin
+
+
+def _require_event_e_scalars(rho, analytic_gap) -> bool:
+    """Range-check whichever is given; True when both are, so heic() runs the check."""
+    if analytic_gap is not None:
+        _require_gap(analytic_gap)
+    if rho is not None:
+        _require_rho(rho)
+    if (rho is None) != (analytic_gap is None):
+        raise ValidationError("rho and analytic_gap must be given together")
+    return rho is not None
 
 
 def heic(
@@ -204,21 +334,29 @@ def heic(
     """Full pipeline: validate, normalize, solve, locate the cluster, keep its eigenvectors.
 
     No n x n projector is built: the estimate holds the n x d window basis V,
-    and its matrix property builds (1/d) V V^T on request.  When both rho
-    and the analytic gap of the generating link are supplied (simulation
-    studies), the diagnostics carry the cluster-quality check, and both
-    are checked before the adjacency.  A zero separation score marks the
-    estimate as degenerate (e.g. the empty graph), signalled in the
-    diagnostics rather than raised.
+    and its matrix property builds (1/d) V V^T on request.  When rho and
+    the analytic gap of the generating link are supplied (simulation
+    studies), the diagnostics carry the cluster-quality check; they must
+    come together, and are checked before the adjacency.  A zero separation
+    score marks the estimate as degenerate (e.g. the empty graph), signalled
+    in the diagnostics rather than raised.
     """
-    with_event_e = rho is not None and analytic_gap is not None
-    if with_event_e:
-        _require_check_scalars(analytic_gap, rho)
+    with_event_e = _require_event_e_scalars(rho, analytic_gap)
     adjacency, density = require_adjacency(adjacency)
-    _require_window(adjacency.shape[0], d)
-    solved = window_eigh(_working_copy(adjacency))
-    cluster = find_cluster(solved, d)
-    estimate = gram_estimate(solved, cluster)
+    n = adjacency.shape[0]
+    _require_window(n, d)
+    work = _working_copy(adjacency)
+    certified = None
+    if n >= spectral.PARTIAL_SOLVE_MIN_N and density >= CERTIFIED_MIN_DENSITY:
+        certified = _certified_window(adjacency, work, d)
+    if certified is not None:
+        solved, cluster, margin = certified
+        top = float(solved.top[0])
+    else:
+        solved = window_eigh(work)
+        cluster, margin = _best_window(solved.values, d)
+        top = float(solved.values[0])
+    estimate = GramEstimate(solved.window_vectors(cluster.start, cluster.start + d), cluster)
     event_e = None
     if with_event_e:
         event_e = event_e_check(solved, cluster, analytic_gap, rho)
@@ -226,21 +364,23 @@ def heic(
         gap=cluster.gap,
         diameter=cluster.diameter,
         cluster_start=cluster.start,
-        top_eigenvalue=float(solved.values[0]),
+        top_eigenvalue=top,
         edge_density=density,
         degenerate=cluster.gap <= 0.0,
+        solver=solved.solver,
+        margin=margin,
         event_e=event_e,
     )
     return estimate, diagnostics
 
 
 def _require_candidates(candidates, n: int) -> tuple[int, ...]:
-    candidates = tuple(int(d) for d in candidates)
+    candidates = tuple(candidates)
     if not candidates:
         raise ValidationError("candidate set must not be empty")
     for d in candidates:
         _require_window(n, d)
-    return candidates
+    return tuple(int(d) for d in candidates)
 
 
 def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
@@ -256,6 +396,7 @@ def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
 
 def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     """Scan candidate dimensions 1 .. d_max on an adjacency matrix."""
+    _require_integer(d_max, "d_max")
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     adjacency, _ = require_adjacency(adjacency)

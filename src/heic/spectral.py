@@ -1,41 +1,81 @@
-"""Dense symmetric eigensolvers and the eigenvalue matching distance.
+"""Symmetric eigensolvers: three routes to a window, and the matching distance.
 
-heic() needs every eigenvalue, to place its cluster, but only the d
-eigenvectors of the window it picks.  window_eigh gives it both.  From
-PARTIAL_SOLVE_MIN_N nodes on it reduces the matrix to tridiagonal form once
-(tridiagonalize: LAPACK dsytrd, then dsterf for the whole spectrum) and
-computes the window's eigenvectors alone (Tridiagonal.window_vectors).
+heic() needs the eigenvalues around its cluster, to place it, but only the
+d eigenvectors of the window it picks.  There are three routes:
 
-That solve runs on scipy's LAPACK, which brings a second OpenBLAS thread
-pool and 27 MB of RSS.  Each pool's idle threads spin for about 0.1 s after
-a call, so where numpy and scipy calls alternate, as when a study samples a
-graph and then solves it, the pools contend.  Below PARTIAL_SOLVE_MIN_N,
-where that costs more than the partial solve saves, window_eigh is numpy's
-full eigh.  descending_eigvalsh, for callers that need eigenvalues only,
-returns the sorted values array and switches at the same size: from
-PARTIAL_SOLVE_MIN_N nodes on it is the same in-place reduction, below it
-numpy's eigvalsh, whose dsyevd runs dsytrd + dsterf too and gives
-bit-identical values here.
+- eigh: numpy's full eigh, below PARTIAL_SOLVE_MIN_N nodes (descending_eigh).
+- tridiagonal: from PARTIAL_SOLVE_MIN_N nodes on, one in-place reduction to
+  tridiagonal form (tridiagonalize: LAPACK dsytrd, then dsterf for the
+  whole spectrum) and the window's eigenvectors alone
+  (Tridiagonal.window_vectors).  window_eigh picks between these two.
+- certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
+  ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
+  the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
+  only bounds on it, so the caller must show that those suffice; see
+  estimator.certify_window.  estimator.heic() routes here for dense graphs
+  and falls back to window_eigh whenever a step of the proof fails.
+
+The proof behind ExtremePairs.  Let A be symmetric with eigenvalues
+l_0 >= ... >= l_{n-1}, V the n x k Ritz vectors with values th and
+R = A V - V diag(th).  If V has orthonormal columns, there are k distinct
+eigenvalues each within ||R||_2 of its Ritz value (Kahan's theorem; Parlett,
+The Symmetric Eigenvalue Problem, 1998, ch. 11); V's departure from
+orthonormality, F = V^T V - I, widens that to the slack eps of
+_ritz_slack.  Take t top Ritz values th_0 >= ... >= th_{t-1} and a shift
+s_hi with th_{t-1} - eps > s_hi + eta.  An LDL^T factorization of
+A - s_hi I (LAPACK dsytrf, Bunch-Kaufman pivoting) has as many positive
+eigenvalues in its block-diagonal D as A - s_hi I, by Sylvester's law of
+inertia.  The computed factors are exact for A - s_hi I + E, and eta bounds
+||E||_2 (see _factor_slack), so by Weyl's theorem every eigenvalue of A
+above s_hi + eta is counted.  If the count is t, then A has at most t
+eigenvalues above s_hi + eta, and the t Ritz partners, all above it, are
+they: l_0 .. l_{t-1}, each within eps of th_0 .. th_{t-1}, and every other
+eigenvalue is at most upper = s_hi + eta.  The same count of eigenvalues
+below a shift s_lo at the bottom gives the b smallest, and every other
+eigenvalue at least lower = s_lo - eta.  Each shift sits at the midpoint of
+the innermost step among its end's Ritz values (the one nearest the middle)
+that is wider than 2 (eps + eta).
+
+extreme_pairs runs on the working copy as it is and never writes it.
+confirm() factorizes the copy in place, twice, and takes a callable that
+writes the matrix back in between; when the proof fails it writes it back
+once more, so that the caller can fall back to the other routes on it.  The
+ARPACK matrix-vector products are scipy's BLAS dsymv, on the same thread
+pool as ARPACK and dsytrf: numpy's product, on the other pool, took about
+twice as long at n=3000 on 2 cores.
+
+That is the cost of scipy's LAPACK: a second OpenBLAS thread pool and
+27 MB of RSS, plus 3.7 MB for scipy.sparse.linalg.  Each pool's idle threads
+spin for about 0.1 s after a call, so where numpy and scipy calls alternate,
+as when a study samples a graph and then solves it, the pools contend.
+Below PARTIAL_SOLVE_MIN_N, where that costs more than the partial solve
+saves, window_eigh is numpy's full eigh.  descending_eigvalsh, for callers
+that need eigenvalues only, returns the sorted values array and switches at
+the same size: from PARTIAL_SOLVE_MIN_N nodes on it is the same in-place
+reduction, below it numpy's eigvalsh, whose dsyevd runs dsytrd + dsterf too
+and gives bit-identical values here.
 
 A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
 decreasingly (the reversed view of LAPACK's ascending output), plus
 window_vectors(start, stop), the eigenvectors of sorted positions
-start .. stop-1.  Eigenvector signs (and bases within repeated eigenvalues)
-are arbitrary; consumers may use V only up to an orthogonal transform, as
-in the projector V V^T.
+start .. stop-1.  ExtremePairs has window_vectors for the positions it
+knows, but no values array.  Each route names itself in its ``solver``.
+Eigenvector signs (and bases within repeated eigenvalues) are arbitrary;
+consumers may use V only up to an orthogonal transform, as in the
+projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
 the matrix is square, finite and symmetric.  tridiagonalize overwrites the
 copy it is given, and so does descending_eigvalsh from
-PARTIAL_SOLVE_MIN_N nodes on.  scipy is imported on first use (about 0.3 s),
-not by ``import heic``.
+PARTIAL_SOLVE_MIN_N nodes on.  scipy is imported on first use (about 0.3 s,
+and 0.5 s more for scipy.sparse.linalg), not by ``import heic``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -49,6 +89,7 @@ class SortedSpectrum:
 
     values: np.ndarray
     vectors: np.ndarray
+    solver: ClassVar[str] = "eigh"
 
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
         """A copy of the eigenvectors for sorted positions start .. stop-1."""
@@ -78,6 +119,7 @@ class Tridiagonal:
     offdiagonal: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
+    solver: ClassVar[str] = "tridiagonal"
 
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
         """Unit eigenvectors for sorted positions start .. stop-1, one per column.
@@ -164,6 +206,226 @@ def descending_eigvalsh(arr: np.ndarray) -> np.ndarray:
     if arr.shape[0] >= PARTIAL_SOLVE_MIN_N:
         return tridiagonalize(arr).values
     return _solve(np.linalg.eigvalsh, arr)[::-1]
+
+
+# ARPACK's Krylov basis for k Ritz pairs.
+def _arpack_ncv(k: int) -> int:
+    return 2 * k + 7
+
+
+# ARPACK stops when each residual is at most ARPACK_TOL times its Ritz value.
+# That leaves residuals near 1e-12 on A/n, where the gap and the projector
+# need about 1e-9: _ritz_slack bounds each Ritz value's error by the
+# residual, and its true error is near the residual squared over the gap.
+# Full precision (tol=0) took 91-109 products at n=1200-3000, 1e-10 took
+# 71-80.
+ARPACK_TOL = 1e-10
+
+
+# The matrix-vector products extreme_pairs allows ARPACK, which bound what a
+# graph that fails costs before the fallback.  On 2 cores at n=3000, d=3
+# (k=11), a product takes about 1.6 ms and the reduction about 800 of them.
+# Dense threshold(0) graphs converged in 71-89 products (n = 1200 to 3000)
+# and certified; affine(0.5, 0.5) needed 288 at n=3000, because its window's
+# lower neighbour is the edge of the bulk.  The reduction's cost grows like
+# n^3 against n^2 for a product, so n/25 products keep a failure near 15% of
+# it at any n.
+def _matvec_budget(n: int) -> int:
+    return max(120, n // 25)
+
+
+class _OverBudget(Exception):
+    pass
+
+
+@dataclass(frozen=True)
+class ExtremePairs:
+    """Ritz pairs from both ends of a symmetric matrix, and what they claim.
+
+    top holds t Ritz values, decreasing, and bottom b, decreasing too, so
+    that top, the unknown middle and bottom read as the sorted spectrum of
+    n values.  The claim: A has exactly t eigenvalues above upper and b
+    below lower, these are within slack of top and bottom, and so every
+    other eigenvalue lies in [lower, upper].  confirm() proves it (see the
+    module docstring).  top_vectors and bottom_vectors hold the Ritz vectors,
+    one column per value.
+    """
+
+    top: np.ndarray
+    bottom: np.ndarray
+    top_vectors: np.ndarray
+    bottom_vectors: np.ndarray
+    upper: float
+    lower: float
+    slack: float
+    shifts: tuple[float, float]
+    solver: ClassVar[str] = "certified"
+
+    @property
+    def n(self) -> int:
+        return self.top_vectors.shape[0]
+
+    def window(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ritz values and vectors (views) of sorted positions start .. stop-1, all at one end."""
+        if stop <= self.top.size:
+            return self.top[start:stop], self.top_vectors[:, start:stop]
+        first = self.n - self.bottom.size
+        if start >= first:
+            rows = slice(start - first, stop - first)
+            return self.bottom[rows], self.bottom_vectors[:, rows]
+        raise ValueError(f"positions {start} .. {stop - 1} are not all at one known end")
+
+    def window_vectors(self, start: int, stop: int) -> np.ndarray:
+        """A copy of the Ritz vectors for sorted positions start .. stop-1."""
+        return self.window(start, stop)[1].copy()
+
+    def confirm(self, work: np.ndarray, rebuild: Callable[[], object]) -> bool:
+        """Prove the claim by two inertia counts; work holds A on entry and is overwritten.
+
+        rebuild() writes A back into work.  It runs between the two counts,
+        and once more when the proof fails, so that work then holds A again.
+        """
+        s_hi, s_lo = self.shifts
+        n = self.n
+        proved = _eigenvalues_above(work, s_hi) == self.top.size
+        if proved:
+            rebuild()
+            proved = _eigenvalues_above(work, s_lo) == n - self.bottom.size
+        if not proved:
+            rebuild()
+        return proved
+
+
+def extreme_pairs(work: np.ndarray, k: int) -> Optional[ExtremePairs]:
+    """k Ritz pairs of a validated symmetric matrix, half from each end, and their claim.
+
+    ARPACK (scipy eigsh, which="BE": one more from the top when k is odd),
+    to ARPACK_TOL from a fixed start vector, so the result is
+    deterministic.  None when the Krylov basis would hold more than a
+    quarter of n vectors (with the Ritz vectors ARPACK extracts, half the
+    working copy's memory), when ARPACK fails or exceeds its budget of
+    products (_matvec_budget), or when either end has no step among its Ritz
+    values wide enough for a shift.  work is only read.
+    """
+    from scipy.linalg import blas
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = work.shape[0]
+    ncv = _arpack_ncv(k)
+    if 4 * ncv > n:
+        return None
+    budget = _matvec_budget(n)
+
+    def matvec(x):
+        nonlocal budget
+        budget -= 1
+        if budget < 0:
+            raise _OverBudget
+        return blas.dsymv(1.0, work.T, x, lower=1)
+
+    operator = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        values, vectors = eigsh(
+            operator, k=k, which="BE", v0=v0, ncv=ncv, tol=ARPACK_TOL, rng=np.random.default_rng(0)
+        )
+    except (ArpackError, _OverBudget):
+        return None
+    order = np.argsort(values)[::-1]
+    values, vectors = values[order], np.asfortranarray(vectors[:, order])
+    eps = _ritz_slack(work, values, vectors)
+    if not eps < np.inf:
+        return None
+    eta = _factor_slack(work, float(np.abs(values).max()) + eps)
+    from_top = k - k // 2
+    t = _step_below(values[:from_top], 2.0 * (eps + eta))
+    b = _step_below(-values[from_top:][::-1], 2.0 * (eps + eta))
+    if t is None or b is None:
+        return None
+    s_hi = 0.5 * (values[t - 1] + values[t])
+    s_lo = 0.5 * (values[k - b] + values[k - b - 1])
+    return ExtremePairs(
+        top=values[:t],
+        bottom=values[k - b :],
+        top_vectors=vectors[:, :t],
+        bottom_vectors=vectors[:, k - b :],
+        upper=s_hi + eta,
+        lower=s_lo - eta,
+        slack=eps,
+        shifts=(s_hi, s_lo),
+    )
+
+
+def _step_below(values: np.ndarray, width: float) -> Optional[int]:
+    """The largest j >= 1 with values[j-1] - values[j] > width (values decreasing), else None."""
+    wide = np.flatnonzero(values[:-1] - values[1:] > width)
+    return int(wide[-1]) + 1 if wide.size else None
+
+
+def _ritz_slack(work: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> float:
+    """A bound on the distance of each Ritz value to its own eigenvalue of work.
+
+    With R = A V - V diag(th) and F = V^T V - I, write V = Q S, Q orthonormal
+    and S = (I + F)^(1/2).  Then A Q - Q diag(th) = R S^-1 + V (diag(th) S^-1
+    - S^-1 diag(th)), of 2-norm at most (||R|| + 2 max|th| ||F||) sqrt(1 +
+    ||F||) / (1 - ||F||), which Kahan's theorem takes for Q.  Frobenius norms
+    bound the 2-norms.  Infinite when ||F|| >= 1/2.
+    """
+    from scipy.linalg import blas
+
+    residual = blas.dsymm(1.0, work.T, vectors, lower=1) - vectors * values
+    drift = vectors.T @ vectors - np.eye(values.size)
+    f = float(np.linalg.norm(drift))
+    if not f < 0.5:
+        return np.inf
+    r = float(np.linalg.norm(residual))
+    return (r + 2.0 * float(np.abs(values).max()) * f) * np.sqrt(1.0 + f) / (1.0 - f)
+
+
+def _factor_slack(work: np.ndarray, norm: float) -> float:
+    """A bound eta on the backward error of dsytrf on work - sigma I, |sigma| <= norm.
+
+    Bunch-Kaufman LDL^T is normwise backward stable when its element growth
+    is modest, as it is in practice (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 11): the factors are exact for
+    A - sigma I + E with ||E||_2 <= c n u ||A - sigma I||_F, here c = 8.
+    ||A||_F comes from one dot product, with no n x n temporary.
+    """
+    flat = work.reshape(-1)
+    frobenius = float(np.sqrt(np.dot(flat, flat)))
+    n = work.shape[0]
+    return 8.0 * n * np.finfo(float).eps * (frobenius + np.sqrt(n) * norm)
+
+
+def _eigenvalues_above(work: np.ndarray, sigma: float) -> Optional[int]:
+    """How many eigenvalues of work exceed sigma, from an in-place LDL^T of work - sigma I.
+
+    By Sylvester's law of inertia, as many as D has positive eigenvalues.
+    D is block diagonal: a 1 x 1 block is its own eigenvalue, and a 2 x 2
+    block [[a, b], [b, c]] has two of a's sign when ac - b^2 > 0, and one
+    of each when ac - b^2 < 0.  None when a block is singular.  The
+    workspace of 32 n, half the optimal 64 n, runs within 3% of its time at
+    n=1200 and n=3000 on 2 cores.
+    """
+    from scipy.linalg import lapack
+
+    n = work.shape[0]
+    work.flat[:: n + 1] -= sigma
+    factors, ipiv, info = lapack.dsytrf(work.T, lower=1, lwork=32 * n, overwrite_a=1)
+    if info != 0:
+        return None
+    diagonal = np.diagonal(factors)
+    # With lower=1, D(k:k+1, k:k+1) is a 2 x 2 block when ipiv[k] = ipiv[k+1] < 0.
+    firsts = np.flatnonzero(ipiv < 0)[::2]
+    single = np.ones(n, dtype=bool)
+    single[firsts] = single[firsts + 1] = False
+    ones = diagonal[single]
+    a = diagonal[firsts]
+    det = a * diagonal[firsts + 1] - factors[firsts + 1, firsts] ** 2
+    if not (ones.all() and det.all()):
+        return None
+    pairs = np.count_nonzero(det < 0) + 2 * np.count_nonzero((det > 0) & (a > 0))
+    return int(np.count_nonzero(ones > 0) + pairs)
 
 
 def _symmetrized(m) -> np.ndarray:

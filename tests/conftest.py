@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.linalg import lapack, orthogonal_procrustes
 
 import heic
@@ -28,6 +29,7 @@ class SimSummary:
     cluster_start: int
     event_ok: bool
     edge_density: float
+    solver: str
     n: int
 
 
@@ -55,6 +57,7 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
                 cluster_start=diag.cluster_start,
                 event_ok=diag.event_e.ok,
                 edge_density=diag.edge_density,
+                solver=diag.solver,
                 n=n,
             )
         )
@@ -63,13 +66,14 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 
 @pytest.fixture
 def count_calls(monkeypatch):
-    """Run one call; return its adjacency validation passes, eigh / eigvalsh calls and
-    tridiagonal reductions (LAPACK dsytrd).
+    """Run one call; return its adjacency validation passes, eigh / eigvalsh calls,
+    tridiagonal reductions (LAPACK dsytrd), ARPACK runs (scipy eigsh) and LDL^T
+    factorizations (LAPACK dsytrf, one per inertia count).
 
     A validation pass is a call of model.require_adjacency, whatever the
     adjacency's dtype: a uint8 or bool one never reaches require_symmetric.
     """
-    counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd"), 0)
+    counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd", "arpack", "dsytrf_ldl"), 0)
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -85,6 +89,8 @@ def count_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(lapack, "dsytrd", counting("dsytrd", lapack.dsytrd))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("arpack", scipy.sparse.linalg.eigsh))
+    monkeypatch.setattr(lapack, "dsytrf", counting("dsytrf_ldl", lapack.dsytrf))
 
     def run(fn, *args, **kwargs):
         counts.update(dict.fromkeys(counts, 0))
@@ -117,8 +123,18 @@ def traced_peak():
 @pytest.fixture
 def partial_solve(monkeypatch):
     """heic() takes the partial tridiagonal solve, and the eigenvalue-only
-    solvers the same reduction, at every size."""
+    solvers the same reduction, at every size and density: never the
+    certified route."""
     monkeypatch.setattr(heic.spectral, "PARTIAL_SOLVE_MIN_N", 0)
+    monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", math.inf)
+
+
+@pytest.fixture
+def certified_solve(monkeypatch):
+    """heic() tries the certified route at every size and density, and
+    falls back to the tridiagonal solve when it fails."""
+    monkeypatch.setattr(heic.spectral, "PARTIAL_SOLVE_MIN_N", 0)
+    monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", 0.0)
 
 
 THRESHOLD_GAP_K3 = 0.25  # separation of the level-1 eigenvalue in the k<=3 spectrum

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 from hypothesis import strategies as st
@@ -202,3 +202,25 @@ def funck_hecke_eigenvalue(
     raw, raw_err = _adaptive_integral(integrand, segments, tol, max_panels, min_degree=k)
     norm = sphere_weight_total(d)
     return raw / norm, raw_err / norm
+
+
+def window_certificate_bruteforce(top, bottom, lower, upper, n, d):
+    """The full scan's (start, gap) when every completion of the middle gives the same, else None.
+
+    The n - t - b middle values of a spectrum known only at its ends are
+    drawn, as a sorted multiset, from a grid: lower, upper, their midpoint
+    and every known value between them, clipped to the positions between
+    top[-1] and bottom[0].  A sound certificate for the whole interval is
+    sound on every grid completion, so it can only certify what this
+    returns.
+    """
+    top = [float(x) for x in top]
+    bottom = [float(x) for x in bottom]
+    hi = min([upper] + top[-1:])
+    lo = max([lower] + bottom[:1])
+    grid = sorted({hi, lo, 0.5 * (hi + lo)} | {x for x in top + bottom if lo <= x <= hi}, reverse=True)
+    answers = {
+        cluster_scan_bruteforce(np.array(top + list(middle) + bottom), d)
+        for middle in combinations_with_replacement(grid, n - len(top) - len(bottom))
+    }
+    return answers.pop() if len(answers) == 1 else None

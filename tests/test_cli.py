@@ -109,10 +109,13 @@ class TestEstimateCommand:
         assert gram.shape == (80, 80)
         assert np.trace(gram) == pytest.approx(1.0, abs=1e-9)
         header, row = diag_csv.read_text().splitlines()
-        assert header == "gap,diameter,cluster_start,top_eigenvalue,edge_density"
+        assert header == "gap,diameter,cluster_start,top_eigenvalue,edge_density,degenerate,solver,margin"
         values = row.split(",")
-        assert len(values) == 5
+        assert len(values) == 8
         assert int(values[2]) >= 1
+        # 80 nodes take numpy's eigh; the margin is over the runner-up window.
+        assert values[5:7] == ["False", "eigh"]
+        assert 0.0 < float(values[7]) <= float(values[0])
 
     def test_missing_input_is_validation_error(self, tmp_path):
         code = cli.cli_main(

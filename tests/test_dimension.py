@@ -55,6 +55,10 @@ class TestEstimateDimension(RejectsBadAdjacency):
     def command(adjacency):
         return heic.estimate_dimension(adjacency, d_max=5)
 
+    @staticmethod
+    def sized_command(adjacency, size):
+        return heic.estimate_dimension(adjacency, d_max=size)
+
     def _adjacency(self, n=260, seed=61):
         sample = heic.sample_uniform_sphere(n, 3, seed)
         theta = heic.probability_matrix(
@@ -68,12 +72,12 @@ class TestEstimateDimension(RejectsBadAdjacency):
 
     def test_single_decomposition_shared_by_candidates(self, count_calls):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1, "dsytrd": 0}
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1, "dsytrd": 0, "arpack": 0, "dsytrf_ldl": 0}
 
     def test_one_reduction_from_min_n(self, count_calls, partial_solve):
         adjacency = self._adjacency(n=80)
         counts = count_calls(heic.estimate_dimension, adjacency, d_max=10)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1}
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dsytrf_ldl": 0}
         values = np.linalg.eigvalsh(adjacency / 80)[::-1]
         expected = [heic.window_gaps(values, d).max() for d in range(1, 11)]
         assert heic.estimate_dimension(adjacency, d_max=10).scores.tolist() == expected

@@ -3,24 +3,48 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import heic
-from heic import spectral
+from heic import estimator, spectral
 from heic.errors import ValidationError
-from oracles import cluster_scan_bruteforce, diagonal_spectrum, eigh_projector, sorted_spectra
+from oracles import (
+    cluster_scan_bruteforce,
+    diagonal_spectrum,
+    eigh_projector,
+    sorted_spectra,
+    window_certificate_bruteforce,
+)
 
 
 WORKED = [1.0, 0.5, 0.48, 0.46, 0.10]
 
 
-def _seeded_graph(n, seed, link=heic.threshold(0.0)):
-    """Seeded d=3, rho=1 adjacency, drawn as the studies draw replicate 0."""
+def _seeded_graph(n, seed, link=heic.threshold(0.0), rho=1.0):
+    """Seeded d=3 adjacency, rho=1 by default, drawn as the studies draw replicate 0."""
     latent_seed, adjacency_seed = heic.replicate_seeds(seed, n, 0)
     sample = heic.sample_uniform_sphere(n, 3, latent_seed)
-    theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=1.0, n=n))
+    theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=rho, n=n))
     return heic.sample_adjacency(theta, adjacency_seed)
+
+
+# The tridiagonal route keeps the id it had as the only partial solve.
+ROUTES = [
+    pytest.param("eigh", id="eigh"),
+    pytest.param("tridiagonal", id="partial"),
+    pytest.param("certified", id="certified"),
+]
+
+
+def force_route(mp, route):
+    """Make heic() take route whatever the graph's density.  "eigh" is the
+    default below PARTIAL_SOLVE_MIN_N nodes, the sizes these tests use;
+    "certified" falls back to "tridiagonal" when it fails."""
+    if route != "eigh":
+        mp.setattr(spectral, "PARTIAL_SOLVE_MIN_N", 0)
+        mp.setattr(estimator, "CERTIFIED_MIN_DENSITY", 0.0 if route == "certified" else math.inf)
 
 
 class TestGaps:
@@ -158,6 +182,57 @@ class TestFindCluster:
             heic.find_cluster(diagonal_spectrum([1.0, 0.5, 0.3]), 2)
 
 
+class TestCertifyWindow:
+    """The window rule on spectra known only at their ends, against the full scan."""
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=sorted_spectra(min_size=4, max_size=9), data=st.data())
+    def test_never_certifies_a_wrong_window(self, values, data):
+        n = values.size
+        d = data.draw(st.integers(1, n - 2), label="d")
+        t = data.draw(st.integers(0, n - 1), label="t")
+        b = data.draw(st.integers(0, n - 1 - t), label="b")
+        middle = values[t : n - b]
+        widen = st.sampled_from([0.0, 0.125])
+        lower = middle.min() - data.draw(widen, label="below")
+        upper = middle.max() + data.draw(widen, label="above")
+        top, bottom = values[:t], values[n - b :]
+        certified = estimator.certify_window(top, bottom, lower, upper, n, d, 0.0)
+        if certified is not None:
+            start, gap, margin = certified
+            assert (start, gap) == cluster_scan_bruteforce(values, d)
+            assert (start, gap) == window_certificate_bruteforce(top, bottom, lower, upper, n, d)
+            assert margin > 0.0
+
+    def test_certifies_the_harmonic_window(self):
+        # The flattened threshold(0) spectrum on S^2, levels 0 .. 3: 0.5,
+        # then 0.0625 seven times, zeros, and -0.25 three times at the
+        # bottom.  Knowing the top two and the bottom four, with the middle
+        # in [0, 0.0625], proves the bottom window, by 0.25 - 0.0625 over
+        # the middle's range.
+        values = diagonal_spectrum(heic.analytic_spectrum(heic.threshold(0.0), 3, 3).flattened()).values
+        n = values.size
+        top, bottom = values[:2], values[n - 4 :]
+        start, gap, margin = estimator.certify_window(top, bottom, 0.0, 0.0625, n, 3, 1e-12)
+        assert (start, gap) == cluster_scan_bruteforce(values, 3) == (n - 3, values[n - 4] - values[n - 3])
+        assert margin == pytest.approx(0.25 - 0.0625, abs=1e-9)
+
+    def test_slack_can_spoil_the_proof(self):
+        # Window 1 wins by 0.45 against 0.05.  The other windows each touch
+        # the middle value -0.05, so a slack of 0.14 lifts their bounds to
+        # 0.19, and leaves a margin of 0.26 < 2 * 0.14.
+        values = np.array([1.0, 0.5, 0.45, 0.0, -0.05, -0.1])
+        top, bottom = values[:4], values[5:]
+        start, gap, margin = estimator.certify_window(top, bottom, -0.05, -0.05, 6, 2, 0.0)
+        assert (start, gap, margin) == (1, 0.45, pytest.approx(0.4))
+        assert estimator.certify_window(top, bottom, -0.05, -0.05, 6, 2, 0.13) is not None
+        assert estimator.certify_window(top, bottom, -0.05, -0.05, 6, 2, 0.14) is None
+
+    def test_declines_without_an_exact_window(self):
+        # Only the top is known, and every window touches the middle.
+        assert estimator.certify_window([1.0], [], -0.1, 0.1, 6, 2, 0.0) is None
+
+
 class TestGramEstimate:
     def test_trace_one(self):
         spec = heic.symmetric_eig(np.diag([5.0, 3.0, 2.0, 1.0, 0.5]))
@@ -249,6 +324,23 @@ class RejectsBadAdjacency:
     def command(adjacency):
         raise NotImplementedError
 
+    @staticmethod
+    def sized_command(adjacency, size):
+        """The command with its window size (d or d_max) set to size."""
+        raise NotImplementedError
+
+    @pytest.mark.parametrize("size", [3.0, 2.5, True, np.float64(3.0), "3"], ids=repr)
+    def test_rejects_non_integer_size_before_solving(self, monkeypatch, size):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(spectral, "tridiagonalize", None)
+        with pytest.raises(ValidationError, match="must be an integer, got"):
+            self.sized_command(np.ones((12, 12)) - np.eye(12), size)
+
+    def test_accepts_numpy_integer_size(self):
+        graph = np.ones((12, 12)) - np.eye(12)
+        assert repr(self.sized_command(graph, np.int64(3))) == repr(self.sized_command(graph, 3))
+
     @pytest.mark.parametrize("fault, dtype", _FAULTS_BY_DTYPE)
     def test_same_message_on_every_dtype(self, monkeypatch, fault, dtype):
         # uint8 and bool are checked in place, float64 through
@@ -285,6 +377,10 @@ class TestHeicPipeline(RejectsBadAdjacency):
     def command(adjacency):
         return heic.heic(adjacency, 3)
 
+    @staticmethod
+    def sized_command(adjacency, size):
+        return heic.heic(adjacency, size)
+
     def test_threshold_cluster_location(self, sims_threshold_1500):
         hits = sum(abs(s.cluster_mean - (-0.25)) <= 0.05 for s in sims_threshold_1500)
         assert hits >= 18
@@ -303,13 +399,16 @@ class TestHeicPipeline(RejectsBadAdjacency):
 
     def test_validates_once_and_solves_once(self, count_calls):
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0, "dsytrd": 0}
+        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0, "dsytrd": 0, "arpack": 0, "dsytrf_ldl": 0}
 
     @pytest.mark.parametrize("min_n, solver", [(13, "eigh"), (12, "dsytrd")])
     def test_partial_solve_from_min_n(self, count_calls, monkeypatch, min_n, solver):
+        # K_12 is dense enough for the certified route, but too small for
+        # ARPACK's Krylov basis, so the route declines before it runs.
         monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, solver: 1}
+        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "arpack", "dsytrf_ldl"), 0)
+        assert counts == {"validate": 1, **zero, solver: 1}
 
     def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
         # From PARTIAL_SOLVE_MIN_N on, heic and the dimension scan share one
@@ -333,29 +432,31 @@ class TestHeicPipeline(RejectsBadAdjacency):
             assert np.linalg.norm(estimate.matrix - projector) <= 1e-8
             assert np.array_equal(estimate.matrix, estimate.matrix.T)
 
-    @pytest.mark.parametrize("min_n", [0, spectral.PARTIAL_SOLVE_MIN_N], ids=["partial", "eigh"])
+    @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("edges", [0.0, 1.0], ids=["empty", "complete"])
-    def test_degenerate_window_is_orthonormal(self, monkeypatch, min_n, edges):
+    def test_degenerate_window_is_orthonormal(self, monkeypatch, route, edges):
         # Every window of the empty graph, and every window of K_200 that
         # skips its top eigenvalue, lies inside one eigenvalue of
-        # multiplicity n - 1 or n: the d eigenvectors are a tied basis.
-        monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+        # multiplicity n - 1 or n: the d eigenvectors are a tied basis.  No
+        # window's gap is positive, so the certified route falls back.
+        force_route(monkeypatch, route)
         n, d = 200, 3
         adjacency = np.full((n, n), edges) - edges * np.eye(n)
-        estimate, _ = heic.heic(adjacency, d)
+        estimate, diag = heic.heic(adjacency, d)
+        assert diag.solver == ("eigh" if route == "eigh" else "tridiagonal")
         assert np.trace(estimate.matrix) == pytest.approx(1.0, abs=1e-12)
         # d G = V V^T is the orthogonal projector onto d orthonormal columns.
         projector = d * estimate.matrix
         assert np.abs(projector @ projector - projector).max() <= 1e-12
 
-    @pytest.mark.parametrize("min_n", [0, spectral.PARTIAL_SOLVE_MIN_N], ids=["partial", "eigh"])
+    @pytest.mark.parametrize("route", ROUTES)
     @settings(max_examples=40, deadline=None, database=None)
     @given(
         signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=3, max_size=3),
         plane=st.sampled_from([(0, 1), (0, 2), (1, 2)]),
         angle=st.floats(0.0, 2.0 * math.pi),
     )
-    def test_projector_ignores_window_basis(self, min_n, signs, plane, angle):
+    def test_projector_ignores_window_basis(self, route, signs, plane, angle):
         # Sign flips and a rotation within the window change V but not V V^T.
         rotation = np.eye(3)
         i, j = plane
@@ -364,9 +465,14 @@ class TestHeicPipeline(RejectsBadAdjacency):
         q = np.diag(signs) @ rotation
         adjacency = _seeded_graph(120, 7)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+            force_route(mp, route)
             reference, ref_diag = heic.heic(adjacency, 3)
-            solved = spectral.Tridiagonal if min_n == 0 else spectral.SortedSpectrum
+            assert ref_diag.solver == route
+            solved = {
+                "eigh": spectral.SortedSpectrum,
+                "tridiagonal": spectral.Tridiagonal,
+                "certified": spectral.ExtremePairs,
+            }[route]
             window_vectors = solved.window_vectors
             mp.setattr(
                 solved, "window_vectors", lambda self, start, stop: window_vectors(self, start, stop) @ q
@@ -390,14 +496,14 @@ class TestHeicPipeline(RejectsBadAdjacency):
         assert max(errs_1000 + errs_2000) < 0.1
         assert np.median(errs_2000) < np.median(errs_1000)
 
-    @pytest.mark.parametrize("min_n", [0, spectral.PARTIAL_SOLVE_MIN_N], ids=["partial", "eigh"])
-    def test_result_holds_no_n_by_n_array(self, monkeypatch, min_n):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_result_holds_no_n_by_n_array(self, monkeypatch, route):
         # The estimate keeps the n x d window basis V; the n x n projector is
         # built only when estimate.matrix is read.
-        monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
+        force_route(monkeypatch, route)
         n, d = 600, 3
         adjacency = _seeded_graph(n, 5)
-        heic.heic(adjacency, d)  # imports what the call imports before tracing
+        assert heic.heic(adjacency, d)[1].solver == route  # and imports what the call imports
         tracemalloc.start()
         try:
             estimate, _ = heic.heic(adjacency, d)
@@ -411,6 +517,71 @@ class TestHeicPipeline(RejectsBadAdjacency):
         for s in sims_threshold_1000:
             assert s.cluster_start >= 1
             assert abs(s.top_eigenvalue - 0.5) <= 0.05
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_margin_over_runner_up(self, monkeypatch, route):
+        # The full routes report the best gap minus the runner-up's; the
+        # certified route subtracts bounds, which are at least the gaps.
+        n = 300
+        adjacency = _seeded_graph(n, 4)
+        force_route(monkeypatch, route)
+        _, diag = heic.heic(adjacency, 3)
+        assert diag.solver == route
+        gaps = np.sort(heic.window_gaps(np.linalg.eigvalsh(adjacency / n)[::-1], 3))
+        if route == "certified":
+            assert 0.0 < diag.margin <= gaps[-1] - gaps[-2] + 1e-12
+        else:
+            assert diag.margin == pytest.approx(gaps[-1] - gaps[-2], abs=1e-12)
+
+    def test_acceptance_fixtures_certify(self, sims_threshold_1500, sims_threshold_2000):
+        assert {s.solver for s in sims_threshold_1500 + sims_threshold_2000} == {"certified"}
+
+    @pytest.mark.parametrize("n, seeds", [(1500, (0, 1)), (2000, (100, 101))])
+    def test_certified_matches_reduction_on_acceptance_graphs(self, certified_solve, n, seeds):
+        # The graphs of sims_threshold_1500 and sims_threshold_2000.
+        for seed in seeds:
+            adjacency = _seeded_graph(n, seed)
+            estimate, diag = heic.heic(adjacency, 3)
+            with pytest.MonkeyPatch.context() as mp:
+                force_route(mp, "tridiagonal")
+                reference, ref_diag = heic.heic(adjacency, 3)
+            assert (diag.solver, ref_diag.solver) == ("certified", "tridiagonal")
+            assert diag.cluster_start == ref_diag.cluster_start == n - 3
+            assert np.linalg.norm(estimate.matrix - reference.matrix) <= 1e-8
+            assert abs(diag.gap - heic.estimate_dimension(adjacency).scores[2]) <= 1e-12
+            assert diag.top_eigenvalue == pytest.approx(ref_diag.top_eigenvalue, abs=1e-12)
+            assert diag.diameter == pytest.approx(ref_diag.diameter, abs=1e-12)
+
+    def test_missed_extreme_pair_fails_the_inertia_count(self, monkeypatch, count_calls, certified_solve):
+        # An eigsh that misses the smallest eigenpair.  Every pair it
+        # returns is a true one, with a tiny residual, and with d=2 the
+        # window rule proves the wrong window: the two lowest pairs it
+        # sees, separated by 0.2 from the next.  Only the count below the
+        # bottom shift, the second LDL^T, sees the miss.
+        n = 1000
+        adjacency = _seeded_graph(n, 6)
+        certified, _ = heic.heic(adjacency, 2)
+        real = scipy.sparse.linalg.eigsh
+
+        def missing_bottom(a, k, **kwargs):
+            values, vectors = real(a, k + 1, **kwargs)
+            keep = np.argsort(values)[1:]
+            return values[keep], vectors[:, keep]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_bottom)
+        counts = count_calls(heic.heic, adjacency, 2)
+        assert (counts["arpack"], counts["dsytrf_ldl"], counts["dsytrd"]) == (1, 2, 1)
+        estimate, diag = heic.heic(adjacency, 2)
+        start, projector = eigh_projector(adjacency, 2)
+        assert (diag.solver, diag.cluster_start) == ("tridiagonal", start)
+        assert np.linalg.norm(estimate.matrix - projector) <= 1e-8
+        assert np.linalg.norm(certified.matrix - projector) <= 1e-8
+
+    def test_sparse_graph_never_calls_arpack(self, count_calls):
+        n = 1200
+        adjacency = _seeded_graph(n, 3, rho=8 * math.log(n) / n)
+        counts = count_calls(heic.heic, adjacency, 3)
+        assert (counts["arpack"], counts["dsytrf_ldl"], counts["dsytrd"]) == (0, 0, 1)
 
 
 class TestEventECheck:
@@ -440,6 +611,20 @@ class TestEventECheck:
         with pytest.raises(ValidationError, match="^(rho must lie|analytic gap must be positive)"):
             heic.heic(np.ones((12, 12)) - np.eye(12), 3, rho=rho, analytic_gap=gap)
 
+    @pytest.mark.parametrize(
+        "rho, gap, message",
+        [
+            (7.0, None, "rho must lie"),
+            (0.5, None, "rho and analytic_gap must be given together"),
+            (None, -1.0, "analytic gap must be positive"),
+            (None, 0.25, "rho and analytic_gap must be given together"),
+        ],
+    )
+    def test_heic_rejects_lone_scalar_before_solving(self, monkeypatch, rho, gap, message):
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        with pytest.raises(ValidationError, match=f"^{message}"):
+            heic.heic(np.ones((12, 12)) - np.eye(12), 3, rho=rho, analytic_gap=gap)
+
     def test_requires_positive_gap(self):
         spec = diagonal_spectrum(np.linspace(1.0, 0.0, 8))
         cluster = heic.find_cluster(spec, 2)
@@ -455,13 +640,13 @@ class TestEventECheck:
 class TestAdjacencyDtypes:
     """A uint8 (as sampled), bool or float64 copy of one graph: the same A/n, the same bits out."""
 
-    @pytest.fixture(params=["eigh", "partial"])
+    @pytest.fixture(params=["eigh", "partial", "certified"])
     def solver(self, request):
-        if request.param == "partial":
-            request.getfixturevalue("partial_solve")
+        if request.param != "eigh":
+            request.getfixturevalue(f"{request.param}_solve")
         return request.param
 
-    # The solver fixture patches PARTIAL_SOLVE_MIN_N once for all examples.
+    # The solver fixture patches the routing once for all examples.
     @settings(
         max_examples=20,
         deadline=None,
@@ -495,15 +680,24 @@ class TestAdjacencyDtypes:
             )
         assert outputs[0] == outputs[1] == outputs[2]
 
-    @pytest.mark.parametrize(
-        "command", [lambda a: heic.heic(a, 3), heic.estimate_dimension], ids=["heic", "estimate_dimension"]
-    )
-    def test_uint8_graph_holds_one_float64_array(self, traced_peak, command):
-        # At n=1200 both commands take the in-place tridiagonal reduction.
-        # Above the uint8 graph the caller holds, each makes A/n (8 n^2
-        # bytes) and O(n) workspace; the n x d window basis is 0.3% of 8 n^2.
+    @pytest.mark.parametrize("command", ["heic", "heic-reduction", "estimate_dimension"])
+    def test_uint8_graph_holds_one_float64_array(self, traced_peak, monkeypatch, command):
+        # At n=1200 heic() takes the certified route, and estimate_dimension
+        # the in-place tridiagonal reduction, as heic() does when forced onto
+        # it.  Above the uint8 graph the caller holds, each makes A/n (8 n^2
+        # bytes) and O(n) workspace: the n x d window basis is 0.3% of 8 n^2,
+        # ARPACK's basis with the Ritz vectors it extracts (2 x 29 vectors)
+        # 4.8%, and the dsytrf workspace of an inertia count 2.7%.
         n = 1200
         adjacency = _seeded_graph(n, 9)
         assert adjacency.dtype == np.uint8
-        command(adjacency)  # imports what the call imports before tracing
-        assert traced_peak(command, adjacency) < 1.1 * 8 * n * n
+        if command == "heic-reduction":
+            monkeypatch.setattr(estimator, "CERTIFIED_MIN_DENSITY", math.inf)
+
+        def run(a):
+            return heic.estimate_dimension(a) if command == "estimate_dimension" else heic.heic(a, 3)[1].solver
+
+        routed = run(adjacency)  # and imports what the call imports before tracing
+        if command != "estimate_dimension":
+            assert routed == ("certified" if command == "heic" else "tridiagonal")
+        assert traced_peak(run, adjacency) < 1.1 * 8 * n * n

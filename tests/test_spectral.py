@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 
 import heic
 from heic.errors import EigenSolverError, ValidationError
-from heic.spectral import _symmetrized, symmetric_eigvals, tridiagonalize
+from heic import spectral
+from heic.spectral import _eigenvalues_above, _symmetrized, extreme_pairs, symmetric_eigvals, tridiagonalize
 from oracles import delta2_bruteforce, diagonal_spectrum, grid_values
 
 
@@ -143,14 +145,74 @@ class TestTridiagonalize:
             heic.heic(np.ones((12, 12)) - np.eye(12), 3)
 
     def test_import_heic_leaves_scipy_unloaded(self):
-        # scipy's import alone costs about 0.3 s; the solver imports it on first use.
+        # scipy.linalg costs about 0.3 s and 27 MB of RSS, scipy.sparse.linalg
+        # 0.5 s and 3.7 MB more; the solvers import them on first use, so
+        # neither ``import heic`` nor a graph below PARTIAL_SOLVE_MIN_N nodes
+        # loads any scipy module.
         src = str(Path(heic.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        code = "import sys, heic; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (
+            "import sys, heic, numpy as np\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(loaded())\n"
+            "graph = np.ones((60, 60), dtype=np.uint8) - np.eye(60, dtype=np.uint8)\n"
+            "heic.heic(graph, 3)\n"
+            "heic.estimate_dimension(graph)\n"
+            "print(loaded())\n"
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "[]"]
+
+
+def _separated_ends(n, seed):
+    """A symmetric matrix with eigenvalues 5 .. 1 and -1 .. -5 outside a bulk in [-0.5, 0.5]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    ends = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+    values = np.concatenate([ends, rng.uniform(-0.5, 0.5, n - 10), -ends])
+    m = (q * values) @ q.T
+    return (m + m.T) / 2.0
+
+
+class TestExtremePairs:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_inertia_count_matches_eigvalsh(self, seed):
+        m = _symmetric(150, seed)
+        values = np.linalg.eigvalsh(m)
+        for sigma in (0.5 * (values[-7] + values[-6]), 0.0, 0.5 * (values[2] + values[3])):
+            assert _eigenvalues_above(m.copy(), sigma) == np.count_nonzero(values > sigma)
+
+    def test_claim_holds_and_is_confirmed(self):
+        m = _separated_ends(200, 4)
+        values = np.linalg.eigvalsh(m)[::-1]
+        work = m.copy()
+        pairs = extreme_pairs(work, 9)
+        assert np.array_equal(work, m)  # extreme_pairs only reads
+        t, b = pairs.top.size, pairs.bottom.size
+        assert pairs.slack < 1e-10
+        np.testing.assert_allclose(pairs.top, values[:t], rtol=0.0, atol=pairs.slack)
+        np.testing.assert_allclose(pairs.bottom, values[200 - b :], rtol=0.0, atol=pairs.slack)
+        assert np.count_nonzero(values > pairs.upper) == t
+        assert np.count_nonzero(values < pairs.lower) == b
+        v = pairs.window_vectors(1, 3)
+        np.testing.assert_allclose(m @ v, v * values[1:3], atol=1e-10)
+        assert pairs.confirm(work, lambda: np.copyto(work, m))
+
+    def test_false_claim_is_refused_and_work_rebuilt(self):
+        # One top value fewer than the shift has above it: the first count disagrees.
+        m = _separated_ends(200, 5)
+        work = m.copy()
+        pairs = extreme_pairs(work, 9)
+        short = dataclasses.replace(pairs, top=pairs.top[:-1], top_vectors=pairs.top_vectors[:, :-1])
+        assert not short.confirm(work, lambda: np.copyto(work, m))
+        assert np.array_equal(work, m)
+
+    def test_declines_small_or_over_budget(self, monkeypatch):
+        assert extreme_pairs(_separated_ends(99, 6), 9) is None  # 25 basis vectors > 99 / 4
+        monkeypatch.setattr(spectral, "_matvec_budget", lambda n: 10)
+        assert extreme_pairs(_separated_ends(200, 6), 9) is None
 
 
 class TestNormalizeAdjacency:

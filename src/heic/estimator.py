@@ -29,16 +29,17 @@ in HeicDiagnostics.solver:
 - "eigh" below PARTIAL_SOLVE_MIN_N nodes: every eigenpair;
 - "certified" from PARTIAL_SOLVE_MIN_N nodes on, when the edge density is
   at least CERTIFIED_MIN_DENSITY: a few eigenpairs at each end, proved to
-  be the extremes by two inertia counts, with every other eigenvalue
-  bounded to an interval.  certify_window then proves from these alone
-  which window the full scan would pick (the rule is in its docstring).
-  The gap is the same score, from Ritz values within a few ulps;
+  be the extremes by two Cholesky factorizations of the shifted matrix
+  with those pairs deflated, and every other eigenvalue bounded to an
+  interval.  certify_window then proves from these alone which window the
+  full scan would pick (the rule is in its docstring).  The gap is the
+  same score, from Ritz values within a few ulps;
 - "tridiagonal" from PARTIAL_SOLVE_MIN_N nodes on otherwise, and whenever
-  the certified route fails (ARPACK past its budget, an inertia count that
-  disagrees, or a window rule that does not certify): the reduction, every
-  eigenvalue, and the window's eigenvectors alone.  Its eigenvalues are the
-  dimension scan's bit for bit, so heic(adjacency, d) then reports the
-  score of candidate d as its gap exactly.
+  the certified route fails (ARPACK past its budget, a factorization that
+  breaks down, or a window rule that does not certify): the reduction,
+  every eigenvalue, and the window's eigenvectors alone.  Its eigenvalues
+  are the dimension scan's bit for bit, so heic(adjacency, d) then reports
+  the score of candidate d as its gap exactly.
 
 The scan is scale free, so the edge-density parameter rho is never needed
 for estimation; it only enters the simulation-side check event_e_check.
@@ -141,9 +142,16 @@ class HeicDiagnostics:
 
 @dataclass(frozen=True)
 class DimensionScan:
+    """Each candidate d's score, and the d chosen.
+
+    margin is the selection margin, the best score over the second best:
+    inf when the runner-up scores 0 or there is none, 1 when all score 0.
+    """
+
     candidates: tuple[int, ...]
     scores: np.ndarray
     chosen: int
+    margin: float
 
 
 def _working_copy(adjacency: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -385,8 +393,11 @@ def _require_candidates(candidates, n: int) -> tuple[int, ...]:
 
 def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
     scores = np.array([window_gaps(values, d).max() for d in candidates])
-    chosen = candidates[int(np.argmax(scores))]
-    return DimensionScan(candidates=candidates, scores=scores, chosen=chosen)
+    best = int(np.argmax(scores))
+    top = float(scores[best])
+    runner_up = float(np.delete(scores, best).max(initial=0.0))
+    margin = top / runner_up if runner_up > 0.0 else (np.inf if top > 0.0 else 1.0)
+    return DimensionScan(candidates=candidates, scores=scores, chosen=candidates[best], margin=margin)
 
 
 def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:

@@ -75,11 +75,12 @@ class GraphModel:
 
 
 # require_symmetric compares arr with arr.T in square tiles of this side,
-# so its difference temporary (512 kB) stays in cache, where a whole-matrix
+# so its difference temporary (288 kB) stays in cache, where a whole-matrix
 # difference takes two n x n arrays.  At n=3000 on 2 cores the check took
 # 0.045 s tiled against 0.21-0.26 s whole; tiles of 64 to 512 were within
-# 0.01 s of each other.
-SYMMETRY_TILE = 256
+# 0.01 s of each other.  With 192, the difference and numpy's 128 kB of
+# iteration buffers stay under 5% of a float64 n=1200 adjacency (256: 5.7%).
+SYMMETRY_TILE = 192
 
 
 def _require_square(arr: np.ndarray, name: str) -> None:
@@ -88,14 +89,40 @@ def _require_square(arr: np.ndarray, name: str) -> None:
 
 
 def _mirrored_tiles(arr: np.ndarray):
-    """(tile, mirror tile transposed) for each square tile on and above the diagonal.
+    """(tile, mirror tile transposed, weight) for each square tile on and above the diagonal.
 
-    Together they hold every pair {a_ij, a_ji} of the square arr exactly once.
+    Together they hold every pair {a_ij, a_ji} of the square arr exactly
+    once.  weight is how many entries of a symmetric arr each entry of the
+    tile stands for: 1 on the diagonal, where the mirror is the tile itself
+    transposed, and 2 off it.
     """
     n, tile = arr.shape[0], SYMMETRY_TILE
     for i in range(0, n, tile):
         for j in range(i, n, tile):
-            yield arr[i : i + tile, j : j + tile], arr[j : j + tile, i : i + tile].T
+            yield arr[i : i + tile, j : j + tile], arr[j : j + tile, i : i + tile].T, 1 + (j > i)
+
+
+def _checked_tiles(arr: np.ndarray, name: str, tol: float):
+    """(tile, weight, whether it equals its mirror) for _mirrored_tiles of a square float64 arr.
+
+    Each is yielded once its pair is checked: max|a_ij - a_ji| must not
+    exceed tol * max(1, max|a_ij|).  A non-finite entry is rejected before
+    the first tile, an asymmetric pair at its tile.
+    """
+    # The max-abs scale is NaN or inf exactly when some entry is, so it
+    # doubles as the finiteness check.  A NaN makes both extremes NaN, and
+    # the builtin max then returns NaN too.
+    largest = max(float(arr.max()), -float(arr.min()))
+    if not math.isfinite(largest):
+        raise ValidationError(f"{name} has non-finite entries")
+    bound = tol * max(1.0, largest)
+    for upper, lower, weight in _mirrored_tiles(arr):
+        diff = upper - lower
+        asymmetry = float(np.abs(diff, out=diff).max())
+        del diff  # freed before the caller works on the tile
+        if asymmetry > bound:
+            raise ValidationError(f"{name} is not symmetric")
+        yield upper, weight, asymmetry == 0.0
 
 
 def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
@@ -108,17 +135,8 @@ def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray
     """
     arr = np.asarray(m, dtype=float)
     _require_square(arr, name)
-    # The max-abs scale is NaN or inf exactly when some entry is, so it
-    # doubles as the finiteness check.  A NaN makes both extremes NaN, and
-    # the builtin max then returns NaN too.
-    largest = max(float(arr.max()), -float(arr.min()))
-    if not math.isfinite(largest):
-        raise ValidationError(f"{name} has non-finite entries")
-    bound = tol * max(1.0, largest)
-    for upper, lower in _mirrored_tiles(arr):
-        diff = upper - lower
-        if float(np.abs(diff, out=diff).max()) > bound:
-            raise ValidationError(f"{name} is not symmetric")
+    for _ in _checked_tiles(arr, name, tol):
+        pass
     return arr
 
 
@@ -129,21 +147,29 @@ def require_adjacency(adj) -> tuple[np.ndarray, float]:
     diagonal (no self-loops), so the edge count is the number of ones
     halved.  A uint8 or bool array is checked where it lies and returned as
     it is: its tiles are compared for equality (a difference would wrap
-    around in uint8), and no n x n temporary is made.  Any other dtype goes
-    through require_symmetric and is returned as float64.  Every dtype gets
-    the same message for the same fault.
+    around in uint8).  Any other dtype is returned as float64, checked as
+    require_symmetric checks it, with the 0/1 test and the count of ones
+    made on the same tiles.  No n x n temporary is made past the float64
+    conversion, and every dtype gets the same message for the same fault.
     """
     arr = np.asarray(adj)
     if arr.dtype in (np.uint8, np.bool_):
         _require_square(arr, "adjacency")
-        if not all(np.array_equal(upper, lower) for upper, lower in _mirrored_tiles(arr)):
+        if not all(np.array_equal(upper, lower) for upper, lower, _ in _mirrored_tiles(arr)):
             raise ValidationError("adjacency is not symmetric")
         binary = arr.dtype == np.bool_ or arr.max() <= 1
         ones = np.count_nonzero(arr)
     else:
-        arr = require_symmetric(arr, "adjacency")
-        ones = np.count_nonzero(arr == 1.0)
-        binary = ones + np.count_nonzero(arr == 0.0) == arr.size
+        arr = np.asarray(arr, dtype=float)
+        _require_square(arr, "adjacency")
+        ones, binary = 0, True
+        for tile, weight, mirrored in _checked_tiles(arr, "adjacency", 1e-10):
+            # The tile is 0/1 when all its nonzeros are ones, and its mirror
+            # then too if the two are equal, as two 0/1 entries within the
+            # symmetry bound are.
+            tile_ones = np.count_nonzero(tile == 1.0)
+            binary = binary and mirrored and tile_ones == np.count_nonzero(tile != 0.0)
+            ones += weight * tile_ones
     n = arr.shape[0]
     if n < 2:
         raise ValidationError("adjacency needs at least 2 nodes")

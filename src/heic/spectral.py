@@ -21,28 +21,30 @@ R = A V - V diag(th).  If V has orthonormal columns, there are k distinct
 eigenvalues each within ||R||_2 of its Ritz value (Kahan's theorem; Parlett,
 The Symmetric Eigenvalue Problem, 1998, ch. 11); V's departure from
 orthonormality, F = V^T V - I, widens that to the slack eps of
-_ritz_slack.  Take t top Ritz values th_0 >= ... >= th_{t-1} and a shift
-s_hi with th_{t-1} - eps > s_hi + eta.  An LDL^T factorization of
-A - s_hi I (LAPACK dsytrf, Bunch-Kaufman pivoting) has as many positive
-eigenvalues in its block-diagonal D as A - s_hi I, by Sylvester's law of
-inertia.  The computed factors are exact for A - s_hi I + E, and eta bounds
-||E||_2 (see _factor_slack), so by Weyl's theorem every eigenvalue of A
-above s_hi + eta is counted.  If the count is t, then A has at most t
-eigenvalues above s_hi + eta, and the t Ritz partners, all above it, are
-they: l_0 .. l_{t-1}, each within eps of th_0 .. th_{t-1}, and every other
-eigenvalue is at most upper = s_hi + eta.  The same count of eigenvalues
-below a shift s_lo at the bottom gives the b smallest, and every other
-eigenvalue at least lower = s_lo - eta.  Each shift sits at the midpoint of
-the innermost step among its end's Ritz values (the one nearest the middle)
-that is wider than 2 (eps + eta).
+_ritz_slack.  Take t top Ritz pairs, th_0 >= ... >= th_{t-1}, and a shift
+s_hi with th_{t-1} - eps > s_hi + eta.  Deflate them:
+B = s_hi I - A + U U^T with U = V_t diag(sqrt(2 (th_i - s_hi))), which for
+exact pairs is th_i - s_hi on each v_i and s_hi - l_j on the other
+eigenvectors.  A Cholesky factorization of B (LAPACK dpotrf) that runs to
+completion proves B > -eta I, where eta bounds the rounding of forming and
+factoring B (see _factor_slack).  Then A - U U^T < (s_hi + eta) I, and as
+U U^T is positive semidefinite of rank t, l_{i+t}(A) <= l_i(A - U U^T)
+(Weyl), so A has at most t eigenvalues above upper = s_hi + eta, whatever V
+is.  The t Ritz partners, all above upper, are they: l_0 .. l_{t-1}, each
+within eps of th_0 .. th_{t-1}, and every other eigenvalue is at most upper.
+The mirror image, A - s_lo I + U U^T with U = V_b diag(sqrt(2 (s_lo - th_i)))
+over b bottom pairs, gives the b smallest, and every other eigenvalue at
+least lower = s_lo - eta.  Each shift sits at the midpoint of the innermost
+step among its end's Ritz values (the one nearest the middle) that is wider
+than 2 (eps + eta).
 
 extreme_pairs runs on the working copy as it is and never writes it.
-confirm() factorizes the copy in place, twice, and takes a callable that
-writes the matrix back in between; when the proof fails it writes it back
-once more, so that the caller can fall back to the other routes on it.  The
-ARPACK matrix-vector products are scipy's BLAS dsymv, on the same thread
-pool as ARPACK and dsytrf: numpy's product, on the other pool, took about
-twice as long at n=3000 on 2 cores.
+confirm() forms B in the copy and factorizes it in place, twice, and takes
+a callable that writes the matrix back in between; when the proof fails it
+writes it back once more, so that the caller can fall back to the other
+routes on it.  The ARPACK matrix-vector products are scipy's BLAS dsymv, on
+the same thread pool as ARPACK, dsyrk and dpotrf: numpy's product, on the
+other pool, took about twice as long at n=3000 on 2 cores.
 
 That is the cost of scipy's LAPACK: a second OpenBLAS thread pool and
 27 MB of RSS, plus 3.7 MB for scipy.sparse.linalg.  Each pool's idle threads
@@ -280,17 +282,18 @@ class ExtremePairs:
         return self.window(start, stop)[1].copy()
 
     def confirm(self, work: np.ndarray, rebuild: Callable[[], object]) -> bool:
-        """Prove the claim by two inertia counts; work holds A on entry and is overwritten.
+        """Prove the claim by two Cholesky factorizations; work holds A on entry and is overwritten.
 
-        rebuild() writes A back into work.  It runs between the two counts,
-        and once more when the proof fails, so that work then holds A again.
+        The first proves the top end, the second the bottom end (see the
+        module docstring).  rebuild() writes A back into work.  It runs
+        between the two, and once more when the proof fails, so that work
+        then holds A again.
         """
         s_hi, s_lo = self.shifts
-        n = self.n
-        proved = _eigenvalues_above(work, s_hi) == self.top.size
+        proved = _definite(work, s_hi, -1.0, self.top, self.top_vectors)
         if proved:
             rebuild()
-            proved = _eigenvalues_above(work, s_lo) == n - self.bottom.size
+            proved = _definite(work, s_lo, 1.0, self.bottom, self.bottom_vectors)
         if not proved:
             rebuild()
         return proved
@@ -336,7 +339,7 @@ def extreme_pairs(work: np.ndarray, k: int) -> Optional[ExtremePairs]:
     eps = _ritz_slack(work, values, vectors)
     if not eps < np.inf:
         return None
-    eta = _factor_slack(work, float(np.abs(values).max()) + eps)
+    eta = _factor_slack(work, float(np.abs(values).max()) + eps, k)
     from_top = k - k // 2
     t = _step_below(values[:from_top], 2.0 * (eps + eta))
     b = _step_below(-values[from_top:][::-1], 2.0 * (eps + eta))
@@ -382,50 +385,46 @@ def _ritz_slack(work: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> fl
     return (r + 2.0 * float(np.abs(values).max()) * f) * np.sqrt(1.0 + f) / (1.0 - f)
 
 
-def _factor_slack(work: np.ndarray, norm: float) -> float:
-    """A bound eta on the backward error of dsytrf on work - sigma I, |sigma| <= norm.
+def _factor_slack(work: np.ndarray, norm: float, k: int) -> float:
+    """A bound eta on the rounding of _definite at a shift s, when |s| and every |th_i| <= norm.
 
-    Bunch-Kaufman LDL^T is normwise backward stable when its element growth
-    is modest, as it is in practice (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2002, ch. 11): the factors are exact for
-    A - sigma I + E with ||E||_2 <= c n u ||A - sigma I||_F, here c = 8.
-    ||A||_F comes from one dot product, with no n x n temporary.
+    With unit roundoff u, gamma_m = m u / (1 - m u) and
+    g = gamma_{n+1} / (1 - gamma_{n+1}): a dpotrf that runs to completion on
+    the stored B~ gives R^T R = B~ + E, |E| <= gamma_{n+1} |R^T| |R|, in any
+    order of evaluation (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 10.1; Rump, BIT 46, 2006), so
+    ||E||_2 <= g tr(B~).  Forming B~ from the exact C + U U^T, C =
+    sign (A - s I) and U of t <= k columns, errs by F with
+    |F| <= gamma_{t+2} (|U| |U|^T + |C|);
+    with |C| <= |B~| + |U| |U|^T + |F| and |B~| <= (1 + gamma_{n+1}) |R^T| |R|,
+    ||F||_2 <= g (2 ||U||_F^2 + (1 + 2 g) tr(B~)).  The exact matrix,
+    R^T R - E - F, is then above -eta I for eta = 2 g ((1 + g) tr(B~) + ||U||_F^2).
+    A priori tr(B~) <= (1 + g) (n (max|a_ii| + norm) + ||U||_F^2), and
+    ||U||_F^2 <= 6 k norm (1 + 6 u), as |th_i - s| <= 2 norm and
+    ||v_i||^2 < 3/2 (_ritz_slack admits ||V^T V - I|| < 1/2).  2.01 covers
+    2 (1 + g)^2 and eta's own rounding.  Only the diagonal of work is read.
     """
-    flat = work.reshape(-1)
-    frobenius = float(np.sqrt(np.dot(flat, flat)))
     n = work.shape[0]
-    return 8.0 * n * np.finfo(float).eps * (frobenius + np.sqrt(n) * norm)
+    mu = (n + 1) * np.finfo(float).eps / 2.0
+    g = mu / (1.0 - 2.0 * mu)  # gamma_{n+1} / (1 - gamma_{n+1})
+    diagonal = float(np.abs(np.diagonal(work)).max())
+    return 2.01 * g * (n * (diagonal + norm) + 13.0 * k * norm)
 
 
-def _eigenvalues_above(work: np.ndarray, sigma: float) -> Optional[int]:
-    """How many eigenvalues of work exceed sigma, from an in-place LDL^T of work - sigma I.
+def _definite(work: np.ndarray, shift: float, sign: float, values, vectors) -> bool:
+    """Whether dpotrf factors sign (A - shift I) + U U^T, U = V diag(sqrt(2 sign (shift - th))).
 
-    By Sylvester's law of inertia, as many as D has positive eigenvalues.
-    D is block diagonal: a 1 x 1 block is its own eigenvalue, and a 2 x 2
-    block [[a, b], [b, c]] has two of a's sign when ac - b^2 > 0, and one
-    of each when ac - b^2 < 0.  None when a block is singular.  The
-    workspace of 32 n, half the optimal 64 n, runs within 3% of its time at
-    n=1200 and n=3000 on 2 cores.
+    work holds A on entry.  The matrix is formed and factorized in place:
+    the diagonal shift, one dsyrk into the lower triangle of LAPACK's
+    Fortran view work.T, then dpotrf on that triangle.
     """
-    from scipy.linalg import lapack
+    from scipy.linalg import blas, lapack
 
     n = work.shape[0]
-    work.flat[:: n + 1] -= sigma
-    factors, ipiv, info = lapack.dsytrf(work.T, lower=1, lwork=32 * n, overwrite_a=1)
-    if info != 0:
-        return None
-    diagonal = np.diagonal(factors)
-    # With lower=1, D(k:k+1, k:k+1) is a 2 x 2 block when ipiv[k] = ipiv[k+1] < 0.
-    firsts = np.flatnonzero(ipiv < 0)[::2]
-    single = np.ones(n, dtype=bool)
-    single[firsts] = single[firsts + 1] = False
-    ones = diagonal[single]
-    a = diagonal[firsts]
-    det = a * diagonal[firsts + 1] - factors[firsts + 1, firsts] ** 2
-    if not (ones.all() and det.all()):
-        return None
-    pairs = np.count_nonzero(det < 0) + 2 * np.count_nonzero((det > 0) & (a > 0))
-    return int(np.count_nonzero(ones > 0) + pairs)
+    work.flat[:: n + 1] -= shift
+    u = vectors * np.sqrt(2.0 * sign * (shift - values))
+    blas.dsyrk(1.0, u, beta=sign, c=work.T, lower=1, overwrite_c=1)
+    return lapack.dpotrf(work.T, lower=1, clean=0, overwrite_a=1)[1] == 0
 
 
 def _symmetrized(m) -> np.ndarray:

@@ -67,13 +67,14 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 @pytest.fixture
 def count_calls(monkeypatch):
     """Run one call; return its adjacency validation passes, eigh / eigvalsh calls,
-    tridiagonal reductions (LAPACK dsytrd), ARPACK runs (scipy eigsh) and LDL^T
-    factorizations (LAPACK dsytrf, one per inertia count).
+    tridiagonal reductions (LAPACK dsytrd), ARPACK runs (scipy eigsh) and
+    Cholesky factorizations (LAPACK dpotrf, one per end the certified route
+    proves).
 
     A validation pass is a call of model.require_adjacency, whatever the
     adjacency's dtype: a uint8 or bool one never reaches require_symmetric.
     """
-    counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd", "arpack", "dsytrf_ldl"), 0)
+    counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd", "arpack", "dpotrf"), 0)
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -90,7 +91,7 @@ def count_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(lapack, "dsytrd", counting("dsytrd", lapack.dsytrd))
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("arpack", scipy.sparse.linalg.eigsh))
-    monkeypatch.setattr(lapack, "dsytrf", counting("dsytrf_ldl", lapack.dsytrf))
+    monkeypatch.setattr(lapack, "dpotrf", counting("dpotrf", lapack.dpotrf))
 
     def run(fn, *args, **kwargs):
         counts.update(dict.fromkeys(counts, 0))

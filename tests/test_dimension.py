@@ -24,6 +24,17 @@ class TestScanSpectrum:
         assert scan.chosen == 1
         assert not scan.scores.any()
 
+    def test_margin_over_runner_up(self):
+        # Scores of d = 1 .. 6: 0, 0, 0.25 (the -0.25 block), 0, 0.0625 (the
+        # zero block), 0; every step is exact in binary.
+        spec = diagonal_spectrum([0.5] + [0.0625] * 7 + [0.0] * 5 + [-0.25] * 3)
+        scan = heic.scan_spectrum(spec, range(1, 7))
+        assert scan.scores.tolist() == [0.0, 0.0, 0.25, 0.0, 0.0625, 0.0]
+        assert (scan.chosen, scan.margin) == (3, 4.0)
+        assert heic.scan_spectrum(spec, [3, 4]).margin == np.inf
+        assert heic.scan_spectrum(spec, [3]).margin == np.inf
+        assert heic.scan_spectrum(diagonal_spectrum(np.full(12, 0.4)), range(1, 6)).margin == 1.0
+
     def test_scores_match_individual_cluster_searches(self):
         rng = np.random.default_rng(51)
         spec = diagonal_spectrum(rng.uniform(-1.0, 1.0, size=20))
@@ -72,12 +83,12 @@ class TestEstimateDimension(RejectsBadAdjacency):
 
     def test_single_decomposition_shared_by_candidates(self, count_calls):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1, "dsytrd": 0, "arpack": 0, "dsytrf_ldl": 0}
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 1, "dsytrd": 0, "arpack": 0, "dpotrf": 0}
 
     def test_one_reduction_from_min_n(self, count_calls, partial_solve):
         adjacency = self._adjacency(n=80)
         counts = count_calls(heic.estimate_dimension, adjacency, d_max=10)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dsytrf_ldl": 0}
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dpotrf": 0}
         values = np.linalg.eigvalsh(adjacency / 80)[::-1]
         expected = [heic.window_gaps(values, d).max() for d in range(1, 11)]
         assert heic.estimate_dimension(adjacency, d_max=10).scores.tolist() == expected

@@ -399,7 +399,7 @@ class TestHeicPipeline(RejectsBadAdjacency):
 
     def test_validates_once_and_solves_once(self, count_calls):
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0, "dsytrd": 0, "arpack": 0, "dsytrf_ldl": 0}
+        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0, "dsytrd": 0, "arpack": 0, "dpotrf": 0}
 
     @pytest.mark.parametrize("min_n, solver", [(13, "eigh"), (12, "dsytrd")])
     def test_partial_solve_from_min_n(self, count_calls, monkeypatch, min_n, solver):
@@ -407,7 +407,7 @@ class TestHeicPipeline(RejectsBadAdjacency):
         # ARPACK's Krylov basis, so the route declines before it runs.
         monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "arpack", "dsytrf_ldl"), 0)
+        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "arpack", "dpotrf"), 0)
         assert counts == {"validate": 1, **zero, solver: 1}
 
     def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
@@ -553,11 +553,12 @@ class TestHeicPipeline(RejectsBadAdjacency):
             assert diag.diameter == pytest.approx(ref_diag.diameter, abs=1e-12)
 
     def test_missed_extreme_pair_fails_the_inertia_count(self, monkeypatch, count_calls, certified_solve):
-        # An eigsh that misses the smallest eigenpair.  Every pair it
-        # returns is a true one, with a tiny residual, and with d=2 the
-        # window rule proves the wrong window: the two lowest pairs it
-        # sees, separated by 0.2 from the next.  Only the count below the
-        # bottom shift, the second LDL^T, sees the miss.
+        # The name predates the Cholesky proof.  An eigsh that misses the
+        # smallest eigenpair.  Every pair it returns is a true one, with a
+        # tiny residual, and with d=2 the window rule proves the wrong
+        # window: the two lowest pairs it sees, separated by 0.2 from the
+        # next.  Only the second factorization, at the bottom shift, sees
+        # the miss.
         n = 1000
         adjacency = _seeded_graph(n, 6)
         certified, _ = heic.heic(adjacency, 2)
@@ -570,18 +571,48 @@ class TestHeicPipeline(RejectsBadAdjacency):
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_bottom)
         counts = count_calls(heic.heic, adjacency, 2)
-        assert (counts["arpack"], counts["dsytrf_ldl"], counts["dsytrd"]) == (1, 2, 1)
+        assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (1, 2, 1)
         estimate, diag = heic.heic(adjacency, 2)
         start, projector = eigh_projector(adjacency, 2)
         assert (diag.solver, diag.cluster_start) == ("tridiagonal", start)
         assert np.linalg.norm(estimate.matrix - projector) <= 1e-8
         assert np.linalg.norm(certified.matrix - projector) <= 1e-8
 
+    def test_missed_top_pair_fails_the_first_factorization(self, monkeypatch, count_calls, certified_solve):
+        # An eigsh that misses the largest eigenpair and returns the next
+        # one from the top instead.  Every pair is a true one, and the
+        # window rule proves the right window, but would report the second
+        # largest eigenvalue as the top one.  The first factorization, at
+        # the top shift, sees the miss.
+        n = 1000
+        adjacency = _seeded_graph(n, 6)
+        real = scipy.sparse.linalg.eigsh
+
+        def missing_top(a, k, **kwargs):
+            # which="BE" takes one more from the top when k + 2 is odd.
+            values, vectors = real(a, k + 2, **kwargs)
+            order = np.argsort(values)[::-1]
+            keep = np.concatenate([order[1 : k - k // 2 + 1], order[len(order) - k // 2 :]])
+            return values[keep], vectors[:, keep]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", missing_top)
+        counts = count_calls(heic.heic, adjacency, 3)
+        assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (1, 1, 1)
+        estimate, diag = heic.heic(adjacency, 3)
+        start, projector = eigh_projector(adjacency, 3)
+        assert (diag.solver, diag.cluster_start) == ("tridiagonal", start)
+        assert np.linalg.norm(estimate.matrix - projector) <= 1e-8
+        assert diag.top_eigenvalue == pytest.approx(np.linalg.eigvalsh(adjacency / n)[-1], abs=1e-12)
+
+    def test_certified_route_solves_once(self, count_calls, certified_solve):
+        counts = count_calls(heic.heic, _seeded_graph(300, 4), 3)
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, "arpack": 1, "dpotrf": 2}
+
     def test_sparse_graph_never_calls_arpack(self, count_calls):
         n = 1200
         adjacency = _seeded_graph(n, 3, rho=8 * math.log(n) / n)
         counts = count_calls(heic.heic, adjacency, 3)
-        assert (counts["arpack"], counts["dsytrf_ldl"], counts["dsytrd"]) == (0, 0, 1)
+        assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (0, 0, 1)
 
 
 class TestEventECheck:
@@ -687,7 +718,7 @@ class TestAdjacencyDtypes:
         # it.  Above the uint8 graph the caller holds, each makes A/n (8 n^2
         # bytes) and O(n) workspace: the n x d window basis is 0.3% of 8 n^2,
         # ARPACK's basis with the Ritz vectors it extracts (2 x 29 vectors)
-        # 4.8%, and the dsytrf workspace of an inertia count 2.7%.
+        # 4.8%.
         n = 1200
         adjacency = _seeded_graph(n, 9)
         assert adjacency.dtype == np.uint8

@@ -331,6 +331,24 @@ class TestRequireSymmetric:
             # One n x n float64 temporary alone would reach the input's size.
             assert traced_peak(check, adjacency) < adjacency.nbytes, check.__name__
 
+    def test_float_adjacency_checked_in_tiles(self, traced_peak):
+        # The 0/1 test and the count of ones ride on the symmetry check's
+        # tiles, so no n x n bool temporary (n^2 bytes, 12.5%) is made.
+        n = 1200
+        upper = np.triu(np.random.default_rng(5).random((n, n)) < 0.5, k=1)
+        adjacency = (upper | upper.T).astype(float)
+        checked, density = require_adjacency(adjacency)
+        assert checked is adjacency
+        assert density == np.count_nonzero(upper) / (n * (n - 1) / 2)
+        assert traced_peak(require_adjacency, adjacency) < 0.05 * 8 * n * n
+        # A stray within the symmetry bound, in an off-diagonal tile or in
+        # its mirror, is not 0 or 1.
+        for i, j in ((3, n - 5), (n - 5, 3)):
+            stray = adjacency.copy()
+            stray[i, j] += 1e-12
+            with pytest.raises(ValidationError, match="^adjacency entries must be 0 or 1$"):
+                require_adjacency(stray)
+
     @pytest.mark.parametrize("dtype", [np.uint8, np.bool_])
     def test_integer_adjacency_checked_in_place(self, traced_peak, dtype):
         # No copy and no n x n temporary: the tiles' equality masks are the

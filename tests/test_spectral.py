@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 import heic
 from heic.errors import EigenSolverError, ValidationError
 from heic import spectral
-from heic.spectral import _eigenvalues_above, _symmetrized, extreme_pairs, symmetric_eigvals, tridiagonalize
+from heic.spectral import (
+    ExtremePairs,
+    _definite,
+    _factor_slack,
+    _symmetrized,
+    extreme_pairs,
+    symmetric_eigvals,
+    tridiagonalize,
+)
 from oracles import delta2_bruteforce, diagonal_spectrum, grid_values
 
 
@@ -179,10 +187,22 @@ def _separated_ends(n, seed):
 class TestExtremePairs:
     @pytest.mark.parametrize("seed", range(3))
     def test_inertia_count_matches_eigvalsh(self, seed):
+        # The name predates the Cholesky proof.  Deflating the eigenpairs
+        # beyond a shift s leaves s I - A + U U^T (top) or A - s I + U U^T
+        # (bottom) positive definite, and one pair fewer does not: the
+        # factorization agrees with eigvalsh of the matrix it factors.
         m = _symmetric(150, seed)
-        values = np.linalg.eigvalsh(m)
-        for sigma in (0.5 * (values[-7] + values[-6]), 0.0, 0.5 * (values[2] + values[3])):
-            assert _eigenvalues_above(m.copy(), sigma) == np.count_nonzero(values > sigma)
+        values, vectors = np.linalg.eigh(m)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        for s in (0.5 * (values[5] + values[6]), 0.0, 0.5 * (values[-4] + values[-3])):
+            above = np.count_nonzero(values > s)
+            for sign, count in ((-1.0, above), (1.0, 150 - above)):
+                for deflated in (count - 1, count):
+                    rows = slice(0, deflated) if sign < 0 else slice(150 - deflated, 150)
+                    u = vectors[:, rows] * np.sqrt(2.0 * sign * (s - values[rows]))
+                    b = sign * (m - s * np.eye(150)) + u @ u.T
+                    proved = _definite(m.copy(), s, sign, values[rows], vectors[:, rows])
+                    assert proved == (deflated == count) == (np.linalg.eigvalsh(b)[0] > 0)
 
     def test_claim_holds_and_is_confirmed(self):
         m = _separated_ends(200, 4)
@@ -208,6 +228,60 @@ class TestExtremePairs:
         short = dataclasses.replace(pairs, top=pairs.top[:-1], top_vectors=pairs.top_vectors[:, :-1])
         assert not short.confirm(work, lambda: np.copyto(work, m))
         assert np.array_equal(work, m)
+
+    @settings(max_examples=80, deadline=None, database=None)
+    @given(
+        n=st.integers(16, 60),
+        seed=st.integers(0, 2**32 - 1),
+        planted=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+        dropped=st.tuples(st.sampled_from([0, 0, 1, 3]), st.sampled_from([0, 0, 1, 3])),
+        noise=st.sampled_from([0.0, 1e-9, 1e-3, 0.3]),
+        shifts=st.tuples(st.floats(-0.7, 0.95), st.floats(-0.95, 0.7)),
+        in_gaps=st.booleans(),
+    )
+    def test_confirm_never_proves_a_false_claim(self, n, seed, planted, dropped, noise, shifts, in_gaps):
+        # p eigenvalues planted in [1, 2] and q in [-2, -1] around a bulk in
+        # [-0.5, 0.5].  The claim keeps t of the top pairs and b of the
+        # bottom ones, their vectors perturbed by noise; a proof may succeed
+        # only when A has at most t eigenvalues above upper and at most b
+        # below lower, and a refusal leaves A in work.
+        rng = np.random.default_rng(seed)
+        (p, q), (drop_top, drop_bottom) = planted, dropped
+        q_basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        ends = (rng.uniform(1.0, 2.0, p), rng.uniform(-2.0, -1.0, q))
+        values = np.concatenate([ends[0], rng.uniform(-0.5, 0.5, n - p - q), ends[1]])
+        a = (q_basis * values) @ q_basis.T
+        a = (a + a.T) / 2.0
+        exact, basis = np.linalg.eigh(a)
+        s_hi, s_lo = (0.75, -0.75) if in_gaps else shifts
+
+        def claimed(rows):
+            v = basis[:, rows] + noise * rng.standard_normal((n, len(rows)))
+            return exact[rows][::-1], (v / np.linalg.norm(v, axis=0))[:, ::-1]
+
+        t, b = max(1, p - drop_top), max(1, q - drop_bottom)
+        top, top_vectors = claimed(np.sort(rng.choice(np.arange(n - p, n), t, replace=False)))
+        bottom, bottom_vectors = claimed(np.sort(rng.choice(np.arange(q), b, replace=False)))
+        eta = _factor_slack(a, float(np.abs(exact).max()), t + b)
+        pairs = ExtremePairs(
+            top=top,
+            bottom=bottom,
+            top_vectors=top_vectors,
+            bottom_vectors=bottom_vectors,
+            upper=s_hi + eta,
+            lower=s_lo - eta,
+            slack=0.0,
+            shifts=(s_hi, s_lo),
+        )
+        work = a.copy()
+        proved = pairs.confirm(work, lambda: np.copyto(work, a))
+        if proved:
+            assert np.count_nonzero(exact > pairs.upper) <= t
+            assert np.count_nonzero(exact < pairs.lower) <= b
+        else:
+            assert np.array_equal(work, a)
+        if in_gaps and noise <= 1e-9 and (t, b) == (p, q):
+            assert proved
 
     def test_declines_small_or_over_budget(self, monkeypatch):
         assert extreme_pairs(_separated_ends(99, 6), 9) is None  # 25 basis vectors > 99 / 4

@@ -16,30 +16,32 @@ scores the best separation of any d consecutive sorted eigenvalues, and
 the candidate whose score is largest is the estimate.  Ties pick the
 smallest d, because np.argmax returns the first maximum and the default
 candidates 1 .. d_max increase.  The scores read eigenvalues only, so one
-eigenvalue-only solve serves every candidate: spectral.descending_eigvalsh,
-a tridiagonal reduction and dsterf (numpy's eigvalsh below
-spectral.PARTIAL_SOLVE_MIN_N nodes, with the same bits).  The dimension scan
-always takes this full reduction: its small candidates score windows inside
-the bulk, with gaps far below the bulk's width, which no partial spectrum
-can certify.
+eigenvalue-only solve serves every candidate: the values of
+spectral.tridiagonalize, a tridiagonal reduction and dsterf, which are
+numpy's eigvalsh bit for bit.  The dimension scan always takes this full
+reduction: its small candidates score windows inside the bulk, with gaps
+far below the bulk's width, which no partial spectrum can certify.
 
-heic() has three solver routes (see spectral.py), and names the one it took
-in HeicDiagnostics.solver:
+heic() has two solver routes (see spectral.py), at every n, and names the
+one it took in HeicDiagnostics.solver:
 
-- "eigh" below PARTIAL_SOLVE_MIN_N nodes: every eigenpair;
-- "certified" from PARTIAL_SOLVE_MIN_N nodes on, when the edge density is
-  at least CERTIFIED_MIN_DENSITY: a few eigenpairs at each end, proved to
-  be the extremes by two Cholesky factorizations of the shifted matrix
-  with those pairs deflated, and every other eigenvalue bounded to an
-  interval.  certify_window then proves from these alone which window the
-  full scan would pick (the rule is in its docstring).  The gap is the
-  same score, from Ritz values within a few ulps;
-- "tridiagonal" from PARTIAL_SOLVE_MIN_N nodes on otherwise, and whenever
-  the certified route fails (ARPACK past its budget, a factorization that
-  breaks down, or a window rule that does not certify): the reduction,
-  every eigenvalue, and the window's eigenvectors alone.  Its eigenvalues
-  are the dimension scan's bit for bit, so heic(adjacency, d) then reports
-  the score of candidate d as its gap exactly.
+- "certified" when the edge density is at least CERTIFIED_MIN_DENSITY: a
+  few eigenpairs at each end, proved to be the extremes by two Cholesky
+  factorizations of the shifted matrix with those pairs deflated, and
+  every other eigenvalue bounded to an interval.  certify_window then
+  proves from these alone which window the full scan would pick (the rule
+  is in its docstring).  The gap is the same score, from Ritz values
+  within a few ulps;
+- "tridiagonal" otherwise, and whenever the certified route fails or
+  declines (ARPACK's Krylov basis too large for n, ARPACK past its budget,
+  a factorization that breaks down, or a window rule that does not
+  certify): the reduction, every eigenvalue, and the window's eigenvectors
+  alone.  Its eigenvalues are the dimension scan's bit for bit, so
+  heic(adjacency, d) then reports the score of candidate d as its gap
+  exactly.
+
+Both routes, and the dimension scan, run every BLAS and LAPACK call on
+scipy's thread pool, so numpy's pool stays idle (see spectral.py).
 
 The scan is scale free, so the edge-density parameter rho is never needed
 for estimation; it only enters the simulation-side check event_e_check.
@@ -72,7 +74,7 @@ import numpy as np
 from . import spectral
 from .errors import ValidationError
 from .model import require_adjacency
-from .spectral import Spectrum, descending_eigvalsh, extreme_pairs, window_eigh
+from .spectral import Spectrum, extreme_pairs
 
 DEFAULT_D_MAX = 15
 
@@ -122,9 +124,9 @@ class EventEReport:
 class HeicDiagnostics:
     """How heic() chose its window.
 
-    solver names the route: "eigh", "tridiagonal" or "certified".  margin is
-    the chosen window's gap minus the largest gap of any other window: the
-    selection margin over the runner-up on the two full routes, and on the
+    solver names the route: "tridiagonal" or "certified".  margin is the
+    chosen window's gap minus the largest gap of any other window: the
+    selection margin over the runner-up on the reduction, and on the
     certified route the certificate margin, against the largest bound on
     another window's gap.
     """
@@ -295,9 +297,9 @@ def event_e_check(
     return EventEReport(cluster.diameter < threshold and cluster.gap >= threshold, threshold)
 
 
-# The certified route is tried from PARTIAL_SOLVE_MIN_N nodes on when the
-# edge density is at least CERTIFIED_MIN_DENSITY.  Measured with threshold(0)
-# graphs, d=3, on 2 cores, at rho = 1, 40 ln n/n and 8 ln n/n:
+# The certified route is tried, at every n, when the edge density is at
+# least CERTIFIED_MIN_DENSITY.  Measured with threshold(0) graphs, d=3, on
+# 2 cores, at rho = 1, 40 ln n/n and 8 ln n/n (capped at 1):
 # - n=3000, densities 0.5, 0.053, 0.011: at 0.5 ARPACK converged in 71-80
 #   products and heic() certified in 0.7-0.9 s, against 1.5-1.7 s for the
 #   reduction; at 0.053 it needed 224-254 products, past the budget of 120,
@@ -305,6 +307,12 @@ def event_e_check(
 #   316 products, but the window's gap of 0.002 did not certify.
 # - n=1200, densities 0.5, 0.118, 0.024: 71-88 products and certified;
 #   157 products; 235 products and no certificate.
+# - n=1000, densities 0.5, 0.14, 0.028: certified in 32-39 ms against
+#   69-73 ms for the reduction; past the budget, 88-95 ms in all.
+# - n=500, densities 0.5, 0.25, 0.05: certified in 9-10 and 10-11 ms
+#   against 14-16 ms; past the budget, 22-23 ms against 16-17 ms.
+# - n=200, densities 0.5 and 0.1: certified in 3-4 ms, as fast as the
+#   reduction; no certificate after 116 products, 8 ms against 3 ms.
 CERTIFIED_MIN_DENSITY = 0.25
 
 
@@ -355,13 +363,13 @@ def heic(
     _require_window(n, d)
     work = _working_copy(adjacency)
     certified = None
-    if n >= spectral.PARTIAL_SOLVE_MIN_N and density >= CERTIFIED_MIN_DENSITY:
+    if density >= CERTIFIED_MIN_DENSITY:
         certified = _certified_window(adjacency, work, d)
     if certified is not None:
         solved, cluster, margin = certified
         top = float(solved.top[0])
     else:
-        solved = window_eigh(work)
+        solved = spectral.tridiagonalize(work)
         cluster, margin = _best_window(solved.values, d)
         top = float(solved.values[0])
     estimate = GramEstimate(solved.window_vectors(cluster.start, cluster.start + d), cluster)
@@ -412,4 +420,4 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     adjacency, _ = require_adjacency(adjacency)
     candidates = _require_candidates(range(1, d_max + 1), adjacency.shape[0])
-    return _scan(descending_eigvalsh(_working_copy(adjacency)), candidates)
+    return _scan(spectral.tridiagonalize(_working_copy(adjacency)).values, candidates)

@@ -32,7 +32,7 @@ from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
 from .model import GraphModel, probability_matrix, sample_model_adjacency, sample_uniform_sphere
-from .spectral import delta_2, descending_eigvalsh
+from .spectral import delta_2, tridiagonalize
 from .io import write_table
 
 log = logging.getLogger(__name__)
@@ -331,7 +331,7 @@ def run_spectrum_convergence(
 
     def replicate(n: int, r: int) -> ConvergenceRecord:
         _, m, rho = _simulate_graph(cfg, n, r, observed=matrix == "observed")
-        return ConvergenceRecord(n, r, delta_2(descending_eigvalsh(m / (n * rho)), reference))
+        return ConvergenceRecord(n, r, delta_2(tridiagonalize(m / (n * rho)).values, reference))
 
     return _run_replicates(
         cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)

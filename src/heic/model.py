@@ -105,24 +105,33 @@ def _mirrored_tiles(arr: np.ndarray):
 def _checked_tiles(arr: np.ndarray, name: str, tol: float):
     """(tile, weight, whether it equals its mirror) for _mirrored_tiles of a square float64 arr.
 
-    Each is yielded once its pair is checked: max|a_ij - a_ji| must not
-    exceed tol * max(1, max|a_ij|).  A non-finite entry is rejected before
-    the first tile, an asymmetric pair at its tile.
+    Finite entries, and max|a_ij - a_ji| at most tol * max(1, max|a_ij|).
+    One read of arr takes the difference of each tile and its mirror, and
+    the checks run after the last tile: first finiteness, then symmetry.
+    A non-finite entry makes its difference NaN or inf, so an exactly
+    symmetric arr (every difference zero) is finite and needs no scale.
+    Only when some pair differs are the extremes read, in two more passes.
     """
-    # The max-abs scale is NaN or inf exactly when some entry is, so it
-    # doubles as the finiteness check.  A NaN makes both extremes NaN, and
-    # the builtin max then returns NaN too.
+    asymmetry, exact = 0.0, True
+    for upper, lower, weight in _mirrored_tiles(arr):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
+            diff = upper - lower
+        tile_asymmetry = float(np.abs(diff, out=diff).max())
+        del diff  # freed before the caller works on the tile
+        mirrored = tile_asymmetry == 0.0  # False for NaN
+        exact = exact and mirrored
+        # A NaN here comes from a non-finite entry, which the scale rejects.
+        asymmetry = max(asymmetry, tile_asymmetry)
+        yield upper, weight, mirrored
+    if exact:
+        return
+    # The max-abs scale is NaN or inf exactly when some entry is.  A NaN
+    # makes both extremes NaN, and the builtin max then returns NaN too.
     largest = max(float(arr.max()), -float(arr.min()))
     if not math.isfinite(largest):
         raise ValidationError(f"{name} has non-finite entries")
-    bound = tol * max(1.0, largest)
-    for upper, lower, weight in _mirrored_tiles(arr):
-        diff = upper - lower
-        asymmetry = float(np.abs(diff, out=diff).max())
-        del diff  # freed before the caller works on the tile
-        if asymmetry > bound:
-            raise ValidationError(f"{name} is not symmetric")
-        yield upper, weight, asymmetry == 0.0
+    if asymmetry > tol * max(1.0, largest):
+        raise ValidationError(f"{name} is not symmetric")
 
 
 def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray:
@@ -130,8 +139,7 @@ def require_symmetric(m, name: str = "matrix", tol: float = 1e-10) -> np.ndarray
 
     max|a_ij - a_ji| must not exceed tol * max(1, max|a_ij|).  Past the
     float64 conversion no n x n temporary is allocated: the check runs over
-    the tiles on and above the diagonal and rejects at the first tile over
-    the bound.
+    the tiles on and above the diagonal and their mirrors, once.
     """
     arr = np.asarray(m, dtype=float)
     _require_square(arr, name)
@@ -201,12 +209,31 @@ def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
     return LatentSample(pts)
 
 
-def inner_products(sample: LatentSample) -> np.ndarray:
-    """Pairwise inner products <X_i, X_j>, clipped to [-1, 1].
+def row_gram(a: np.ndarray) -> np.ndarray:
+    """a @ a.T for a C-order float64 a, from scipy's BLAS, exactly symmetric.
 
-    Exactly symmetric: numpy computes x @ x.T as a symmetric rank-k update (BLAS syrk).
+    numpy computes a @ a.T, for a of two rows or more, as a symmetric
+    rank-k update (BLAS syrk) and mirrors the triangle it wrote.  This runs
+    the same update, dsyrk, on the thread pool of scipy's LAPACK, and
+    mirrors the same triangle, so it has numpy's bits.
     """
-    return np.clip(sample.points @ sample.points.T, -1.0, 1.0)
+    from scipy.linalg import blas
+
+    # dsyrk writes the lower triangle of its Fortran-order result; the
+    # transpose is C-order with that triangle above the diagonal.
+    t = blas.dsyrk(1.0, a.T, trans=1, lower=1).T
+    for upper, lower, weight in _mirrored_tiles(t):
+        if weight == 2:
+            lower[...] = upper
+        else:  # the tile and its mirror overlap: copy only above its diagonal
+            np.copyto(lower, upper, where=~np.tri(upper.shape[0], dtype=bool))
+    return t
+
+
+def inner_products(sample: LatentSample) -> np.ndarray:
+    """Pairwise inner products <X_i, X_j>, clipped to [-1, 1]; exactly symmetric."""
+    t = row_gram(sample.points)
+    return np.clip(t, -1.0, 1.0, out=t)
 
 
 def gram_population(sample: LatentSample) -> np.ndarray:
@@ -272,15 +299,20 @@ def sample_model_adjacency(sample: LatentSample, model: GraphModel, seed: int) -
     """The coins of sample_adjacency(probability_matrix(sample, model), seed), Theta never whole.
 
     Each block of rows of Theta is rho * f(clip(X[i:j] X^T, -1, 1)).  The
-    block product runs as a general matrix product where inner_products
-    runs a symmetric rank-k update, so an entry can differ from it in the
-    last bit; a coin differs only if its uniform falls between the two.
+    block product runs as a general matrix product (scipy's BLAS dgemm)
+    where inner_products runs a symmetric rank-k update, so an entry can
+    differ from it in the last bit; a coin differs only if its uniform falls
+    between the two.
     """
+    from scipy.linalg import blas
+
     _require_model_size(sample, model)
     x = sample.points
 
     def theta_rows(i: int, j: int) -> np.ndarray:
-        t = x[i:j] @ x.T
+        # X X[i:j]^T in Fortran order, from the Fortran views of the C-order
+        # rows: its transpose is the C-order block, with no copy.
+        t = blas.dgemm(1.0, x.T, x[i:j].T, trans_a=1).T
         return model.sparsity * model.link(np.clip(t, -1.0, 1.0, out=t))
 
     return _sample_rows(sample.n, theta_rows, seed)

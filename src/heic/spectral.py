@@ -1,19 +1,18 @@
-"""Symmetric eigensolvers: three routes to a window, and the matching distance.
+"""Symmetric eigensolvers: two routes to a window, and the matching distance.
 
 heic() needs the eigenvalues around its cluster, to place it, but only the
-d eigenvectors of the window it picks.  There are three routes:
+d eigenvectors of the window it picks.  There are two routes:
 
-- eigh: numpy's full eigh, below PARTIAL_SOLVE_MIN_N nodes (descending_eigh).
-- tridiagonal: from PARTIAL_SOLVE_MIN_N nodes on, one in-place reduction to
-  tridiagonal form (tridiagonalize: LAPACK dsytrd, then dsterf for the
-  whole spectrum) and the window's eigenvectors alone
-  (Tridiagonal.window_vectors).  window_eigh picks between these two.
+- tridiagonal: one in-place reduction to tridiagonal form (tridiagonalize:
+  LAPACK dsytrd, then dsterf for the whole spectrum) and the window's
+  eigenvectors alone (Tridiagonal.window_vectors).  Callers that need
+  eigenvalues only take its values.
 - certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
   ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
   the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
   only bounds on it, so the caller must show that those suffice; see
   estimator.certify_window.  estimator.heic() routes here for dense graphs
-  and falls back to window_eigh whenever a step of the proof fails.
+  and falls back to the reduction whenever a step of the proof fails.
 
 The proof behind ExtremePairs.  Let A be symmetric with eigenvalues
 l_0 >= ... >= l_{n-1}, V the n x k Ritz vectors with values th and
@@ -41,48 +40,50 @@ than 2 (eps + eta).
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice, and takes
 a callable that writes the matrix back in between; when the proof fails it
-writes it back once more, so that the caller can fall back to the other
-routes on it.  The ARPACK matrix-vector products are scipy's BLAS dsymv, on
-the same thread pool as ARPACK, dsyrk and dpotrf: numpy's product, on the
-other pool, took about twice as long at n=3000 on 2 cores.
+writes it back once more, so that the caller can fall back to the
+reduction on it.
 
-That is the cost of scipy's LAPACK: a second OpenBLAS thread pool and
-27 MB of RSS, plus 3.7 MB for scipy.sparse.linalg.  Each pool's idle threads
-spin for about 0.1 s after a call, so where numpy and scipy calls alternate,
-as when a study samples a graph and then solves it, the pools contend.
-Below PARTIAL_SOLVE_MIN_N, where that costs more than the partial solve
-saves, window_eigh is numpy's full eigh.  descending_eigvalsh, for callers
-that need eigenvalues only, returns the sorted values array and switches at
-the same size: from PARTIAL_SOLVE_MIN_N nodes on it is the same in-place
-reduction, below it numpy's eigvalsh, whose dsyevd runs dsytrd + dsterf too
-and gives bit-identical values here.
+One thread pool.  numpy and scipy each ship an OpenBLAS with its own pool
+of worker threads, and an idle worker spins for about 0.1 s after a call
+before it sleeps.  When calls on the two pools alternate, as when a study
+samples a graph and then solves it, the spinning workers of one pool take a
+core from the other.  So every threaded BLAS or LAPACK call on a graph's
+path runs on scipy's pool: the solvers, the ARPACK products (dsymv, about
+twice as fast as numpy's product at n=3000 on 2 cores), the products and
+norms of _ritz_slack and delta_2 (scipy's dsyrk and ddot, with numpy's
+bits), and the sampler's products in model.py.  numpy's BLAS keeps only
+products too small to be threaded, such as the MSE study's d x d ones, and
+what runs once per command: harmonics.py's quadrature and
+GramEstimate.matrix.  scipy is imported on first use (about 0.3 s and
+27 MB of RSS, and 0.5 s and 3.7 MB more for scipy.sparse.linalg), not by
+``import heic`` or analytic_spectrum.
 
 A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
 decreasingly (the reversed view of LAPACK's ascending output), plus
 window_vectors(start, stop), the eigenvectors of sorted positions
 start .. stop-1.  ExtremePairs has window_vectors for the positions it
 knows, but no values array.  Each route names itself in its ``solver``.
-Eigenvector signs (and bases within repeated eigenvalues) are arbitrary;
-consumers may use V only up to an orthogonal transform, as in the
-projector V V^T.
+SortedSpectrum, numpy's full eigh, is no route of heic(): it is the
+decomposition symmetric_eig returns.  Eigenvector signs (and bases within
+repeated eigenvalues) are arbitrary; consumers may use V only up to an
+orthogonal transform, as in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
 the matrix is square, finite and symmetric.  tridiagonalize overwrites the
-copy it is given, and so does descending_eigvalsh from
-PARTIAL_SOLVE_MIN_N nodes on.  scipy is imported on first use (about 0.3 s,
-and 0.5 s more for scipy.sparse.linalg), not by ``import heic``.
+copy it is given.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
 from .errors import EigenSolverError
-from .model import require_symmetric
+from .model import require_symmetric, row_gram
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class SortedSpectrum:
 
     values: np.ndarray
     vectors: np.ndarray
-    solver: ClassVar[str] = "eigh"
 
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
         """A copy of the eigenvectors for sorted positions start .. stop-1."""
@@ -153,12 +153,6 @@ class Tridiagonal:
         return np.vstack([y[:1], c[: n - 1]])
 
 
-def descending_eigh(arr: np.ndarray) -> SortedSpectrum:
-    """Eigenvalues and eigenvectors of a validated symmetric matrix, sorted decreasingly."""
-    values, vectors = _solve(np.linalg.eigh, arr)
-    return SortedSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
-
-
 def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
@@ -178,36 +172,7 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     return Tridiagonal(values[::-1], diagonal, offdiagonal, reflectors, tau)
 
 
-# On 2 cores, one heic() call right after sampling a threshold(0) graph took
-# 0.19 s with eigh and 0.13-0.16 s partially at n=1000, but the numpy work
-# that followed lost the difference; at n=1200 it took 0.31 s against 0.20 s.
-PARTIAL_SOLVE_MIN_N = 1200
-
-
 Spectrum = Union[SortedSpectrum, Tridiagonal]
-
-
-def window_eigh(arr: np.ndarray) -> Spectrum:
-    """Every eigenvalue of a validated symmetric matrix, sorted decreasingly.
-
-    The result's window_vectors(start, stop) gives the eigenvectors of
-    sorted positions start .. stop-1.  From PARTIAL_SOLVE_MIN_N rows on it
-    computes only those; below, the full eigh has computed them all.
-    """
-    if arr.shape[0] >= PARTIAL_SOLVE_MIN_N:
-        return tridiagonalize(arr)
-    return descending_eigh(arr)
-
-
-def descending_eigvalsh(arr: np.ndarray) -> np.ndarray:
-    """Eigenvalues only of a validated symmetric matrix, sorted decreasingly.
-
-    From PARTIAL_SOLVE_MIN_N rows on, arr must be a float64 copy owned by
-    the caller: tridiagonalize overwrites it.
-    """
-    if arr.shape[0] >= PARTIAL_SOLVE_MIN_N:
-        return tridiagonalize(arr).values
-    return _solve(np.linalg.eigvalsh, arr)[::-1]
 
 
 # ARPACK's Krylov basis for k Ritz pairs.
@@ -231,7 +196,12 @@ ARPACK_TOL = 1e-10
 # and certified; affine(0.5, 0.5) needed 288 at n=3000, because its window's
 # lower neighbour is the edge of the bulk.  The reduction's cost grows like
 # n^3 against n^2 for a product, so n/25 products keep a failure near 15% of
-# it at any n.
+# it at any large n.  Below n=3000 the floor of 120 products rules.  At
+# n = 200, 500 and 1000, dense threshold(0) graphs certified in 53, 62-106
+# and 71 products.  A graph that did not certify (affine(0.5, 0.5) at
+# rho=1, or a sparse threshold(0) one; 105-120 products) took 6-8, 22-23
+# and 88-96 ms with its fallback, against 3, 15-17 and 69-79 ms for the
+# reduction alone.
 def _matvec_budget(n: int) -> int:
     return max(120, n // 25)
 
@@ -377,11 +347,11 @@ def _ritz_slack(work: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> fl
     from scipy.linalg import blas
 
     residual = blas.dsymm(1.0, work.T, vectors, lower=1) - vectors * values
-    drift = vectors.T @ vectors - np.eye(values.size)
-    f = float(np.linalg.norm(drift))
+    drift = row_gram(vectors.T) - np.eye(values.size)
+    f = _norm(drift)
     if not f < 0.5:
         return np.inf
-    r = float(np.linalg.norm(residual))
+    r = _norm(residual)
     return (r + 2.0 * float(np.abs(values).max()) * f) * np.sqrt(1.0 + f) / (1.0 - f)
 
 
@@ -435,13 +405,14 @@ def _symmetrized(m) -> np.ndarray:
 
 
 def symmetric_eig(m) -> SortedSpectrum:
-    """Full eigendecomposition of a dense symmetric matrix, sorted decreasingly."""
-    return descending_eigh(_symmetrized(m))
+    """Full eigendecomposition of a dense symmetric matrix, sorted decreasingly (numpy's eigh)."""
+    values, vectors = _solve(np.linalg.eigh, _symmetrized(m))
+    return SortedSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def symmetric_eigvals(m) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix, sorted decreasingly; no eigenvectors."""
-    return descending_eigvalsh(_symmetrized(m))
+    return tridiagonalize(_symmetrized(m)).values
 
 
 def normalize_adjacency(adj) -> np.ndarray:
@@ -469,4 +440,12 @@ def delta_2(a, b) -> float:
     pb[: b.size] = b
     pa[::-1].sort()
     pb[::-1].sort()
-    return float(np.linalg.norm(pa - pb))
+    return _norm(pa - pb)
+
+
+def _norm(a: np.ndarray) -> float:
+    """The Frobenius norm, sqrt(dot(a, a)) over a's memory order, as np.linalg.norm(a) computes it."""
+    from scipy.linalg import blas
+
+    flat = a.ravel(order="K")
+    return math.sqrt(blas.ddot(flat, flat))

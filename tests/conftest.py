@@ -123,18 +123,15 @@ def traced_peak():
 
 @pytest.fixture
 def partial_solve(monkeypatch):
-    """heic() takes the partial tridiagonal solve, and the eigenvalue-only
-    solvers the same reduction, at every size and density: never the
-    certified route."""
-    monkeypatch.setattr(heic.spectral, "PARTIAL_SOLVE_MIN_N", 0)
+    """heic() takes the partial tridiagonal solve at every density: never
+    the certified route."""
     monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", math.inf)
 
 
 @pytest.fixture
 def certified_solve(monkeypatch):
-    """heic() tries the certified route at every size and density, and
-    falls back to the tridiagonal solve when it fails."""
-    monkeypatch.setattr(heic.spectral, "PARTIAL_SOLVE_MIN_N", 0)
+    """heic() tries the certified route at every density, and falls back to
+    the tridiagonal solve when it fails."""
     monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", 0.0)
 
 

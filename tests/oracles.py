@@ -37,6 +37,36 @@ def delta2_bruteforce(a, b) -> float:
     return math.sqrt(max(best, 0.0))
 
 
+def gram_numpy(x) -> np.ndarray:
+    """x @ x.T by numpy's own BLAS (a symmetric rank-k update, then a mirror).
+
+    The bits heic.model.row_gram must reproduce on scipy's BLAS.
+    """
+    return x @ x.T
+
+
+def norm_numpy(a) -> float:
+    """np.linalg.norm(a), the Frobenius norm by numpy's own BLAS dot.
+
+    The bits heic.spectral._norm must reproduce on scipy's BLAS.
+    """
+    return float(np.linalg.norm(a))
+
+
+def delta2_numpy(a, b) -> float:
+    """The matching distance as heic.delta_2 defines it, with numpy's norm.
+
+    Both sequences padded with zeros to length len(a) + len(b), each sorted
+    decreasingly, then norm_numpy of their difference.
+    """
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    size = a.size + b.size
+    pa = np.sort(np.concatenate([a, np.zeros(size - a.size)]))[::-1]
+    pb = np.sort(np.concatenate([b, np.zeros(size - b.size)]))[::-1]
+    return norm_numpy(pa - pb)
+
+
 def diagonal_spectrum(values) -> SortedSpectrum:
     """Spectrum of diag(values): coordinate-axis eigenvectors, sorted decreasingly."""
     vals = np.asarray(values, dtype=float).ravel()

@@ -32,19 +32,15 @@ def _seeded_graph(n, seed, link=heic.threshold(0.0), rho=1.0):
 
 # The tridiagonal route keeps the id it had as the only partial solve.
 ROUTES = [
-    pytest.param("eigh", id="eigh"),
     pytest.param("tridiagonal", id="partial"),
     pytest.param("certified", id="certified"),
 ]
 
 
 def force_route(mp, route):
-    """Make heic() take route whatever the graph's density.  "eigh" is the
-    default below PARTIAL_SOLVE_MIN_N nodes, the sizes these tests use;
-    "certified" falls back to "tridiagonal" when it fails."""
-    if route != "eigh":
-        mp.setattr(spectral, "PARTIAL_SOLVE_MIN_N", 0)
-        mp.setattr(estimator, "CERTIFIED_MIN_DENSITY", 0.0 if route == "certified" else math.inf)
+    """Make heic() take route whatever the graph's density; "certified"
+    falls back to "tridiagonal" when it fails."""
+    mp.setattr(estimator, "CERTIFIED_MIN_DENSITY", 0.0 if route == "certified" else math.inf)
 
 
 class TestGaps:
@@ -331,8 +327,6 @@ class RejectsBadAdjacency:
 
     @pytest.mark.parametrize("size", [3.0, 2.5, True, np.float64(3.0), "3"], ids=repr)
     def test_rejects_non_integer_size_before_solving(self, monkeypatch, size):
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
         monkeypatch.setattr(spectral, "tridiagonalize", None)
         with pytest.raises(ValidationError, match="must be an integer, got"):
             self.sized_command(np.ones((12, 12)) - np.eye(12), size)
@@ -345,8 +339,6 @@ class RejectsBadAdjacency:
     def test_same_message_on_every_dtype(self, monkeypatch, fault, dtype):
         # uint8 and bool are checked in place, float64 through
         # require_symmetric; a fault reads the same either way.
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
         monkeypatch.setattr(spectral, "tridiagonalize", None)
         with pytest.raises(ValidationError) as info:
             self.command(_bad_graph(fault).astype(dtype))
@@ -360,8 +352,7 @@ class RejectsBadAdjacency:
             self.command(adjacency)
 
     def test_rejects_non_binary_before_solving(self, monkeypatch):
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
+        monkeypatch.setattr(spectral, "tridiagonalize", None)
         with pytest.raises(ValidationError, match="0 or 1"):
             self.command(np.full((12, 12), 0.5))
 
@@ -398,22 +389,15 @@ class TestHeicPipeline(RejectsBadAdjacency):
         assert mean == pytest.approx(1.0 / 6.0, abs=0.05)
 
     def test_validates_once_and_solves_once(self, count_calls):
-        counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        assert counts == {"validate": 1, "eigh": 1, "eigvalsh": 0, "dsytrd": 0, "arpack": 0, "dpotrf": 0}
-
-    @pytest.mark.parametrize("min_n, solver", [(13, "eigh"), (12, "dsytrd")])
-    def test_partial_solve_from_min_n(self, count_calls, monkeypatch, min_n, solver):
         # K_12 is dense enough for the certified route, but too small for
         # ARPACK's Krylov basis, so the route declines before it runs.
-        monkeypatch.setattr(spectral, "PARTIAL_SOLVE_MIN_N", min_n)
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "arpack", "dpotrf"), 0)
-        assert counts == {"validate": 1, **zero, solver: 1}
+        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dpotrf": 0}
 
     def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
-        # From PARTIAL_SOLVE_MIN_N on, heic and the dimension scan share one
-        # reduction, dsytrd + dsterf, which is also the arithmetic of numpy's
-        # eigvalsh, so heic reports the candidate's score exactly.
+        # heic and the dimension scan share one reduction, dsytrd + dsterf,
+        # which is also the arithmetic of numpy's eigvalsh, so heic reports
+        # the candidate's score exactly.
         for n in (60, 200):
             for seed in range(20):
                 adjacency = _seeded_graph(n, seed)
@@ -443,7 +427,7 @@ class TestHeicPipeline(RejectsBadAdjacency):
         n, d = 200, 3
         adjacency = np.full((n, n), edges) - edges * np.eye(n)
         estimate, diag = heic.heic(adjacency, d)
-        assert diag.solver == ("eigh" if route == "eigh" else "tridiagonal")
+        assert diag.solver == "tridiagonal"
         assert np.trace(estimate.matrix) == pytest.approx(1.0, abs=1e-12)
         # d G = V V^T is the orthogonal projector onto d orthonormal columns.
         projector = d * estimate.matrix
@@ -469,7 +453,6 @@ class TestHeicPipeline(RejectsBadAdjacency):
             reference, ref_diag = heic.heic(adjacency, 3)
             assert ref_diag.solver == route
             solved = {
-                "eigh": spectral.SortedSpectrum,
                 "tridiagonal": spectral.Tridiagonal,
                 "certified": spectral.ExtremePairs,
             }[route]
@@ -636,8 +619,6 @@ class TestEventECheck:
         "rho, gap", [(-1.0, 0.25), (0.0, 0.25), (2.0, 0.25), (math.nan, 0.25), (1.0, 0.0), (1.0, math.nan)]
     )
     def test_heic_rejects_bad_scalars_before_solving(self, monkeypatch, rho, gap):
-        monkeypatch.setattr(np.linalg, "eigh", None)
-        monkeypatch.setattr(np.linalg, "eigvalsh", None)
         monkeypatch.setattr(spectral, "tridiagonalize", None)
         with pytest.raises(ValidationError, match="^(rho must lie|analytic gap must be positive)"):
             heic.heic(np.ones((12, 12)) - np.eye(12), 3, rho=rho, analytic_gap=gap)
@@ -652,7 +633,7 @@ class TestEventECheck:
         ],
     )
     def test_heic_rejects_lone_scalar_before_solving(self, monkeypatch, rho, gap, message):
-        monkeypatch.setattr(np.linalg, "eigh", None)
+        monkeypatch.setattr(spectral, "tridiagonalize", None)
         with pytest.raises(ValidationError, match=f"^{message}"):
             heic.heic(np.ones((12, 12)) - np.eye(12), 3, rho=rho, analytic_gap=gap)
 
@@ -671,10 +652,9 @@ class TestEventECheck:
 class TestAdjacencyDtypes:
     """A uint8 (as sampled), bool or float64 copy of one graph: the same A/n, the same bits out."""
 
-    @pytest.fixture(params=["eigh", "partial", "certified"])
+    @pytest.fixture(params=["partial", "certified"])
     def solver(self, request):
-        if request.param != "eigh":
-            request.getfixturevalue(f"{request.param}_solve")
+        request.getfixturevalue(f"{request.param}_solve")
         return request.param
 
     # The solver fixture patches the routing once for all examples.

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import heic
 from heic import experiments
@@ -287,16 +288,10 @@ class TestConvergenceStudy:
         assert observed == noiseless
 
     def test_solver_failure_is_eigen_solver_error(self, monkeypatch):
-        real = np.linalg.eigvalsh
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        def no_convergence(m):
-            # The analytic reference's Gauss-Legendre nodes use eigvalsh too;
-            # only the 60-node graph's solve fails.
-            if m.shape == (60, 60):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-            return real(m)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", no_convergence)
         records = heic.run_spectrum_convergence(_config(n_grid=(60,), replicates=1, k_max=10))
         assert records[0].error.startswith("EigenSolverError: ")
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,9 @@ from hypothesis import strategies as st
 import heic
 from heic.errors import ValidationError
 from heic import model as heic_model
-from heic.model import SYMMETRY_TILE, require_adjacency, require_symmetric, sample_model_adjacency
-from oracles import builtin_links, funck_hecke_eigenvalue, require_symmetric_whole
+from heic.experiments import ExperimentConfig, _simulate_graph
+from heic.model import SYMMETRY_TILE, require_adjacency, require_symmetric, row_gram, sample_model_adjacency
+from oracles import builtin_links, funck_hecke_eigenvalue, gram_numpy, require_symmetric_whole
 
 
 class TestSampleUniformSphere:
@@ -67,11 +70,37 @@ class TestGramPopulation:
         assert np.abs(g).max() <= 1.0 / 40.0 + 1e-12
 
     def test_inner_products_exactly_symmetric(self):
-        # inner_products relies on numpy computing x @ x.T as a symmetric rank-k update
+        # inner_products mirrors the triangle its symmetric rank-k update writes
         for n in (2, 7, 64, 301, 1001):
             for d in (2, 3, 8, 15):
                 t = heic.inner_products(heic.sample_uniform_sphere(n, d, seed=n + d))
                 assert np.array_equal(t, t.T), (n, d)
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        n=st.one_of(st.integers(1, 400), st.sampled_from([1000, 2000, 3000])),
+        d=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_inner_products_are_numpys_bitwise(self, n, d, seed):
+        # scipy's dsyrk with its triangle mirrored gives numpy's x @ x.T,
+        # also at sizes where both BLAS libraries run threaded.
+        sample = heic.sample_uniform_sphere(n, d, seed)
+        expected = np.clip(gram_numpy(sample.points), -1.0, 1.0)
+        assert heic.inner_products(sample).tobytes() == expected.tobytes()
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        rows=st.integers(2, 15),
+        cols=st.one_of(st.integers(1, 400), st.sampled_from([1200, 3000])),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_wide_row_gram_is_numpys_bitwise(self, rows, cols, seed):
+        # The shape of V^T V for n x k Ritz vectors V, k >= 7, as the
+        # certified route's orthogonality check forms it.  (numpy takes the
+        # product of a single row as a dot, whose bits can differ.)
+        a = np.random.default_rng(seed).standard_normal((rows, cols))
+        assert row_gram(a).tobytes() == gram_numpy(a).tobytes()
 
 
 class TestProbabilityMatrix:
@@ -203,12 +232,68 @@ class TestSampleAdjacency:
     def test_model_sampler_matches_whole_theta(self, link):
         # At n=1300, with the default blocks of 201 rows, about a thousand
         # block inner products differ from inner_products' in the last bit
-        # (numpy's OpenBLAS); no coin may differ.
+        # (OpenBLAS's dgemm against its dsyrk); no coin may differ.
         n = 1300
         sample = heic.sample_uniform_sphere(n, 3, seed=n)
         model = heic.GraphModel(link=link, sparsity=0.5, n=n)
         expected = heic.sample_adjacency(heic.probability_matrix(sample, model), 8)
         assert sample_model_adjacency(sample, model, 8).tobytes() == expected.tobytes()
+
+    def test_sampled_graphs_unchanged(self):
+        # sha256 digests of graphs the test suite and the benchmark sample,
+        # recorded when the samplers' products ran on numpy's BLAS: moving
+        # them to scipy's changed no coin.  The whole-Theta sampler draws the
+        # first two seeds of each Monte-Carlo fixture in conftest.py.  The
+        # studies' row-blocked sampler draws two replicates of each grid
+        # size of the acceptance studies (with Theta itself for the
+        # noiseless convergence study), and of the studies workload's first
+        # two rounds at benchmark seed 1.
+        threshold, affine = heic.threshold(0.0), heic.affine(0.5, 0.5)
+
+        def fixtures():
+            for n, seeds in ((1000, (200, 201)), (1500, (0, 1)), (2000, (100, 101))):
+                for base in seeds:
+                    latent, coins = heic.replicate_seeds(base, n, 0)
+                    sample = heic.sample_uniform_sphere(n, 3, latent)
+                    theta = heic.probability_matrix(sample, heic.GraphModel(threshold, 1.0, n))
+                    yield heic.sample_adjacency(theta, coins)
+
+        def studies(specs):
+            for link, seed, grid, observed in specs:
+                cfg = ExperimentConfig(link=link, d=3, n_grid=grid, replicates=2, seed=seed)
+                for n in grid:
+                    for r in range(2):
+                        yield _simulate_graph(cfg, n, r, observed)[1]
+
+        grid = (200, 500, 1000, 2000)
+        acceptance = [
+            (threshold, 20240901, grid, True),
+            (threshold, 777, (1000,), True),
+            (affine, 2024, grid, True),
+            (affine, 2024, grid, False),
+        ]
+        # The studies workload's round seeds (perfbench/run.py, study_configs).
+        rounds = [int(np.random.SeedSequence((1, r)).generate_state(1)[0]) for r in range(2)]
+        workload = [
+            spec
+            for seed in rounds
+            for spec in (
+                (threshold, seed, (200, 500, 1000), True),
+                (affine, seed, (500,), True),
+                (affine, seed, (200, 500, 1000), False),
+            )
+        ]
+        expected = {
+            "fixtures": "41f06072a684708e9360d8b81fe7bc0c69bc211a69d388b10ea7f8ed922930da",
+            "acceptance": "68f92a3cc412a186822ec909ca0d23fd8e4d245fe0a9bd6752883429b20e5fa2",
+            "studies-small": "cc84c9441e3691a0b8414ef7107ee746e4a6316754c4f4d56ca764e7af826032",
+        }
+        graphs = {"fixtures": fixtures(), "acceptance": studies(acceptance), "studies-small": studies(workload)}
+        for name, arrays in graphs.items():
+            digest = hashlib.sha256()
+            for a in arrays:
+                digest.update(a.tobytes())
+            assert digest.hexdigest() == expected[name], name
 
     def test_model_sampler_rejects_mismatched_n(self):
         sample = heic.sample_uniform_sphere(4, 3, seed=5)
@@ -322,6 +407,22 @@ class TestRequireSymmetric:
             assert got == expected
         else:
             assert got is m
+
+    def test_overflowing_difference_is_asymmetry(self):
+        # 1e308 - (-1e308) overflows to inf, which is an asymmetry of
+        # finite entries, not a non-finite entry.
+        m = np.zeros((3, 3))
+        m[0, 2], m[2, 0] = 1e308, -1e308
+        with pytest.raises(ValidationError, match="^matrix is not symmetric$"):
+            require_symmetric(m, "matrix")
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_pair_is_non_finite(self, bad):
+        # An inf on both sides of the diagonal differs by NaN, not by zero.
+        m = np.eye(400)
+        m[3, 350] = m[350, 3] = bad
+        with pytest.raises(ValidationError, match="^matrix has non-finite entries$"):
+            require_symmetric(m, "matrix")
 
     def test_no_n_by_n_float64_temporary(self, traced_peak):
         n = 3 * TILE + 17

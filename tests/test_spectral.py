@@ -22,7 +22,7 @@ from heic.spectral import (
     symmetric_eigvals,
     tridiagonalize,
 )
-from oracles import delta2_bruteforce, diagonal_spectrum, grid_values
+from oracles import delta2_bruteforce, delta2_numpy, diagonal_spectrum, grid_values
 
 
 class TestSymmetricEig:
@@ -90,7 +90,7 @@ class TestSymmetricEig:
         np.testing.assert_array_equal(_symmetrized(m), (m + m.T) / 2.0)
         assert traced_peak(_symmetrized, m) < 1.5 * m.nbytes
 
-    def test_eigvals_from_min_n_are_eigvalsh_bitwise(self, count_calls, partial_solve):
+    def test_eigvals_from_min_n_are_eigvalsh_bitwise(self, count_calls):
         m = _symmetric(40, 9)
         assert count_calls(symmetric_eigvals, m)["dsytrd"] == 1
         np.testing.assert_array_equal(symmetric_eigvals(m), np.linalg.eigvalsh(m)[::-1])
@@ -155,23 +155,83 @@ class TestTridiagonalize:
     def test_import_heic_leaves_scipy_unloaded(self):
         # scipy.linalg costs about 0.3 s and 27 MB of RSS, scipy.sparse.linalg
         # 0.5 s and 3.7 MB more; the solvers import them on first use, so
-        # neither ``import heic`` nor a graph below PARTIAL_SOLVE_MIN_N nodes
-        # loads any scipy module.
-        src = str(Path(heic.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
+        # neither ``import heic`` nor the analytic spectrum, which is all a
+        # set-up needs, loads any scipy module.
         code = (
-            "import sys, heic, numpy as np\n"
+            "import sys, heic\n"
             "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "print(loaded())\n"
-            "graph = np.ones((60, 60), dtype=np.uint8) - np.eye(60, dtype=np.uint8)\n"
-            "heic.heic(graph, 3)\n"
-            "heic.estimate_dimension(graph)\n"
+            "heic.analytic_spectrum(heic.threshold(0.0), 3, 20)\n"
             "print(loaded())\n"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.split() == ["[]", "[]"]
+        assert _run_python(code).split() == ["[]", "[]"]
+
+
+def _run_python(code: str) -> str:
+    """Standard output of code run by a fresh interpreter that imports heic from this tree."""
+    src = str(Path(heic.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+# Run in a fresh interpreter: the threads that exist right after numpy is
+# imported are its OpenBLAS workers (scipy's LAPACK starts its own pool
+# later).  Their CPU ticks are summed over the graph commands and one
+# replicate of each study; a worker that is never woken stays asleep and
+# gains none.  The pause at the end outlasts a woken worker's spin.
+_NUMPY_POOL_TICKS = """
+import os, sys, time
+import numpy as np
+
+main = str(os.getpid())
+workers = [t for t in os.listdir("/proc/self/task") if t != main]
+if not workers:
+    print("none")
+    sys.exit()
+
+
+def ticks():
+    total = 0
+    for tid in workers:
+        with open(f"/proc/self/task/{tid}/stat") as f:
+            fields = f.read().rsplit(")", 1)[1].split()
+        total += int(fields[11]) + int(fields[12])  # utime + stime
+    return total
+
+
+import heic
+from heic.experiments import ExperimentConfig
+
+graph = heic.model.sample_model_adjacency(
+    heic.sample_uniform_sphere(1200, 3, 1), heic.GraphModel(heic.threshold(0.0), 1.0, 1200), 2
+)
+config = lambda link, **kw: ExperimentConfig.from_dict(
+    {"link": link, "d": 3, "seed": 5, "replicates": 1, "n_grid": [400], "k_max": 300, **kw}
+)
+time.sleep(0.3)  # past any spin of the workers' start-up
+before = ticks()
+heic.estimate_dimension(graph)
+assert heic.heic(graph, 3)[1].solver == "certified"
+heic.run_mse_study(config("threshold:0"))
+heic.run_dimension_study(config("affine:0.5,0.5"))
+for matrix in ("observed", "noiseless"):
+    heic.run_spectrum_convergence(config("affine:0.5,0.5"), matrix=matrix)
+time.sleep(0.3)
+print(ticks() - before)
+"""
+
+
+class TestOneThreadPool:
+    def test_numpy_pool_stays_idle(self):
+        # Every threaded BLAS or LAPACK call of the graph commands and the
+        # studies runs on scipy's pool, so numpy's workers never wake.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc to read thread times from")
+        ticks = _run_python(_NUMPY_POOL_TICKS).strip()
+        if ticks == "none":
+            pytest.skip("numpy's BLAS started no worker thread")
+        assert int(ticks) == 0
 
 
 def _separated_ends(n, seed):
@@ -340,3 +400,18 @@ class TestDelta2:
             a, b, c = seqs
             assert heic.delta_2(a, b) == pytest.approx(heic.delta_2(b, a), abs=1e-12)
             assert heic.delta_2(a, c) <= heic.delta_2(a, b) + heic.delta_2(b, c) + 1e-12
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(
+        sizes=st.tuples(st.integers(0, 50_000), st.integers(0, 50_000)),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_numpys_norm_bitwise(self, sizes, scale, seed):
+        # scipy's ddot gives numpy's norm, also on the ~92,000 padded
+        # entries of a k_max=300 convergence study, where both BLAS
+        # libraries split the sum across threads.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(sizes[0]) * scale
+        b = rng.standard_normal(sizes[1])
+        assert heic.delta_2(a, b) == delta2_numpy(a, b)

@@ -394,6 +394,16 @@ class TestHeicPipeline(RejectsBadAdjacency):
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
         assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dpotrf": 0}
 
+    @pytest.mark.parametrize("min_n, solver", [(12, "dsytrd")])
+    def test_partial_solve_from_min_n(self, count_calls, min_n, solver):
+        # No size falls back to numpy's full eigh: every complete graph from
+        # the smallest window heic accepts, d + 2 nodes, up to K_min_n is too
+        # small for ARPACK and takes exactly one tridiagonal reduction.
+        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "arpack", "dpotrf"), 0)
+        for n in range(5, min_n + 1):
+            counts = count_calls(heic.heic, np.ones((n, n)) - np.eye(n), 3)
+            assert counts == {"validate": 1, **zero, solver: 1}
+
     def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
         # heic and the dimension scan share one reduction, dsytrd + dsterf,
         # which is also the arithmetic of numpy's eigvalsh, so heic reports

@@ -330,8 +330,11 @@ def run_spectrum_convergence(
     reference = analytic_spectrum(cfg.link, cfg.d, cfg.k_max).flattened()
 
     def replicate(n: int, r: int) -> ConvergenceRecord:
-        _, m, rho = _simulate_graph(cfg, n, r, observed=matrix == "observed")
-        return ConvergenceRecord(n, r, delta_2(tridiagonalize(m / (n * rho)).values, reference))
+        observed = matrix == "observed"
+        _, m, rho = _simulate_graph(cfg, n, r, observed)
+        # Theta is divided where it lies; the uint8 adjacency needs a float64 copy.
+        m = np.divide(m, n * rho, out=None if observed else m)
+        return ConvergenceRecord(n, r, delta_2(tridiagonalize(m).values, reference))
 
     return _run_replicates(
         cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)

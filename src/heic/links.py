@@ -9,12 +9,16 @@ domain.  Built-in kinds:
 * ``table(ts, values)``-- piecewise-linear interpolation of sample points,
 * ``custom(fn)``       -- arbitrary callable.
 
-Every link is probed once, when it is built, through its evaluator
-LinkFunction.__call__ at 1024 Chebyshev-spaced points.  The evaluator is the
-one range check: a value that is not finite or leaves [0, 1] by more than
-1e-12 raises ``<label> link leaves [0, 1]: range [lo, hi]``, at the probe or
-at a later evaluation that hits a spike the probe missed.  Declared
-discontinuities are carried along so quadrature can split the domain there.
+LinkFunction.__call__ checks that its arguments lie in [-1, 1], clips them
+there and hands them to the private evaluator LinkFunction._evaluate, which
+runs fn and the one range check of the links: a value that is not finite or
+leaves [0, 1] by more than 1e-12 raises
+``<label> link leaves [0, 1]: range [lo, hi]``.  Every link is probed once,
+when it is built, through __call__ at 1024 Chebyshev-spaced points; the
+samplers and probability_matrix, which clip the inner products themselves,
+call _evaluate directly, one block at a time, so a spike the probe missed is
+caught there too.  Declared discontinuities are carried along so quadrature
+can split the domain there.
 """
 
 from __future__ import annotations
@@ -53,13 +57,26 @@ class LinkFunction:
         # Written so that NaN, which fails every comparison, fails the check.
         if arr.size and not (arr.min() >= -1.0 - RANGE_SLACK and arr.max() <= 1.0 + RANGE_SLACK):
             raise ValidationError("link argument outside [-1, 1]")
-        out = np.asarray(self.fn(np.clip(arr, -1.0, 1.0)), dtype=float)
-        if out.size and not (out.min() >= -RANGE_SLACK and out.max() <= 1.0 + RANGE_SLACK):
-            raise ValidationError(
-                f"{self.label} link leaves [0, 1]: range [{out.min():g}, {out.max():g}]"
-            )
-        out = np.clip(out, 0.0, 1.0)
+        out = self._evaluate(np.clip(arr, -1.0, 1.0))
         return float(out) if out.ndim == 0 else out
+
+    def _evaluate(self, t: np.ndarray) -> np.ndarray:
+        """fn at arguments already in [-1, 1], range-checked and clipped to [0, 1].
+
+        The result is fn's own output as float64 when it lies in [0, 1], so
+        fn must return a new array or its argument: the samplers scale the
+        result in place.  It is a clipped copy when some value lies within
+        the slack outside [0, 1], or when fn's output is read-only.
+        """
+        out = np.asarray(self.fn(t), dtype=float)
+        if out.size:
+            lo, hi = out.min(), out.max()
+            # Written so that NaN, which fails every comparison, fails the check.
+            if not (lo >= -RANGE_SLACK and hi <= 1.0 + RANGE_SLACK):
+                raise ValidationError(f"{self.label} link leaves [0, 1]: range [{lo:g}, {hi:g}]")
+            if lo < 0.0 or hi > 1.0 or not out.flags.writeable:
+                out = np.clip(out, 0.0, 1.0)
+        return out
 
 
 def _number(value, what: str) -> float:

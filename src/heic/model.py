@@ -10,10 +10,15 @@ graph, no self-loops).
 
 Theta and the Gram matrix are dense float64 arrays; an adjacency is a dense
 uint8 0/1 array, one byte per entry.  Both are kept exactly symmetric by
-construction.  The samplers flip the coins a block of rows at a time, so
-neither the n x n uniforms nor, in sample_model_adjacency, Theta itself
-ever exists whole.  Operations are pure: identical inputs and seed
-reproduce the output bit for bit.
+construction.  The samplers flip the coins a block of rows at a time, and
+only above the diagonal: each block forms Theta and compares it with its
+uniforms from the diagonal on, and the lower triangle of the adjacency is
+filled once, at the end, as the mirror of the upper one.  So neither the
+n x n uniforms nor, in sample_model_adjacency, Theta itself ever exists
+whole; there each block's link values are evaluated and scaled in place,
+through the link's private evaluator, as probability_matrix does on the
+whole matrix.  Operations are pure: identical inputs and seed reproduce
+the output bit for bit.
 """
 
 from __future__ import annotations
@@ -222,12 +227,17 @@ def row_gram(a: np.ndarray) -> np.ndarray:
     # dsyrk writes the lower triangle of its Fortran-order result; the
     # transpose is C-order with that triangle above the diagonal.
     t = blas.dsyrk(1.0, a.T, trans=1, lower=1).T
-    for upper, lower, weight in _mirrored_tiles(t):
+    _mirror_upper(t)
+    return t
+
+
+def _mirror_upper(arr: np.ndarray) -> None:
+    """Copy the triangle above the diagonal of the square arr into the one below, tile by tile."""
+    for upper, lower, weight in _mirrored_tiles(arr):
         if weight == 2:
             lower[...] = upper
         else:  # the tile and its mirror overlap: copy only above its diagonal
             np.copyto(lower, upper, where=~np.tri(upper.shape[0], dtype=bool))
-    return t
 
 
 def inner_products(sample: LatentSample) -> np.ndarray:
@@ -247,40 +257,62 @@ def _require_model_size(sample: LatentSample, model: GraphModel) -> None:
 
 
 def probability_matrix(sample: LatentSample, model: GraphModel) -> np.ndarray:
-    """Theta with Theta_ij = rho * f(<X_i, X_j>) off-diagonal, 0 on the diagonal."""
+    """Theta with Theta_ij = rho * f(<X_i, X_j>) off-diagonal, 0 on the diagonal.
+
+    The link's values are scaled and their diagonal cleared in place, so
+    the inner products and those values are the only n x n arrays.
+    """
     _require_model_size(sample, model)
-    theta = model.sparsity * model.link(inner_products(sample))
+    theta = model.link._evaluate(inner_products(sample))
+    theta *= model.sparsity
     np.fill_diagonal(theta, 0.0)
     return theta
 
 
-# The samplers hold a block of rows of Theta and of the uniforms at a time,
-# each about this many bytes of float64: a fixed row count would make a
-# block a large share of n^2 at moderate n (256 rows are 21% at n=1200).
-SAMPLE_BLOCK_BYTES = 2**21
+# The samplers hold a block of rows of the uniforms at a time, about this
+# many bytes of float64, with its part of Theta and the link's temporaries
+# of at most the same size.  Together they stay within the 2 MB L2 cache of
+# a core.  sample_model_adjacency, threshold(0), d=3, rho=1, 2 cores, median
+# ms of 25 runs interleaved after a warm-up:
+#
+#   n      2^17   2^18   2^19   2^20   2^21
+#   500     2.7    2.4    2.4    3.5    4.6
+#   1000    9.6    8.8    8.9    9.5   14.2
+#   2000   37.9   34.1   33.6   33.2   37.6
+#   3000   82.5   74.3   70.8   71.8   75.2
+#
+# and at n=200, 0.5 ms for every size.  Forming whole rows instead, and
+# the lower triangle from each block's transpose, in blocks of 2^21 bytes,
+# took 0.6, 7.9, 34.4, 145 and 158 ms at these n.
+SAMPLE_BLOCK_BYTES = 2**19
 
 
 def _sample_rows(n: int, theta_rows, seed: int) -> np.ndarray:
     """Symmetric uint8 adjacency with zero diagonal from upper-triangle coins.
 
-    theta_rows(i, j) gives rows i .. j-1 of Theta.  Each block of rows draws
-    its uniforms as rng.random((j - i, n)); PCG64 fills consecutive blocks
-    with the values one rng.random((n, n)) draw would hold, so the coins do
-    not depend on the block size.
+    theta_rows(i, j) gives rows i .. j-1 of Theta over columns i .. n-1: the
+    block's part from the diagonal on.  Each block of rows draws its
+    uniforms as rng.random((j - i, n)) and uses columns i .. n-1 of them;
+    PCG64 fills consecutive blocks with the values one rng.random((n, n))
+    draw would hold, so the coins do not depend on the block size.  Each
+    comparison is written straight into its rows of the result.  The corner
+    of each block's leading square below the diagonal is then written over
+    by the mirror of the upper triangle, and the diagonal cleared.
     """
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    adj = np.zeros((n, n), dtype=np.uint8)
+    adj = np.empty((n, n), dtype=np.uint8)
     step = max(1, SAMPLE_BLOCK_BYTES // (8 * n))
     for i in range(0, n, step):
         j = min(n, i + step)
+        u = rng.random((j - i, n))
         # The uniforms lie in [0, 1), so comparing them with Theta flips the
         # same coins as comparing them with clip(Theta, 0, 1) would, within
         # the link's range slack.
-        upper = np.triu(rng.random((j - i, n)) < theta_rows(i, j), k=i + 1)
-        adj[i:j] |= upper
-        adj[:, i:j] |= upper.T
+        np.less(u[:, i:], theta_rows(i, j), out=adj[i:j, i:].view(np.bool_))
+    _mirror_upper(adj)
+    np.fill_diagonal(adj, 0)
     return adj
 
 
@@ -292,13 +324,14 @@ def sample_adjacency(theta, seed: int) -> np.ndarray:
     theta = require_symmetric(theta, "probability matrix")
     if theta.min() < -RANGE_SLACK or theta.max() > 1.0 + RANGE_SLACK:
         raise ValidationError("probability matrix entries must lie in [0, 1]")
-    return _sample_rows(theta.shape[0], lambda i, j: theta[i:j], seed)
+    return _sample_rows(theta.shape[0], lambda i, j: theta[i:j, i:], seed)
 
 
 def sample_model_adjacency(sample: LatentSample, model: GraphModel, seed: int) -> np.ndarray:
     """The coins of sample_adjacency(probability_matrix(sample, model), seed), Theta never whole.
 
-    Each block of rows of Theta is rho * f(clip(X[i:j] X^T, -1, 1)).  The
+    Each block of rows of Theta is rho * f(clip(X[i:j] X[i:]^T, -1, 1)),
+    from the diagonal on, with the link evaluated and scaled in place.  The
     block product runs as a general matrix product (scipy's BLAS dgemm)
     where inner_products runs a symmetric rank-k update, so an entry can
     differ from it in the last bit; a coin differs only if its uniform falls
@@ -310,10 +343,12 @@ def sample_model_adjacency(sample: LatentSample, model: GraphModel, seed: int) -
     x = sample.points
 
     def theta_rows(i: int, j: int) -> np.ndarray:
-        # X X[i:j]^T in Fortran order, from the Fortran views of the C-order
-        # rows: its transpose is the C-order block, with no copy.
-        t = blas.dgemm(1.0, x.T, x[i:j].T, trans_a=1).T
-        return model.sparsity * model.link(np.clip(t, -1.0, 1.0, out=t))
+        # X[i:] X[i:j]^T in Fortran order, from the Fortran views of the
+        # C-order rows: its transpose is the C-order block, with no copy.
+        t = blas.dgemm(1.0, x[i:].T, x[i:j].T, trans_a=1).T
+        theta = model.link._evaluate(np.clip(t, -1.0, 1.0, out=t))
+        theta *= model.sparsity
+        return theta
 
     return _sample_rows(sample.n, theta_rows, seed)
 

@@ -38,10 +38,13 @@ step among its end's Ritz values (the one nearest the middle) that is wider
 than 2 (eps + eta).
 
 extreme_pairs runs on the working copy as it is and never writes it.
-confirm() forms B in the copy and factorizes it in place, twice, and takes
-a callable that writes the matrix back in between; when the proof fails it
-writes it back once more, so that the caller can fall back to the
-reduction on it.
+confirm() forms B in the copy and factorizes it in place, twice: the top
+end in the triangle above the diagonal, then the bottom end in the triangle
+below it, which the first proof leaves as it was, with the diagonal put
+back from a saved copy.  So the copy must be exactly symmetric, as A/n of a
+validated adjacency is.  confirm() also takes a callable that writes the
+matrix back, which it runs only when the proof fails, so that the caller
+can fall back to the reduction on it.
 
 One thread pool.  numpy and scipy each ship an OpenBLAS with its own pool
 of worker threads, and an idle worker spins for about 0.1 s after a call
@@ -254,16 +257,19 @@ class ExtremePairs:
     def confirm(self, work: np.ndarray, rebuild: Callable[[], object]) -> bool:
         """Prove the claim by two Cholesky factorizations; work holds A on entry and is overwritten.
 
-        The first proves the top end, the second the bottom end (see the
-        module docstring).  rebuild() writes A back into work.  It runs
-        between the two, and once more when the proof fails, so that work
-        then holds A again.
+        work must be exactly symmetric.  The first factorization proves the
+        top end on the triangle above the diagonal, the second the bottom end
+        on the triangle below it, which the first leaves untouched, with the
+        diagonal put back from a copy saved on entry (see the module
+        docstring).  rebuild() writes A back into work.  It runs only when
+        the proof fails, so that work then holds A again.
         """
         s_hi, s_lo = self.shifts
-        proved = _definite(work, s_hi, -1.0, self.top, self.top_vectors)
+        diagonal = np.diagonal(work).copy()
+        proved = _definite(work, s_hi, -1.0, self.top, self.top_vectors, upper=True)
         if proved:
-            rebuild()
-            proved = _definite(work, s_lo, 1.0, self.bottom, self.bottom_vectors)
+            np.fill_diagonal(work, diagonal)
+            proved = _definite(work, s_lo, 1.0, self.bottom, self.bottom_vectors, upper=False)
         if not proved:
             rebuild()
         return proved
@@ -381,20 +387,22 @@ def _factor_slack(work: np.ndarray, norm: float, k: int) -> float:
     return 2.01 * g * (n * (diagonal + norm) + 13.0 * k * norm)
 
 
-def _definite(work: np.ndarray, shift: float, sign: float, values, vectors) -> bool:
+def _definite(work: np.ndarray, shift: float, sign: float, values, vectors, upper=True) -> bool:
     """Whether dpotrf factors sign (A - shift I) + U U^T, U = V diag(sqrt(2 sign (shift - th))).
 
-    work holds A on entry.  The matrix is formed and factorized in place:
-    the diagonal shift, one dsyrk into the lower triangle of LAPACK's
-    Fortran view work.T, then dpotrf on that triangle.
+    The diagonal of work and its triangle above the diagonal (upper) or
+    below it hold A on entry.  The matrix is formed and factorized in that
+    triangle and the diagonal, in place: the diagonal shift, one dsyrk into
+    the matching triangle of LAPACK's Fortran view work.T (its lower one for
+    upper), then dpotrf on that triangle.  The other triangle is not written.
     """
     from scipy.linalg import blas, lapack
 
     n = work.shape[0]
     work.flat[:: n + 1] -= shift
     u = vectors * np.sqrt(2.0 * sign * (shift - values))
-    blas.dsyrk(1.0, u, beta=sign, c=work.T, lower=1, overwrite_c=1)
-    return lapack.dpotrf(work.T, lower=1, clean=0, overwrite_a=1)[1] == 0
+    blas.dsyrk(1.0, u, beta=sign, c=work.T, lower=int(upper), overwrite_c=1)
+    return lapack.dpotrf(work.T, lower=int(upper), clean=0, overwrite_a=1)[1] == 0
 
 
 def _symmetrized(m) -> np.ndarray:

@@ -2,9 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heic
 from heic.errors import ValidationError
+from heic.links import RANGE_SLACK
+from heic.model import sample_model_adjacency
 
 
 class TestThreshold:
@@ -83,6 +87,61 @@ class TestTableAndCustom:
             heic.threshold(0.0)(float("nan"))
         with pytest.raises(ValidationError, match="outside"):
             heic.threshold(0.0)(np.array([0.5, np.nan]))
+
+
+# Arguments at and near the ends of [-1, 1], within RANGE_SLACK outside it,
+# and anywhere between; the dusty link returns values within the slack
+# outside [0, 1], which the evaluator clips.
+_ARGUMENTS = st.one_of(
+    st.sampled_from([-1.0, 1.0, -1.0 - RANGE_SLACK, 1.0 + RANGE_SLACK, 0.0, -0.0, 0.3]),
+    st.floats(1.0, 1.0 + RANGE_SLACK),
+    st.floats(-1.0 - RANGE_SLACK, -1.0),
+    st.floats(-1.0 - RANGE_SLACK, 1.0 + RANGE_SLACK),
+)
+_LINKS = [
+    heic.threshold(0.0),
+    heic.threshold(0.3),
+    heic.affine(0.5, 0.5),
+    heic.affine(0.5, -0.5),
+    heic.table([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
+    heic.custom(lambda t: np.square(t), label="square"),
+    heic.custom(lambda t: np.where(t > 0.0, 1.0 + RANGE_SLACK / 2, -RANGE_SLACK / 2), label="dusty"),
+    heic.custom(lambda t: np.broadcast_to(0.25, np.shape(t)), label="read-only"),
+]
+
+
+class TestEvaluator:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(link=st.sampled_from(_LINKS), ts=st.lists(_ARGUMENTS, min_size=1, max_size=12))
+    def test_evaluator_is_call_bitwise(self, link, ts):
+        # The samplers' evaluator on clipped arguments, __call__, and the
+        # formula clip(fn(clip(t, -1, 1)), 0, 1): the same bits, arrays and scalars.
+        t = np.array(ts)
+        clipped = np.clip(t, -1.0, 1.0)
+        expected = np.clip(np.asarray(link.fn(clipped), dtype=float), 0.0, 1.0)
+        assert link._evaluate(clipped.copy()).tobytes() == expected.tobytes()
+        assert link(t).tobytes() == expected.tobytes()
+        assert np.float64(link(t[0])).tobytes() == expected[:1].tobytes()
+
+    def test_read_only_output_scaled_as_a_copy(self):
+        # The samplers scale the evaluator's result in place.
+        link = heic.custom(lambda t: np.broadcast_to(0.25, np.shape(t)), label="read-only")
+        sample = heic.sample_uniform_sphere(40, 3, seed=2)
+        model = heic.GraphModel(link=link, sparsity=0.5, n=40)
+        theta = heic.probability_matrix(sample, model)
+        assert np.array_equal(theta, 0.125 * (1.0 - np.eye(40)))
+        assert sample_model_adjacency(sample, model, 3).tobytes() == heic.sample_adjacency(theta, 3).tobytes()
+
+    def test_spike_rejected_on_the_sampler_path(self):
+        # The probe's largest point, cos(pi / 2048), lies below the spike,
+        # which the samplers and probability_matrix hit on the diagonal, where t = 1.
+        spike = heic.custom(lambda t: np.where(t > 0.9999999, 2.0, 0.5), label="spike")
+        sample = heic.sample_uniform_sphere(30, 3, seed=1)
+        model = heic.GraphModel(link=spike, sparsity=1.0, n=30)
+        with pytest.raises(ValidationError, match=re.escape("spike link leaves [0, 1]: range [0.5, 2]")):
+            sample_model_adjacency(sample, model, 1)
+        with pytest.raises(ValidationError, match=re.escape("spike link leaves [0, 1]: range [0.5, 2]")):
+            heic.probability_matrix(sample, model)
 
 
 class TestLinkSpecs:

@@ -132,6 +132,25 @@ class TestProbabilityMatrix:
         with pytest.raises(ValidationError):
             heic.probability_matrix(sample, model)
 
+    @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)], ids=["threshold", "affine"])
+    def test_link_call_bitwise(self, link):
+        # The link's evaluator, scaled in place, has the bits of the public call.
+        sample = heic.sample_uniform_sphere(300, 3, seed=2)
+        model = heic.GraphModel(link=link, sparsity=0.3, n=300)
+        expected = 0.3 * link(heic.inner_products(sample))
+        np.fill_diagonal(expected, 0.0)
+        assert heic.probability_matrix(sample, model).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)], ids=["threshold", "affine"])
+    def test_scaled_in_place(self, traced_peak, link):
+        # The inner products and the link's values (with threshold's bool
+        # mask, 1/8 of 8 n^2): no clipped or scaled copy besides.
+        n = 800
+        sample = heic.sample_uniform_sphere(n, 3, seed=n)
+        model = heic.GraphModel(link=link, sparsity=0.5, n=n)
+        heic.probability_matrix(sample, model)  # imports before tracing
+        assert traced_peak(heic.probability_matrix, sample, model) < 2.5 * 8 * n * n
+
     def test_permutation_equivariance(self):
         sample = heic.sample_uniform_sphere(12, 3, seed=21)
         model = heic.GraphModel(link=heic.affine(0.5, 0.5), sparsity=0.8, n=12)
@@ -294,6 +313,17 @@ class TestSampleAdjacency:
             for a in arrays:
                 digest.update(a.tobytes())
             assert digest.hexdigest() == expected[name], name
+
+    @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)], ids=["threshold", "affine"])
+    def test_model_sampler_holds_no_n_by_n_float64_array(self, traced_peak, link):
+        # The uint8 result (1/8 of 8 n^2) and one block of rows from the
+        # diagonal on: the uniforms, the product and the link's values, each
+        # of SAMPLE_BLOCK_BYTES (0.1 of 8 n^2 at n=800).
+        n = 800
+        sample = heic.sample_uniform_sphere(n, 3, seed=n)
+        model = heic.GraphModel(link=link, sparsity=0.5, n=n)
+        sample_model_adjacency(sample, model, 1)  # imports before tracing
+        assert traced_peak(sample_model_adjacency, sample, model, 1) < 0.5 * 8 * n * n
 
     def test_model_sampler_rejects_mismatched_n(self):
         sample = heic.sample_uniform_sphere(4, 3, seed=5)

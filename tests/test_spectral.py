@@ -280,6 +280,46 @@ class TestExtremePairs:
         np.testing.assert_allclose(m @ v, v * values[1:3], atol=1e-10)
         assert pairs.confirm(work, lambda: np.copyto(work, m))
 
+    @pytest.mark.parametrize("upper", [True, False], ids=["upper", "lower"])
+    def test_definite_uses_one_triangle(self, upper):
+        # Each proof reads the diagonal and one triangle of work and writes
+        # nothing in the other, which confirm() proves the bottom end on.
+        m = _separated_ends(120, 6)
+        values, vectors = np.linalg.eigh(m)
+        values, vectors = values[::-1], vectors[:, ::-1]
+        s = 0.5 * (values[4] + values[5])
+        other = np.tril_indices(120, -1) if upper else np.triu_indices(120, 1)
+        for deflated in (4, 5):
+            work = m.copy()
+            work[other] = np.nan
+            proved = _definite(work, s, -1.0, values[:deflated], vectors[:, :deflated], upper=upper)
+            assert proved == (deflated == 5)
+            assert np.isnan(work[other]).all()
+
+    def test_rebuilds_only_when_the_proof_fails(self):
+        # A proof that holds needs no copy of A between its two ends, and a
+        # refused one, at either end, writes A back once.
+        m = _separated_ends(200, 4)
+        work = m.copy()
+        pairs = extreme_pairs(work, 9)
+        short_top = dataclasses.replace(pairs, top=pairs.top[:-1], top_vectors=pairs.top_vectors[:, :-1])
+        short_bottom = dataclasses.replace(
+            pairs, bottom=pairs.bottom[1:], bottom_vectors=pairs.bottom_vectors[:, 1:]
+        )
+        rebuilds = []
+
+        def rebuild():
+            rebuilds.append(True)
+            np.copyto(work, m)
+
+        for claim, holds in ((pairs, True), (short_top, False), (short_bottom, False)):
+            np.copyto(work, m)
+            rebuilds.clear()
+            assert claim.confirm(work, rebuild) == holds
+            assert len(rebuilds) == (0 if holds else 1)
+            if not holds:
+                assert np.array_equal(work, m)
+
     def test_false_claim_is_refused_and_work_rebuilt(self):
         # One top value fewer than the shift has above it: the first count disagrees.
         m = _separated_ends(200, 5)

@@ -16,11 +16,13 @@ scores the best separation of any d consecutive sorted eigenvalues, and
 the candidate whose score is largest is the estimate.  Ties pick the
 smallest d, because np.argmax returns the first maximum and the default
 candidates 1 .. d_max increase.  The scores read eigenvalues only, so one
-eigenvalue-only solve serves every candidate: the values of
-spectral.tridiagonalize, a tridiagonal reduction and dsterf, which are
-numpy's eigvalsh bit for bit.  The dimension scan always takes this full
-reduction: its small candidates score windows inside the bulk, with gaps
-far below the bulk's width, which no partial spectrum can certify.
+eigenvalue-only solve serves every candidate: spectral.tridiagonal_eigvals,
+a tridiagonal reduction and dsterf.  Below spectral.TWO_STAGE_MIN_N its
+values are numpy's eigvalsh bit for bit; from there on the reduction is
+LAPACK's two-stage one, whose values differ from those in the last bits.
+The dimension scan always takes this full reduction: its small candidates
+score windows inside the bulk, with gaps far below the bulk's width, which
+no partial spectrum can certify.  It needs n >= d_max + 2.
 
 heic() has two solver routes (see spectral.py), at every n, and names the
 one it took in HeicDiagnostics.solver:
@@ -36,9 +38,12 @@ one it took in HeicDiagnostics.solver:
   declines (ARPACK's Krylov basis too large for n, ARPACK past its budget,
   a factorization that breaks down, or a window rule that does not
   certify): the reduction, every eigenvalue, and the window's eigenvectors
-  alone.  Its eigenvalues are the dimension scan's bit for bit, so
-  heic(adjacency, d) then reports the score of candidate d as its gap
-  exactly.
+  alone.  It reduces by dsytrd at every n, because the window's
+  eigenvectors need the reflectors, which the two-stage reduction does not
+  keep.  Below spectral.TWO_STAGE_MIN_N its eigenvalues are the dimension
+  scan's bit for bit, so heic(adjacency, d) then reports the score of
+  candidate d as its gap exactly; from there on the two differ by
+  rounding alone (at most 2.2e-15 on n=3000 threshold(0) graphs).
 
 Both routes, and the dimension scan, run every BLAS and LAPACK call on
 scipy's thread pool, so numpy's pool stays idle (see spectral.py).
@@ -419,5 +424,8 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     if d_max < 1:
         raise ValidationError(f"d_max must be >= 1, got {d_max}")
     adjacency, _ = require_adjacency(adjacency)
-    candidates = _require_candidates(range(1, d_max + 1), adjacency.shape[0])
-    return _scan(spectral.tridiagonalize(_working_copy(adjacency)).values, candidates)
+    n = adjacency.shape[0]
+    if n < d_max + 2:
+        raise ValidationError(f"dimension scan needs n >= d_max + 2 = {d_max + 2}, got n = {n}")
+    candidates = tuple(range(1, d_max + 1))
+    return _scan(spectral.tridiagonal_eigvals(_working_copy(adjacency)), candidates)

@@ -284,6 +284,15 @@ def probability_matrix(sample: LatentSample, model: GraphModel) -> np.ndarray:
 # and at n=200, 0.5 ms for every size.  Forming whole rows instead, and
 # the lower triangle from each block's transpose, in blocks of 2^21 bytes,
 # took 0.6, 7.9, 34.4, 145 and 158 ms at these n.
+#
+# Each block draws its uniforms over whole rows and uses only columns
+# i .. n-1.  Skipping the rest by PCG64's bit_generator.advance, row by row,
+# keeps the coins (it matches one rng.random((n, n)) draw) but costs more
+# wherever the studies sample.  The uniforms alone, full rows against
+# per-row advance, took 0.14 against 0.43 ms at n=200, 0.76 against 1.41 ms
+# at n=500 and 2.71 against 3.02 ms at n=1000; advance won only at n=3000,
+# 26.6 against 37.1 ms.  A rerun, drawing into one reused block, gave the
+# same order: 0.14/0.56, 1.09/1.47, 4.73/5.36 and 41.6/30.6 ms.
 SAMPLE_BLOCK_BYTES = 2**19
 
 

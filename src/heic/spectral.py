@@ -5,8 +5,7 @@ d eigenvectors of the window it picks.  There are two routes:
 
 - tridiagonal: one in-place reduction to tridiagonal form (tridiagonalize:
   LAPACK dsytrd, then dsterf for the whole spectrum) and the window's
-  eigenvectors alone (Tridiagonal.window_vectors).  Callers that need
-  eigenvalues only take its values.
+  eigenvectors alone (Tridiagonal.window_vectors).
 - certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
   ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
   the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
@@ -36,6 +35,21 @@ over b bottom pairs, gives the b smallest, and every other eigenvalue at
 least lower = s_lo - eta.  Each shift sits at the midpoint of the innermost
 step among its end's Ritz values (the one nearest the middle) that is wider
 than 2 (eps + eta).
+
+Callers that need eigenvalues only (the dimension scan, the eig command and
+the convergence study) take tridiagonal_eigvals.  Below TWO_STAGE_MIN_N it
+returns tridiagonalize's values, which are numpy's eigvalsh bit for bit
+(dsytrd and dsterf are the arithmetic of its dsyevd without vectors).  From
+there on it reduces through LAPACK's two-stage dsytrd_2stage, a blocked
+reduction to band form and bulge chasing from the band to tridiagonal form
+(Bischof, Lang and Sun, ACM TOMS 26, 2000; Haidar, Ltaief and Dongarra,
+SC 2011), which moves the memory-bound dsymv half of dsytrd into BLAS-3.
+Its values differ from dsytrd's in the last bits, within a small multiple
+of n eps ||A||_F.  It keeps no usable reflectors (LAPACK has no back
+transformation for it), so heic()'s reduction route, which needs the
+window's eigenvectors, keeps dsytrd at every n.  scipy does not wrap the
+routine: it is bound by ctypes from the library scipy's LAPACK wrappers
+link, on first use, and where it is missing dsytrd serves every n.
 
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice: the top
@@ -73,12 +87,13 @@ orthogonal transform, as in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
-the matrix is square, finite and symmetric.  tridiagonalize overwrites the
-copy it is given.
+the matrix is square, finite and symmetric.  tridiagonalize and
+tridiagonal_eigvals overwrite the copy they are given.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional, Union
@@ -156,6 +171,13 @@ class Tridiagonal:
         return np.vstack([y[:1], c[: n - 1]])
 
 
+def _tridiagonal_values(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a symmetric tridiagonal matrix (LAPACK dsterf), sorted decreasingly."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return _solve(eigvalsh_tridiagonal, diagonal, offdiagonal, lapack_driver="sterf")[::-1]
+
+
 def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
@@ -164,15 +186,113 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     it in place.  The lwork query lets dsytrd run blocked: 1.45 s against
     2.73 s with its default lwork=n at n=3000 on 2 cores.
     """
-    from scipy.linalg import eigvalsh_tridiagonal, lapack
+    from scipy.linalg import lapack
 
     lwork, _ = lapack.dsytrd_lwork(arr.shape[0], lower=1)
     reflectors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
         arr.T, lower=1, lwork=int(lwork), overwrite_a=1
     )
     reflectors[0, 1:] = 0.0  # the untouched upper triangle; window_vectors needs it zero
-    values = _solve(eigvalsh_tridiagonal, diagonal, offdiagonal, lapack_driver="sterf")
-    return Tridiagonal(values[::-1], diagonal, offdiagonal, reflectors, tau)
+    values = _tridiagonal_values(diagonal, offdiagonal)
+    return Tridiagonal(values, diagonal, offdiagonal, reflectors, tau)
+
+
+# From this n on, tridiagonal_eigvals reduces through LAPACK's two-stage
+# dsytrd_2stage.  Median s (quartiles) of 5 alternating runs of each
+# reduction and dsterf on A/n of one threshold(0), d=3 graph per cell,
+# 2 cores, OpenBLAS 0.3.31 under scipy 1.17.1:
+#
+#   n     rho=1: dsytrd       2-stage            rho=8 ln n/n: dsytrd  2-stage
+#   1500  0.225 (.221-.227)   0.267 (.267-.268)  0.217 (.212-.218)    0.255 (.245-.269)
+#   2000  0.464 (.448-.482)   0.473 (.471-.480)  0.446 (.425-.449)    0.462 (.447-.465)
+#   2500  0.784 (.777-.849)   0.658 (.618-.684)  0.838 (.824-.844)    0.684 (.619-.700)
+#   3000  1.532 (1.44-1.53)   1.242 (1.21-1.29)  1.375 (1.37-1.50)    1.115 (1.09-1.20)
+#   4000  3.498 (3.43-3.54)   2.561 (2.38-2.68)  3.262 (3.26-3.34)    2.591 (2.53-2.64)
+#
+# The two-stage run was faster in 0, 2-3, 4-5, 5 and 5 of 5 pairs at these
+# n.  Below them it loses by more: 25-26 against 14 ms at n=500, 110-115
+# against 68-72 ms at n=1000 (medians of 7).  The spectra differed by at
+# most 2.2e-15.
+TWO_STAGE_MIN_N = 2500
+
+
+@functools.cache
+def _two_stage_routine():
+    """LAPACK dsytrd_2stage from the library scipy's LAPACK wrappers link, or None.
+
+    scipy does not wrap it, so it is looked up by ctypes, once, on first
+    use: under scipy's symbol prefix first, then under its plain name.  The
+    arguments are LP64 ints, with the lengths of the two character
+    arguments last.
+    """
+    import ctypes
+
+    try:
+        from scipy.linalg import _flapack
+
+        library = ctypes.CDLL(_flapack.__file__)
+    except (ImportError, OSError):
+        return None
+    for name in ("scipy_dsytrd_2stage_", "dsytrd_2stage_"):
+        routine = getattr(library, name, None)
+        if routine is not None:
+            break
+    else:
+        return None
+    char, integer, array = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    routine.argtypes = [
+        char, char, integer, array, integer,  # vect, uplo, n, a, lda
+        array, array, array, array, integer,  # d, e, tau, hous2, lhous2
+        array, integer, integer,  # work, lwork, info
+        ctypes.c_size_t, ctypes.c_size_t,  # the lengths of vect and uplo
+    ]
+    routine.restype = None
+    return routine
+
+
+def _dsytrd_2stage(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and offdiagonal of a tridiagonal T = Q^T arr Q by LAPACK dsytrd_2stage.
+
+    vect='N': Q is not kept.  arr, C-contiguous float64 and exactly
+    symmetric, is overwritten; LAPACK reads its upper triangle as the lower
+    one of the Fortran view.  One query sizes the two workspaces.
+    """
+    import ctypes
+
+    square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
+    if not (square and arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
+        raise ValueError("dsytrd_2stage needs a square, writeable C-contiguous float64 array")
+    routine = _two_stage_routine()
+    n = arr.shape[0]
+    diagonal, offdiagonal, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
+    size, lhous2, lwork, info = (ctypes.c_int(v) for v in (n, -1, -1, 0))
+
+    def call(hous2, work):
+        routine(
+            b"N", b"L", size, arr.ctypes.data, size, diagonal.ctypes.data, offdiagonal.ctypes.data,
+            tau.ctypes.data, hous2.ctypes.data, lhous2, work.ctypes.data, lwork, info, 1, 1,
+        )
+        if info.value != 0:
+            raise EigenSolverError(f"dsytrd_2stage failed with info={info.value}")
+
+    hous2, work = np.empty(1), np.empty(1)
+    call(hous2, work)
+    lhous2.value, lwork.value = int(hous2[0]), int(work[0])
+    call(np.empty(lhous2.value), np.empty(lwork.value))
+    return diagonal, offdiagonal[: n - 1]
+
+
+def tridiagonal_eigvals(arr: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of a validated symmetric matrix, sorted decreasingly; arr is overwritten.
+
+    arr must be a C-contiguous float64 copy owned by the caller.  Below
+    TWO_STAGE_MIN_N, or when LAPACK has no dsytrd_2stage, these are the
+    values of tridiagonalize; from it on, dsytrd_2stage reduces arr and
+    dsterf solves the tridiagonal matrix.
+    """
+    if arr.shape[0] < TWO_STAGE_MIN_N or _two_stage_routine() is None:
+        return tridiagonalize(arr).values
+    return _tridiagonal_values(*_dsytrd_2stage(arr))
 
 
 Spectrum = Union[SortedSpectrum, Tridiagonal]
@@ -194,17 +314,19 @@ ARPACK_TOL = 1e-10
 
 # The matrix-vector products extreme_pairs allows ARPACK, which bound what a
 # graph that fails costs before the fallback.  On 2 cores at n=3000, d=3
-# (k=11), a product takes about 1.6 ms and the reduction about 800 of them.
+# (k=11), a product (scipy's dsymv) takes 0.94-0.97 ms and the reduction
+# (dsytrd and dsterf, 1.4-1.9 s) about 1500-1900 of them, so the 120
+# products allowed there cost 6-8% of it.
 # Dense threshold(0) graphs converged in 71-89 products (n = 1200 to 3000)
 # and certified; affine(0.5, 0.5) needed 288 at n=3000, because its window's
 # lower neighbour is the edge of the bulk.  The reduction's cost grows like
-# n^3 against n^2 for a product, so n/25 products keep a failure near 15% of
-# it at any large n.  Below n=3000 the floor of 120 products rules.  At
-# n = 200, 500 and 1000, dense threshold(0) graphs certified in 53, 62-106
-# and 71 products.  A graph that did not certify (affine(0.5, 0.5) at
-# rho=1, or a sparse threshold(0) one; 105-120 products) took 6-8, 22-23
-# and 88-96 ms with its fallback, against 3, 15-17 and 69-79 ms for the
-# reduction alone.
+# n^3 against n^2 for a product, so n/25 products keep a failure's products
+# near that share of it at any large n.  Below n=3000 the floor of 120
+# products rules.  At n = 200, 500 and 1000, dense threshold(0) graphs
+# certified in 53, 62-106 and 71 products.  A graph that did not certify
+# (affine(0.5, 0.5) at rho=1, or a sparse threshold(0) one; 105-120
+# products) took 6-8, 22-23 and 88-96 ms with its fallback, against 3,
+# 15-17 and 69-79 ms for the reduction alone.
 def _matvec_budget(n: int) -> int:
     return max(120, n // 25)
 
@@ -420,7 +542,7 @@ def symmetric_eig(m) -> SortedSpectrum:
 
 def symmetric_eigvals(m) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix, sorted decreasingly; no eigenvectors."""
-    return tridiagonalize(_symmetrized(m)).values
+    return tridiagonal_eigvals(_symmetrized(m))
 
 
 def normalize_adjacency(adj) -> np.ndarray:

@@ -67,14 +67,17 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 @pytest.fixture
 def count_calls(monkeypatch):
     """Run one call; return its adjacency validation passes, eigh / eigvalsh calls,
-    tridiagonal reductions (LAPACK dsytrd), ARPACK runs (scipy eigsh) and
+    tridiagonal reductions (LAPACK dsytrd, and dsytrd_2stage for eigenvalues
+    only from spectral.TWO_STAGE_MIN_N), ARPACK runs (scipy eigsh) and
     Cholesky factorizations (LAPACK dpotrf, one per end the certified route
     proves).
 
     A validation pass is a call of model.require_adjacency, whatever the
     adjacency's dtype: a uint8 or bool one never reaches require_symmetric.
     """
-    counts = dict.fromkeys(("validate", "eigh", "eigvalsh", "dsytrd", "arpack", "dpotrf"), 0)
+    counts = dict.fromkeys(
+        ("validate", "eigh", "eigvalsh", "dsytrd", "dsytrd_2stage", "arpack", "dpotrf"), 0
+    )
 
     def counting(key, real):
         def wrapper(*args, **kwargs):
@@ -90,6 +93,9 @@ def count_calls(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(lapack, "dsytrd", counting("dsytrd", lapack.dsytrd))
+    monkeypatch.setattr(
+        heic.spectral, "_dsytrd_2stage", counting("dsytrd_2stage", heic.spectral._dsytrd_2stage)
+    )
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("arpack", scipy.sparse.linalg.eigsh))
     monkeypatch.setattr(lapack, "dpotrf", counting("dpotrf", lapack.dpotrf))
 
@@ -133,6 +139,12 @@ def certified_solve(monkeypatch):
     """heic() tries the certified route at every density, and falls back to
     the tridiagonal solve when it fails."""
     monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", 0.0)
+
+
+@pytest.fixture
+def two_stage(monkeypatch):
+    """spectral.tridiagonal_eigvals takes LAPACK's two-stage reduction at every n."""
+    monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", 1)
 
 
 THRESHOLD_GAP_K3 = 0.25  # separation of the level-1 eigenvalue in the k<=3 spectrum

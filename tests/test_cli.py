@@ -156,6 +156,18 @@ class TestDimensionCommand:
         assert len(lines) == 16
         assert "chosen dimension: 3" in capsys.readouterr().out
 
+    def test_too_few_nodes_names_d_max(self, tmp_path, capsys):
+        # With the default --dmax 15 a 4-node graph is rejected for d_max, a
+        # value the user can change, not for some candidate d.
+        edges = tmp_path / "g.edges"
+        edges.write_text("n=4\n0 1\n1 2\n2 3\n")
+        code = cli.cli_main(["dimension", "--input", str(edges), "--out", str(tmp_path / "scores.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: dimension scan needs n >= d_max + 2 = 17, got n = 4"
+        ]
+        assert not (tmp_path / "scores.csv").exists()
+
 
 class TestSpectrumAndEigCommands:
     def test_spectrum_csv(self, tmp_path):

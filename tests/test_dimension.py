@@ -83,7 +83,27 @@ class TestEstimateDimension(RejectsBadAdjacency):
 
     def test_single_decomposition_shared_by_candidates(self, count_calls):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dpotrf": 0}
+        assert counts == {
+            "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "dsytrd_2stage": 0, "arpack": 0,
+            "dpotrf": 0,
+        }
+
+    def test_two_stage_reduction_alone(self, count_calls, two_stage):
+        counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
+        assert counts == {
+            "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, "dsytrd_2stage": 1, "arpack": 0,
+            "dpotrf": 0,
+        }
+
+    def test_two_stage_scores_match_one_stage(self, monkeypatch):
+        # The two reductions round differently, so the scores agree to a few
+        # ulps of the spectrum (whose scale is about 1) and the choice agrees.
+        adjacency = self._adjacency(n=400)
+        one = heic.estimate_dimension(adjacency)
+        monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", 1)
+        two = heic.estimate_dimension(adjacency)
+        assert two.chosen == one.chosen == 3
+        np.testing.assert_allclose(two.scores, one.scores, rtol=0, atol=1e-12)
 
     def test_one_reduction_from_min_n(self):
         # The reduction runs at every n (there is no longer a size below

@@ -392,17 +392,26 @@ class TestHeicPipeline(RejectsBadAdjacency):
         # K_12 is dense enough for the certified route, but too small for
         # ARPACK's Krylov basis, so the route declines before it runs.
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "arpack": 0, "dpotrf": 0}
+        assert counts == {
+            "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "dsytrd_2stage": 0, "arpack": 0,
+            "dpotrf": 0,
+        }
 
     @pytest.mark.parametrize("min_n, solver", [(12, "dsytrd")])
     def test_partial_solve_from_min_n(self, count_calls, min_n, solver):
         # No size falls back to numpy's full eigh: every complete graph from
         # the smallest window heic accepts, d + 2 nodes, up to K_min_n is too
         # small for ARPACK and takes exactly one tridiagonal reduction.
-        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "arpack", "dpotrf"), 0)
+        zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "dsytrd_2stage", "arpack", "dpotrf"), 0)
         for n in range(5, min_n + 1):
             counts = count_calls(heic.heic, np.ones((n, n)) - np.eye(n), 3)
             assert counts == {"validate": 1, **zero, solver: 1}
+
+    def test_reduction_route_keeps_dsytrd(self, count_calls, partial_solve, two_stage):
+        # window_vectors needs the reflectors, which the two-stage reduction
+        # does not keep, so heic() reduces by dsytrd at every n.
+        counts = count_calls(heic.heic, _seeded_graph(60, 1), 3)
+        assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 0)
 
     def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
         # heic and the dimension scan share one reduction, dsytrd + dsterf,
@@ -599,7 +608,10 @@ class TestHeicPipeline(RejectsBadAdjacency):
 
     def test_certified_route_solves_once(self, count_calls, certified_solve):
         counts = count_calls(heic.heic, _seeded_graph(300, 4), 3)
-        assert counts == {"validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, "arpack": 1, "dpotrf": 2}
+        assert counts == {
+            "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, "dsytrd_2stage": 0, "arpack": 1,
+            "dpotrf": 2,
+        }
 
     def test_sparse_graph_never_calls_arpack(self, count_calls):
         n = 1200

@@ -229,6 +229,13 @@ class TestDimensionStudy:
         write_dimension_csv(heic.run_dimension_study(cfg), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_two_stage_reproducible_bytes(self, tmp_path, two_stage):
+        cfg = _config(n_grid=(150,), replicates=3, d_max=6)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_dimension_csv(heic.run_dimension_study(cfg), a)
+        write_dimension_csv(heic.run_dimension_study(cfg), b)
+        assert a.read_bytes() == b.read_bytes()
+
     def test_true_dimension_outside_candidates_flagged(self):
         cfg = _config(d=7, n_grid=(120,), replicates=1, d_max=4)
         result = heic.run_dimension_study(cfg)

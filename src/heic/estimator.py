@@ -24,8 +24,8 @@ The dimension scan always takes this full reduction: its small candidates
 score windows inside the bulk, with gaps far below the bulk's width, which
 no partial spectrum can certify.  It needs n >= d_max + 2.
 
-heic() has two solver routes (see spectral.py), at every n, and names the
-one it took in HeicDiagnostics.solver:
+heic() has three solver routes (see spectral.py) and names the one it took
+in HeicDiagnostics.solver:
 
 - "certified" when the edge density is at least CERTIFIED_MIN_DENSITY: a
   few eigenpairs at each end, proved to be the extremes by two Cholesky
@@ -34,18 +34,24 @@ one it took in HeicDiagnostics.solver:
   proves from these alone which window the full scan would pick (the rule
   is in its docstring).  The gap is the same score, from Ritz values
   within a few ulps;
-- "tridiagonal" otherwise, and whenever the certified route fails or
-  declines (ARPACK's Krylov basis too large for n, ARPACK past its budget,
-  a factorization that breaks down, or a window rule that does not
-  certify): the reduction, every eigenvalue, and the window's eigenvectors
-  alone.  It reduces by dsytrd at every n, because the window's
-  eigenvectors need the reflectors, which the two-stage reduction does not
-  keep.  Below spectral.TWO_STAGE_MIN_N its eigenvalues are the dimension
-  scan's bit for bit, so heic(adjacency, d) then reports the score of
-  candidate d as its gap exactly; from there on the two differ by
-  rounding alone (at most 2.2e-15 on n=3000 threshold(0) graphs).
+- "two-stage" from spectral.TWO_STAGE_MIN_N on, when the certified route
+  is not tried or fails or declines (ARPACK's Krylov basis too large for
+  n, ARPACK past its budget, a factorization that breaks down, or a window
+  rule that does not certify): the dimension scan's reduction and
+  eigenvalues, and the window's eigenvectors from the band matrix its
+  first stage leaves, accepted only under a bound of 1e-10 on their
+  projector's error (spectral.Banded.window_vectors);
+- "tridiagonal" in its place below spectral.TWO_STAGE_MIN_N, and whenever
+  the two-stage certificate fails: the one-stage reduction by dsytrd, every
+  eigenvalue, and the window's eigenvectors alone.  Below the crossover its
+  eigenvalues are the dimension scan's bit for bit.
 
-Both routes, and the dimension scan, run every BLAS and LAPACK call on
+So on the two reduction routes, at every n, heic(adjacency, d) reports the
+dimension scan's score of candidate d as its gap exactly, unless the
+two-stage certificate fails; then the two differ by rounding alone (at most
+2.2e-15 on n=3000 threshold(0) graphs).
+
+Every route, and the dimension scan, runs every BLAS and LAPACK call on
 scipy's thread pool, so numpy's pool stays idle (see spectral.py).
 
 The scan is scale free, so the edge-density parameter rho is never needed
@@ -60,13 +66,13 @@ that, so bad ones cost no solve.  A uint8 or bool adjacency, which the
 samplers and the edge-list reader produce, is checked where it lies,
 without a copy.  Each command then divides it into its one n x n float64
 array, the working copy A/n that the solvers read and overwrite; the
-certified route writes A/n back into it before it falls back.  A/n has the
-same bits whether the adjacency came as uint8, bool or float64, so every
-output does too.  They then trust it through the solve.  heic() picks its
-window as find_cluster does and reports the margin over the runner-up, then
-keeps the window's eigenvectors and runs event_e_check, which reads only
-the window.  scan_spectrum validates only the candidates against the
-spectrum it is given.
+certified and two-stage routes write A/n back into it before they fall
+back.  A/n has the same bits whether the adjacency came as uint8, bool or
+float64, so every output does too.  They then trust it through the solve.
+heic() picks its window as find_cluster does and reports the margin over
+the runner-up, then keeps the window's eigenvectors and runs event_e_check,
+which reads only the window.  scan_spectrum validates only the candidates
+against the spectrum it is given.
 """
 
 from __future__ import annotations
@@ -129,11 +135,14 @@ class EventEReport:
 class HeicDiagnostics:
     """How heic() chose its window.
 
-    solver names the route: "tridiagonal" or "certified".  margin is the
-    chosen window's gap minus the largest gap of any other window: the
-    selection margin over the runner-up on the reduction, and on the
-    certified route the certificate margin, against the largest bound on
-    another window's gap.
+    solver names the route: "certified" (ARPACK's extreme pairs, proved
+    by Cholesky factorizations), "two-stage" (LAPACK's two-stage
+    reduction, with window eigenvectors from its band matrix under a
+    projector error bound) or "tridiagonal" (dsytrd; the fallback of both).
+    margin is the chosen window's gap minus the largest gap of any other
+    window: the selection margin over the runner-up on the reductions, and
+    on the certified route the certificate margin, against the largest
+    bound on another window's gap.
     """
 
     gap: float
@@ -306,10 +315,12 @@ def event_e_check(
 # least CERTIFIED_MIN_DENSITY.  Measured with threshold(0) graphs, d=3, on
 # 2 cores, at rho = 1, 40 ln n/n and 8 ln n/n (capped at 1):
 # - n=3000, densities 0.5, 0.053, 0.011: at 0.5 ARPACK converged in 71-80
-#   products and heic() certified in 0.7-0.9 s, against 1.5-1.7 s for the
-#   reduction; at 0.053 it needed 224-254 products, past the budget of 120,
-#   so routing it would cost about 0.2 s more; at 0.011 it converged after
-#   316 products, but the window's gap of 0.002 did not certify.
+#   products and heic() certified in 0.7-0.9 s, against 1.2-1.3 s for the
+#   two-stage reduction route (1.4-1.7 s for dsytrd); at 0.053 it needed
+#   224-254 products, past the budget of 120, so routing it would cost
+#   about 0.2 s more, some 16% of the reduction route; at 0.011 it
+#   converged after 316 products, but the window's gap of 0.002 did not
+#   certify.
 # - n=1200, densities 0.5, 0.118, 0.024: 71-88 products and certified;
 #   157 products; 235 products and no certificate.
 # - n=1000, densities 0.5, 0.14, 0.028: certified in 32-39 ms against
@@ -322,7 +333,7 @@ CERTIFIED_MIN_DENSITY = 0.25
 
 
 def _certified_window(adjacency: np.ndarray, work: np.ndarray, d: int):
-    """(pairs, cluster, margin) from the certified route, or None with work holding A/n."""
+    """(pairs, cluster, margin, vectors) from the certified route, or None with work holding A/n."""
     pairs = extreme_pairs(work, 2 * d + 5)
     if pairs is None:
         return None
@@ -331,7 +342,21 @@ def _certified_window(adjacency: np.ndarray, work: np.ndarray, d: int):
     if window is None or not pairs.confirm(work, lambda: _working_copy(adjacency, out=work)):
         return None
     start, gap, margin = window
-    return pairs, _selection(pairs.window(start, start + d)[0], start, gap), margin
+    cluster = _selection(pairs.window(start, start + d)[0], start, gap)
+    return pairs, cluster, margin, pairs.window_vectors(start, start + d)
+
+
+def _two_stage_window(adjacency: np.ndarray, work: np.ndarray, d: int):
+    """(banded, cluster, margin, vectors) from the two-stage route, or None with work holding A/n."""
+    banded = spectral.two_stage_reduction(work)
+    if banded is None:
+        return None
+    cluster, margin = _best_window(banded.values, d)
+    vectors = banded.window_vectors(cluster.start, cluster.start + d)
+    if vectors is None:
+        _working_copy(adjacency, out=work)
+        return None
+    return banded, cluster, margin, vectors
 
 
 def _require_event_e_scalars(rho, analytic_gap) -> bool:
@@ -367,17 +392,18 @@ def heic(
     n = adjacency.shape[0]
     _require_window(n, d)
     work = _working_copy(adjacency)
-    certified = None
+    routed = None
     if density >= CERTIFIED_MIN_DENSITY:
-        certified = _certified_window(adjacency, work, d)
-    if certified is not None:
-        solved, cluster, margin = certified
-        top = float(solved.top[0])
-    else:
+        routed = _certified_window(adjacency, work, d)
+    if routed is None:
+        routed = _two_stage_window(adjacency, work, d)
+    if routed is None:
         solved = spectral.tridiagonalize(work)
         cluster, margin = _best_window(solved.values, d)
-        top = float(solved.values[0])
-    estimate = GramEstimate(solved.window_vectors(cluster.start, cluster.start + d), cluster)
+        routed = solved, cluster, margin, solved.window_vectors(cluster.start, cluster.start + d)
+    solved, cluster, margin, vectors = routed
+    top = float(solved.top[0] if solved.solver == "certified" else solved.values[0])
+    estimate = GramEstimate(vectors, cluster)
     event_e = None
     if with_event_e:
         event_e = event_e_check(solved, cluster, analytic_gap, rho)

@@ -1,11 +1,16 @@
-"""Symmetric eigensolvers: two routes to a window, and the matching distance.
+"""Symmetric eigensolvers: three routes to a window, and the matching distance.
 
 heic() needs the eigenvalues around its cluster, to place it, but only the
-d eigenvectors of the window it picks.  There are two routes:
+d eigenvectors of the window it picks.  There are three routes:
 
 - tridiagonal: one in-place reduction to tridiagonal form (tridiagonalize:
   LAPACK dsytrd, then dsterf for the whole spectrum) and the window's
   eigenvectors alone (Tridiagonal.window_vectors).
+- two-stage: from TWO_STAGE_MIN_N, LAPACK's two-stage reduction
+  (two_stage_reduction), every eigenvalue, and the window's eigenvectors
+  from the band matrix the first stage leaves, certified by a bound on
+  their projector's error (Banded.window_vectors).  When the bound fails,
+  estimator.heic() falls back to the tridiagonal route.
 - certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
   ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
   the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
@@ -36,20 +41,48 @@ least lower = s_lo - eta.  Each shift sits at the midpoint of the innermost
 step among its end's Ritz values (the one nearest the middle) that is wider
 than 2 (eps + eta).
 
-Callers that need eigenvalues only (the dimension scan, the eig command and
-the convergence study) take tridiagonal_eigvals.  Below TWO_STAGE_MIN_N it
-returns tridiagonalize's values, which are numpy's eigvalsh bit for bit
-(dsytrd and dsterf are the arithmetic of its dsyevd without vectors).  From
-there on it reduces through LAPACK's two-stage dsytrd_2stage, a blocked
-reduction to band form and bulge chasing from the band to tridiagonal form
-(Bischof, Lang and Sun, ACM TOMS 26, 2000; Haidar, Ltaief and Dongarra,
-SC 2011), which moves the memory-bound dsymv half of dsytrd into BLAS-3.
-Its values differ from dsytrd's in the last bits, within a small multiple
-of n eps ||A||_F.  It keeps no usable reflectors (LAPACK has no back
-transformation for it), so heic()'s reduction route, which needs the
-window's eigenvectors, keeps dsytrd at every n.  scipy does not wrap the
-routine: it is bound by ctypes from the library scipy's LAPACK wrappers
-link, on first use, and where it is missing dsytrd serves every n.
+The two-stage reduction.  LAPACK's dsytrd_sy2sb reduces A to a band matrix
+B = Q^T A Q of half-bandwidth kd (32 here) by blocked Householder steps, and
+dsytrd_sb2st chases B's bulges down to tridiagonal form (Bischof, Lang and
+Sun, ACM TOMS 26, 2000; Haidar, Ltaief and Dongarra, SC 2011).  That moves
+the memory-bound dsymv half of dsytrd into BLAS-3.  Its values differ from
+dsytrd's in the last bits, within a small multiple of n eps ||A||_F.  LAPACK
+gives no back transformation through the second stage, but none is needed:
+the window's eigenvectors are taken from B, and only Q, which the first
+stage stores as dsytrd stores its own (see _back_transform), carries them
+to A.  For each window value th, two steps of inverse iteration on B - th I
+by one banded LU (LAPACK dgbtrf, dgbtrs; as in LAPACK's dstein); one QR of
+the n x d block gives orthonormal Y.  The certificate: with M = Y^T B Y and
+R = B Y - Y M, let delta be the distance from M's eigenvalues (the Ritz
+values) to the nearest computed eigenvalue outside the window, less the
+spectrum's rounding slack 4 n eps ||T||_F (the bound the tests hold either
+reduction's spectrum to), so that every true eigenvalue of B outside the
+window is at least delta from each Ritz value.  Writing X for those
+eigenvalues' eigenvectors, X^T R = L X^T Y - X^T Y M entrywise in the
+eigenbases of L and M, so ||X^T Y||_F <= ||R||_F / delta, and the projector
+onto span(Y) is within sqrt(2) ||R||_F / delta of B's spectral projector
+for the window in the Frobenius norm (Davis and Kahan's sin theta theorem,
+SIAM J. Numer. Anal. 7, 1970).  R is formed in band storage (dsbmv) in
+O(n kd d).  The route accepts Y only when that bound is below _BAND_BOUND =
+1e-10, a hundredth of the 1e-8 a solver change may move the projector,
+which leaves room for Y's departure from orthonormality and the rounding of
+R.  An LU with a zero pivot, a non-finite iterate or delta <= 0 (a window of
+gap 0) fails it too.  The reductions' own backward error is the
+tridiagonal route's.
+
+The same stage pair serves every caller from TWO_STAGE_MIN_N: the callers
+that need eigenvalues only (the dimension scan, the eig command and the
+convergence study) take tridiagonal_eigvals, which skips B's copy and the
+eigenvectors.  Below TWO_STAGE_MIN_N both take dsytrd, whose values (with
+dsterf) are numpy's eigvalsh bit for bit, as dsytrd and dsterf are the
+arithmetic of its dsyevd without vectors.  So at every n the values from
+which heic()'s reduction route picks its window are the dimension scan's
+bit for bit, unless the two-stage certificate fails and dsytrd's serve.  The
+stages are called as LAPACK's dsytrd_2stage (vect='N') calls them, so the
+values are that routine's too.  scipy wraps neither stage: both are bound
+by ctypes from the library scipy's LAPACK wrappers link, on first use, and
+where either, or their block-size query ilaenv2stage, is missing, dsytrd
+serves every n and every caller.
 
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice: the top
@@ -68,18 +101,21 @@ core from the other.  So every threaded BLAS or LAPACK call on a graph's
 path runs on scipy's pool: the solvers, the ARPACK products (dsymv, about
 twice as fast as numpy's product at n=3000 on 2 cores), the products and
 norms of _ritz_slack and delta_2 (scipy's dsyrk and ddot, with numpy's
-bits), and the sampler's products in model.py.  numpy's BLAS keeps only
-products too small to be threaded, such as the MSE study's d x d ones, and
-what runs once per command: harmonics.py's quadrature and
-GramEstimate.matrix.  scipy is imported on first use (about 0.3 s and
-27 MB of RSS, and 0.5 s and 3.7 MB more for scipy.sparse.linalg), not by
-``import heic`` or analytic_spectrum.
+bits), the band LU, QR, products and norms of Banded.window_vectors, and
+the sampler's products in model.py.  numpy's BLAS keeps only products too
+small to be threaded, such as the MSE study's d x d ones, and what runs
+once per command: harmonics.py's quadrature and GramEstimate.matrix.
+scipy is imported on first use (about 0.3 s and 27 MB of RSS, and 0.5 s
+and 3.7 MB more for scipy.sparse.linalg), not by ``import heic`` or
+analytic_spectrum.
 
 A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
 decreasingly (the reversed view of LAPACK's ascending output), plus
 window_vectors(start, stop), the eigenvectors of sorted positions
 start .. stop-1.  ExtremePairs has window_vectors for the positions it
-knows, but no values array.  Each route names itself in its ``solver``.
+knows, but no values array.  Banded has both, but its window_vectors gives
+None where its certificate fails, so it is no Spectrum.  Each route names
+itself in its ``solver``.
 SortedSpectrum, numpy's full eigh, is no route of heic(): it is the
 decomposition symmetric_eig returns.  Eigenvector signs (and bases within
 repeated eigenvalues) are arbitrary; consumers may use V only up to an
@@ -87,8 +123,9 @@ orthogonal transform, as in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
-the matrix is square, finite and symmetric.  tridiagonalize and
-tridiagonal_eigvals overwrite the copy they are given.
+the matrix is square, finite and symmetric.  tridiagonalize,
+tridiagonal_eigvals and two_stage_reduction overwrite the copy they are
+given.
 """
 
 from __future__ import annotations
@@ -123,15 +160,44 @@ def _solve(solver, *args, **kwargs):
         raise EigenSolverError(f"eigendecomposition failed to converge: {exc}") from exc
 
 
+def _back_transform(reflectors: np.ndarray, tau: np.ndarray, kd: int, y: np.ndarray) -> np.ndarray:
+    """Q y for the Q of a lower-triangle reduction to half-bandwidth kd (LAPACK dormqr).
+
+    reflectors is the reduced matrix in Fortran order.  Below row j + kd,
+    column j holds the Householder vector v_j of Q = H_0 H_1 ... H_{k-1},
+    H_j = I - tau_j v_j v_j^T, k = tau.size; entry j + kd of v_j is an
+    implicit 1 and entries 0 .. j + kd - 1 are 0.  dsytrd (kd = 1) and
+    dsytrd_sy2sb, the first stage of the two-stage reduction, both store
+    Q so.  Q acts on rows kd .. n-1 through the block of rows kd .. n-1 and
+    columns 0 .. k-1 (as LAPACK dormtr does for kd = 1).  That block is not
+    contiguous, so dormqr reads the contiguous n x k window kd elements
+    later, whose extra last kd rows are rows 0 .. kd-1 of columns 1 .. k:
+    set to zero here, they leave c's zero last kd rows, and the result,
+    alone.  No entry of a reflector lies there.
+    """
+    from scipy.linalg import lapack
+
+    n, k = y.shape[0], tau.size
+    if k == 0:
+        return y.copy()
+    reflectors[:kd, 1 : k + 1] = 0.0
+    block = reflectors.ravel(order="F")[kd : kd + n * k].reshape((n, k), order="F")
+    c = np.zeros((n, y.shape[1]), order="F")
+    c[: n - kd] = y[kd:]
+    lwork = lapack.dormqr("L", "N", block, tau, c, -1)[1][0]
+    c, _, _ = lapack.dormqr("L", "N", block, tau, c, int(lwork), overwrite_c=1)
+    return np.vstack([y[:kd], c[: n - kd]])
+
+
 @dataclass(frozen=True)
 class Tridiagonal:
     """A = Q T Q^T from one Householder reduction (LAPACK dsytrd, lower triangle).
 
-    values holds every eigenvalue of T (LAPACK dsterf), sorted decreasingly.
-    reflectors is the reduced matrix in Fortran order.  Below its first
-    subdiagonal, column i holds the Householder vector v_i of
-    Q = H_0 H_1 ... H_{n-2}, H_i = I - tau_i v_i v_i^T; entry i+1 of v_i is
-    an implicit 1 and entries 0 .. i are 0.  Row 0 is zero past the diagonal.
+    heic()'s reduction route below TWO_STAGE_MIN_N, and its fallback from
+    there on when the two-stage route's certificate fails.  values holds
+    every eigenvalue of T (LAPACK dsterf), sorted decreasingly.
+    reflectors is the reduced matrix in Fortran order and tau its n-1
+    scalars; they hold Q as _back_transform reads it, with kd = 1.
     """
 
     values: np.ndarray
@@ -147,7 +213,7 @@ class Tridiagonal:
         Only these eigenvectors of T are computed (LAPACK dstebz + dstein),
         then carried back to A through the n-1 reflectors (LAPACK dormqr).
         """
-        from scipy.linalg import eigh_tridiagonal, lapack
+        from scipy.linalg import eigh_tridiagonal
 
         n = self.values.size
         _, y = _solve(
@@ -157,18 +223,7 @@ class Tridiagonal:
             select="i",
             select_range=(n - stop, n - 1 - start),
         )
-        y = y[:, ::-1]
-        # Q acts on rows 1 .. n-1 through the reflectors in the block
-        # reflectors[1:, :n-1] (as LAPACK dormtr does).  That block is not
-        # contiguous, so dormqr reads the contiguous n x (n-1) window one
-        # element later, whose extra last row is row 0 past the diagonal:
-        # zero, so it leaves c's zero last row, and the result, alone.
-        block = self.reflectors.ravel(order="F")[1 : n * n - n + 1].reshape((n, n - 1), order="F")
-        c = np.zeros((n, stop - start), order="F")
-        c[: n - 1] = y[1:]
-        lwork = lapack.dormqr("L", "N", block, self.tau, c, -1)[1][0]
-        c, _, _ = lapack.dormqr("L", "N", block, self.tau, c, int(lwork), overwrite_c=1)
-        return np.vstack([y[:1], c[: n - 1]])
+        return _back_transform(self.reflectors, self.tau, 1, y[:, ::-1])
 
 
 def _tridiagonal_values(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray:
@@ -192,7 +247,6 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     reflectors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
         arr.T, lower=1, lwork=int(lwork), overwrite_a=1
     )
-    reflectors[0, 1:] = 0.0  # the untouched upper triangle; window_vectors needs it zero
     values = _tridiagonal_values(diagonal, offdiagonal)
     return Tridiagonal(values, diagonal, offdiagonal, reflectors, tau)
 
@@ -212,18 +266,32 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
 # The two-stage run was faster in 0, 2-3, 4-5, 5 and 5 of 5 pairs at these
 # n.  Below them it loses by more: 25-26 against 14 ms at n=500, 110-115
 # against 68-72 ms at n=1000 (medians of 7).  The spectra differed by at
-# most 2.2e-15.
+# most 2.2e-15.  heic()'s reduction route (CERTIFIED_MIN_DENSITY at inf),
+# with its validation, copy and window vectors, median s (range) of 5
+# alternating runs on the same kind of graphs:
+#
+#   n     rho=1: dsytrd       2-stage            rho=8 ln n/n: dsytrd  2-stage
+#   1500  0.210 (.199-.230)   0.253 (.247-.261)  0.224 (.207-.331)    0.256 (.222-.360)
+#   2000  0.466 (.427-.501)   0.418 (.379-.465)  0.489 (.485-.493)    0.512 (.497-.517)
+#   2500  0.930 (.833-1.09)   0.799 (.725-.840)  0.916 (.864-1.40)    0.816 (.694-.953)
+#   3000  1.480 (1.37-1.73)   1.249 (1.17-1.27)  1.435 (1.33-1.51)    1.252 (1.12-1.27)
+#   4000  3.171 (3.14-3.44)   2.507 (2.29-2.83)  3.329 (2.91-3.46)    2.692 (2.56-3.07)
+#
+# The two-stage route was faster in 0 and 0, 5 and 0, 5 and 4, 5 and 5, and
+# 5 and 5 of 5 pairs.  Its crossover, between 2000 and 2500, is the
+# eigenvalue-only one, so one constant serves every caller.
 TWO_STAGE_MIN_N = 2500
 
 
 @functools.cache
-def _two_stage_routine():
-    """LAPACK dsytrd_2stage from the library scipy's LAPACK wrappers link, or None.
+def _two_stage_routines():
+    """LAPACK's two stages and their block-size query, from the library scipy's LAPACK wrappers link.
 
-    scipy does not wrap it, so it is looked up by ctypes, once, on first
-    use: under scipy's symbol prefix first, then under its plain name.  The
-    arguments are LP64 ints, with the lengths of the two character
-    arguments last.
+    (dsytrd_sy2sb, dsytrd_sb2st, ilaenv2stage), or None when any of them is
+    missing.  scipy wraps none of them, so they are looked up by ctypes,
+    once, on first use: under scipy's symbol prefix first, then under the
+    plain name.  The arguments are LP64 ints, with the lengths of the
+    character arguments last.
     """
     import ctypes
 
@@ -233,66 +301,194 @@ def _two_stage_routine():
         library = ctypes.CDLL(_flapack.__file__)
     except (ImportError, OSError):
         return None
-    for name in ("scipy_dsytrd_2stage_", "dsytrd_2stage_"):
-        routine = getattr(library, name, None)
-        if routine is not None:
-            break
-    else:
-        return None
+    routines = []
+    for name in ("dsytrd_sy2sb", "dsytrd_sb2st", "ilaenv2stage"):
+        for symbol in (f"scipy_{name}_", f"{name}_"):
+            routine = getattr(library, symbol, None)
+            if routine is not None:
+                routines.append(routine)
+                break
+        else:
+            return None
+    sy2sb, sb2st, ilaenv2stage = routines
     char, integer, array = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
-    routine.argtypes = [
-        char, char, integer, array, integer,  # vect, uplo, n, a, lda
-        array, array, array, array, integer,  # d, e, tau, hous2, lhous2
-        array, integer, integer,  # work, lwork, info
-        ctypes.c_size_t, ctypes.c_size_t,  # the lengths of vect and uplo
+    length = ctypes.c_size_t
+    sy2sb.argtypes = [
+        char, integer, integer, array, integer,  # uplo, n, kd, a, lda
+        array, integer, array, array, integer, integer,  # ab, ldab, tau, work, lwork, info
+        length,
     ]
-    routine.restype = None
-    return routine
+    sb2st.argtypes = [
+        char, char, char, integer, integer, array, integer,  # stage1, vect, uplo, n, kd, ab, ldab
+        array, array, array, integer, array, integer, integer,  # d, e, hous, lhous, work, lwork, info
+        length, length, length,
+    ]
+    ilaenv2stage.argtypes = [integer, char, char, integer, integer, integer, integer, length, length]
+    sy2sb.restype = sb2st.restype = None
+    ilaenv2stage.restype = ctypes.c_int
+    return sy2sb, sb2st, ilaenv2stage
 
 
-def _dsytrd_2stage(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The diagonal and offdiagonal of a tridiagonal T = Q^T arr Q by LAPACK dsytrd_2stage.
+def _two_stage_applies(n: int) -> bool:
+    return n >= TWO_STAGE_MIN_N and _two_stage_routines() is not None
 
-    vect='N': Q is not kept.  arr, C-contiguous float64 and exactly
-    symmetric, is overwritten; LAPACK reads its upper triangle as the lower
-    one of the Fortran view.  One query sizes the two workspaces.
+
+def _dsytrd_2stage(arr: np.ndarray, keep_band: bool = False):
+    """T = Q^T arr Q by LAPACK's two stages: T's diagonal and offdiagonal, band and tau.
+
+    dsytrd_sy2sb reduces arr to a band matrix B = Q^T arr Q of half-bandwidth
+    kd and keeps Q's reflectors in arr (see _back_transform; tau holds
+    their scalars), then dsytrd_sb2st reduces B to T.  Each stage is called
+    with the arguments LAPACK's dsytrd_2stage (vect='N') gives it, so T has
+    its bits.  arr, C-contiguous float64 and exactly symmetric, is
+    overwritten; LAPACK reads its upper triangle as the lower one of the
+    Fortran view.  With keep_band, band is a copy of B in LAPACK's lower band
+    storage, band[i - j, j] = B[i, j], of min(kd, n-1) + 1 rows, taken
+    before the second stage overwrites it; otherwise None.
     """
     import ctypes
 
     square = arr.ndim == 2 and arr.shape[0] == arr.shape[1]
     if not (square and arr.dtype == np.float64 and arr.flags.c_contiguous and arr.flags.writeable):
         raise ValueError("dsytrd_2stage needs a square, writeable C-contiguous float64 array")
-    routine = _two_stage_routine()
+    sy2sb, sb2st, ilaenv2stage = _two_stage_routines()
     n = arr.shape[0]
-    diagonal, offdiagonal, tau = np.empty(n), np.empty(max(n - 1, 1)), np.empty(max(n - 1, 1))
-    size, lhous2, lwork, info = (ctypes.c_int(v) for v in (n, -1, -1, 0))
 
-    def call(hous2, work):
-        routine(
-            b"N", b"L", size, arr.ctypes.data, size, diagonal.ctypes.data, offdiagonal.ctypes.data,
-            tau.ctypes.data, hous2.ctypes.data, lhous2, work.ctypes.data, lwork, info, 1, 1,
-        )
-        if info.value != 0:
-            raise EigenSolverError(f"dsytrd_2stage failed with info={info.value}")
+    def query(spec, n2=-1, n3=-1):
+        c = ctypes.c_int
+        return ilaenv2stage(c(spec), b"DSYTRD_2STAGE", b"N", c(n), c(n2), c(n3), c(-1), 13, 1)
 
-    hous2, work = np.empty(1), np.empty(1)
-    call(hous2, work)
-    lhous2.value, lwork.value = int(hous2[0]), int(work[0])
-    call(np.empty(lhous2.value), np.empty(lwork.value))
-    return diagonal, offdiagonal[: n - 1]
+    kd = query(1)
+    ib = query(2, kd)
+    lhous, ldab = query(3, kd, ib), kd + 1
+    lwork = query(4, kd, ib) - ldab * n  # what dsytrd_2stage leaves each stage past its band
+    ab, tau = np.zeros((n, ldab)), np.zeros(max(n - kd, 1))
+    diagonal, offdiagonal = np.empty(n), np.empty(max(n - 1, 1))
+    hous, work, info = np.empty(lhous), np.empty(lwork), ctypes.c_int(0)
+    size, width, lead, lw = (ctypes.c_int(v) for v in (n, kd, ldab, lwork))
+    sy2sb(b"L", size, width, arr.ctypes.data, size, ab.ctypes.data, lead, tau.ctypes.data,
+          work.ctypes.data, lw, info, 1)
+    if info.value != 0:
+        raise EigenSolverError(f"dsytrd_sy2sb failed with info={info.value}")
+    band = ab[:, : min(kd, n - 1) + 1].T.copy(order="F") if keep_band else None
+    sb2st(b"Y", b"N", b"L", size, width, ab.ctypes.data, lead, diagonal.ctypes.data,
+          offdiagonal.ctypes.data, hous.ctypes.data, ctypes.c_int(lhous), work.ctypes.data, lw, info,
+          1, 1, 1)
+    if info.value != 0:
+        raise EigenSolverError(f"dsytrd_sb2st failed with info={info.value}")
+    # Below kd + 2 rows B is arr itself (Q = I), and LAPACK leaves tau unset.
+    return diagonal, offdiagonal[: n - 1], band, tau[: n - kd if n > kd + 1 else 0]
 
 
 def tridiagonal_eigvals(arr: np.ndarray) -> np.ndarray:
     """Every eigenvalue of a validated symmetric matrix, sorted decreasingly; arr is overwritten.
 
     arr must be a C-contiguous float64 copy owned by the caller.  Below
-    TWO_STAGE_MIN_N, or when LAPACK has no dsytrd_2stage, these are the
-    values of tridiagonalize; from it on, dsytrd_2stage reduces arr and
-    dsterf solves the tridiagonal matrix.
+    TWO_STAGE_MIN_N, or when LAPACK lacks a routine of the two-stage
+    reduction, these are the values of tridiagonalize; from it on,
+    _dsytrd_2stage reduces arr and dsterf solves the tridiagonal matrix.
     """
-    if arr.shape[0] < TWO_STAGE_MIN_N or _two_stage_routine() is None:
+    if not _two_stage_applies(arr.shape[0]):
         return tridiagonalize(arr).values
-    return _tridiagonal_values(*_dsytrd_2stage(arr))
+    return _tridiagonal_values(*_dsytrd_2stage(arr)[:2])
+
+
+# The largest projector error bound that Banded.window_vectors accepts,
+# a hundredth of the 1e-8 to which a solver change must keep the projector.
+_BAND_BOUND = 1e-10
+
+
+@dataclass(frozen=True)
+class Banded:
+    """A = Q B Q^T from the first stage of LAPACK's two-stage reduction, B banded.
+
+    values holds every eigenvalue of B (the second stage, then dsterf),
+    sorted decreasingly; band holds B in LAPACK's lower band storage, its
+    half-bandwidth kd = band.shape[0] - 1; reflectors (the reduced matrix in
+    Fortran order) and tau hold Q as _back_transform reads it.
+    """
+
+    values: np.ndarray
+    band: np.ndarray
+    reflectors: np.ndarray
+    tau: np.ndarray
+    solver: ClassVar[str] = "two-stage"
+
+    def window_vectors(self, start: int, stop: int) -> Optional[np.ndarray]:
+        """Orthonormal vectors spanning sorted positions start .. stop-1 (start >= 1), or None.
+
+        Inverse iteration on B: one banded LU of B - th I for each value th
+        of the window (LAPACK dgbtrf), two solves with it (dgbtrs) from a
+        fixed random start; then one QR of the n x d block (scipy's dgeqrf)
+        gives Y.  Y is certified by the Davis-Kahan bound of the module
+        docstring, and carried back to A through Q.  None when an LU has a
+        zero pivot, an iterate is not finite, or the bound is not below
+        _BAND_BOUND.
+        """
+        from scipy.linalg import qr
+
+        rng = np.random.default_rng(0)
+        y = np.empty((self.band.shape[1], stop - start), order="F")
+        for i, theta in enumerate(self.values[start:stop]):
+            x = _inverse_iteration(self.band, theta, rng.standard_normal(y.shape[0]))
+            if x is None:
+                return None
+            y[:, i] = x
+        y = qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
+        if _window_bound(self.band, self.values, start, stop, y) >= _BAND_BOUND:
+            return None
+        return _back_transform(self.reflectors, self.tau, self.band.shape[0] - 1, y)
+
+
+def _inverse_iteration(band: np.ndarray, theta: float, x: np.ndarray) -> Optional[np.ndarray]:
+    """Two steps of inverse iteration on B - theta I from x; None on a zero pivot or a non-finite step."""
+    from scipy.linalg import lapack
+
+    kd, n = band.shape[0] - 1, band.shape[1]
+    lu = np.zeros((3 * kd + 1, n), order="F")  # as dgbtrf stores B - theta I, kd spare rows on top
+    for k in range(kd + 1):
+        lu[2 * kd + k, : n - k] = band[k, : n - k]
+        lu[2 * kd - k, k:] = band[k, : n - k]
+    lu[2 * kd] -= theta
+    lu, pivots, info = lapack.dgbtrf(lu, kd, kd, overwrite_ab=1)
+    if info != 0:
+        return None
+    for _ in range(2):
+        x = lapack.dgbtrs(lu, kd, kd, x, pivots, overwrite_b=1)[0]
+        scale = np.abs(x).max()
+        if not 0.0 < scale < np.inf:
+            return None
+        x /= scale
+    return x
+
+
+def _window_bound(band: np.ndarray, values: np.ndarray, start: int, stop: int, y: np.ndarray) -> float:
+    """sqrt(2) ||B Y - Y M||_F / delta, M = Y^T B Y (see the module docstring); inf when delta <= 0."""
+    from scipy.linalg import blas, eigvalsh
+
+    kd, n = band.shape[0] - 1, band.shape[1]
+    residual = np.empty_like(y, order="F")
+    for i in range(y.shape[1]):
+        residual[:, i] = blas.dsbmv(kd, 1.0, band, y[:, i], lower=1)
+    m = blas.dgemm(1.0, y, residual, trans_a=1)
+    m = 0.5 * (m + m.T)
+    ritz = eigvalsh(m, check_finite=False)
+    blas.dgemm(-1.0, y, m, beta=1.0, c=residual, overwrite_c=1)
+    below = values[stop] if stop < n else -np.inf
+    slack = 4.0 * n * np.finfo(float).eps * _norm(values)
+    delta = min(values[start - 1] - ritz[-1], ritz[0] - below) - slack
+    return math.sqrt(2.0) * _norm(residual) / delta if delta > 0.0 else math.inf
+
+
+def two_stage_reduction(arr: np.ndarray) -> Optional[Banded]:
+    """arr reduced by LAPACK's two stages, B kept; None, arr untouched, below TWO_STAGE_MIN_N.
+
+    Also None, at every n, where LAPACK lacks a routine of the two stages.
+    """
+    if not _two_stage_applies(arr.shape[0]):
+        return None
+    diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr, keep_band=True)
+    return Banded(_tridiagonal_values(diagonal, offdiagonal), band, arr.T, tau)
 
 
 Spectrum = Union[SortedSpectrum, Tridiagonal]
@@ -314,9 +510,10 @@ ARPACK_TOL = 1e-10
 
 # The matrix-vector products extreme_pairs allows ARPACK, which bound what a
 # graph that fails costs before the fallback.  On 2 cores at n=3000, d=3
-# (k=11), a product (scipy's dsymv) takes 0.94-0.97 ms and the reduction
-# (dsytrd and dsterf, 1.4-1.9 s) about 1500-1900 of them, so the 120
-# products allowed there cost 6-8% of it.
+# (k=11), a product (scipy's dsymv) takes 0.94-0.97 ms and heic()'s
+# reduction route (the two stages, dsterf and the window's vectors,
+# 1.1-1.3 s) about 1200-1350 of them, so the 120 products allowed there
+# cost 9-10% of it.
 # Dense threshold(0) graphs converged in 71-89 products (n = 1200 to 3000)
 # and certified; affine(0.5, 0.5) needed 288 at n=3000, because its window's
 # lower neighbour is the edge of the bulk.  The reduction's cost grows like

@@ -67,10 +67,10 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 @pytest.fixture
 def count_calls(monkeypatch):
     """Run one call; return its adjacency validation passes, eigh / eigvalsh calls,
-    tridiagonal reductions (LAPACK dsytrd, and dsytrd_2stage for eigenvalues
-    only from spectral.TWO_STAGE_MIN_N), ARPACK runs (scipy eigsh) and
-    Cholesky factorizations (LAPACK dpotrf, one per end the certified route
-    proves).
+    tridiagonal reductions (LAPACK dsytrd, and under "dsytrd_2stage" the
+    two-stage pair dsytrd_sy2sb and dsytrd_sb2st, from
+    spectral.TWO_STAGE_MIN_N), ARPACK runs (scipy eigsh) and Cholesky
+    factorizations (LAPACK dpotrf, one per end the certified route proves).
 
     A validation pass is a call of model.require_adjacency, whatever the
     adjacency's dtype: a uint8 or bool one never reaches require_symmetric.
@@ -143,7 +143,8 @@ def certified_solve(monkeypatch):
 
 @pytest.fixture
 def two_stage(monkeypatch):
-    """spectral.tridiagonal_eigvals takes LAPACK's two-stage reduction at every n."""
+    """spectral.tridiagonal_eigvals and heic()'s reduction route take LAPACK's
+    two-stage reduction at every n."""
     monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", 1)
 
 

@@ -118,6 +118,21 @@ class TestEstimateCommand:
         assert values[5:7] == ["False", "tridiagonal"]
         assert 0.0 < float(values[7]) <= float(values[0])
 
+    def test_diagnostics_name_the_two_stage_route(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", 1)
+        edges, diag_csv = _sample_graph(tmp_path), tmp_path / "diag.csv"
+        code = cli.cli_main(
+            [
+                "estimate",
+                "--input", str(edges),
+                "--dim", "3",
+                "--out-gram", str(tmp_path / "ghat.csv"),
+                "--out-diag", str(diag_csv),
+            ]
+        )
+        assert code == 0
+        assert diag_csv.read_text().splitlines()[1].split(",")[5:7] == ["False", "two-stage"]
+
     def test_missing_input_is_validation_error(self, tmp_path):
         code = cli.cli_main(
             [

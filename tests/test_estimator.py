@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse.linalg
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import heic
@@ -407,23 +407,33 @@ class TestHeicPipeline(RejectsBadAdjacency):
             counts = count_calls(heic.heic, np.ones((n, n)) - np.eye(n), 3)
             assert counts == {"validate": 1, **zero, solver: 1}
 
-    def test_reduction_route_keeps_dsytrd(self, count_calls, partial_solve, two_stage):
-        # window_vectors needs the reflectors, which the two-stage reduction
-        # does not keep, so heic() reduces by dsytrd at every n.
+    def test_reduction_route_takes_two_stage_from_min_n(
+        self, count_calls, monkeypatch, partial_solve, two_stage
+    ):
+        # From spectral.TWO_STAGE_MIN_N the reduction route reduces once, by
+        # the two stages; a failed certificate adds one dsytrd on A/n.
         counts = count_calls(heic.heic, _seeded_graph(60, 1), 3)
-        assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 0)
+        assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (0, 1)
+        monkeypatch.setattr(spectral, "_BAND_BOUND", 0.0)
+        counts = count_calls(heic.heic, _seeded_graph(60, 1), 3)
+        assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 1)
 
-    def test_gap_matches_dimension_scan_bitwise(self, partial_solve):
-        # heic and the dimension scan share one reduction, dsytrd + dsterf,
-        # which is also the arithmetic of numpy's eigvalsh, so heic reports
-        # the candidate's score exactly.
-        for n in (60, 200):
-            for seed in range(20):
-                adjacency = _seeded_graph(n, seed)
-                _, diag = heic.heic(adjacency, 3)
-                assert diag.gap == heic.estimate_dimension(adjacency).scores[2]
-                values = np.linalg.eigvalsh(adjacency / n)[::-1]
-                assert diag.gap == heic.window_gaps(values, 3).max()
+    def test_gap_matches_dimension_scan_bitwise(self, monkeypatch, partial_solve):
+        # heic and the dimension scan share one reduction and dsterf at
+        # every n, so heic reports the candidate's score exactly.  Below
+        # spectral.TWO_STAGE_MIN_N that is dsytrd, the arithmetic of numpy's
+        # eigvalsh too; from it on, the two stages.
+        for min_n in (spectral.TWO_STAGE_MIN_N, 1):
+            monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", min_n)
+            for n in (60, 200):
+                for seed in range(20):
+                    adjacency = _seeded_graph(n, seed)
+                    _, diag = heic.heic(adjacency, 3)
+                    assert diag.gap == heic.estimate_dimension(adjacency).scores[2]
+                    assert diag.solver == ("two-stage" if min_n == 1 else "tridiagonal")
+                    if min_n > n:
+                        values = np.linalg.eigvalsh(adjacency / n)[::-1]
+                        assert diag.gap == heic.window_gaps(values, 3).max()
 
     @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)])
     def test_matches_full_eigh_reference(self, partial_solve, link):
@@ -669,6 +679,55 @@ class TestEventECheck:
                 heic.event_e_check(spec, cluster, gap_analytic=gap, rho=rho)
             with pytest.raises(ValidationError):
                 heic.heic(cycle, 2, rho=rho, analytic_gap=gap)
+
+
+class TestTwoStageRoute:
+    """heic()'s reduction route from spectral.TWO_STAGE_MIN_N: window vectors from the band, certified."""
+
+    @settings(
+        max_examples=40,
+        deadline=None,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        n=st.integers(5, 300),
+        link=st.sampled_from([heic.threshold(0.0), heic.affine(0.5, 0.5)]),
+        rho=st.sampled_from([1.0, 0.3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_full_eigh_reference(self, partial_solve, two_stage, n, link, rho, seed):
+        # n <= kd + 1 = 33 makes B the whole matrix, with no reflectors.
+        adjacency = _seeded_graph(n, seed, link, rho)
+        estimate, diag = heic.heic(adjacency, 3)
+        assume(diag.margin > 1e-12)  # else two windows tie, and rounding picks one
+        start, projector = eigh_projector(adjacency, 3)
+        assert diag.cluster_start == start
+        assert np.linalg.norm(estimate.matrix - projector) <= 1e-10
+        assert np.abs(estimate.vectors.T @ estimate.vectors - np.eye(3)).max() <= 1e-12
+
+    @pytest.mark.parametrize("edges", [0.0, 1.0], ids=["empty", "complete"])
+    def test_degenerate_graph_falls_back(self, monkeypatch, partial_solve, edges):
+        # Every window of the empty graph has gap 0, and every window of K_n
+        # a gap of rounding alone: no certificate.  K_n's rounding leaves
+        # dsytrd a gap above 0, so only the empty graph is flagged.
+        n = 200
+        adjacency = np.full((n, n), edges) - edges * np.eye(n)
+        parent, parent_diag = heic.heic(adjacency, 3)
+        monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
+        estimate, diag = heic.heic(adjacency, 3)
+        assert diag == parent_diag and diag.solver == "tridiagonal"
+        assert diag.degenerate == (edges == 0.0)
+        assert estimate.vectors.tobytes() == parent.vectors.tobytes()
+
+    def test_failed_certificate_gives_dsytrd_bits(self, monkeypatch, partial_solve):
+        adjacency = _seeded_graph(300, 6, rho=0.3)
+        parent, parent_diag = heic.heic(adjacency, 3)
+        monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
+        monkeypatch.setattr(spectral, "_BAND_BOUND", 0.0)
+        estimate, diag = heic.heic(adjacency, 3)
+        assert diag == parent_diag and diag.solver == "tridiagonal"
+        assert estimate.vectors.tobytes() == parent.vectors.tobytes()
 
 
 class TestAdjacencyDtypes:

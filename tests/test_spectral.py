@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import os
 import subprocess
@@ -222,27 +223,71 @@ class TestTwoStage:
         counts = count_calls(tridiagonal_eigvals, m.copy())
         assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 0)
 
-    def test_missing_routine_falls_back_to_dsytrd(self, count_calls, monkeypatch, two_stage):
-        # Where LAPACK has no dsytrd_2stage, the values are dsytrd's, bit for bit.
-        monkeypatch.setattr(spectral, "_two_stage_routine", lambda: None)
+    def test_missing_routine_falls_back_to_dsytrd(self, count_calls, monkeypatch, two_stage, partial_solve):
+        # Where LAPACK lacks either stage or the block-size query, dsytrd
+        # serves every caller: the values are dsytrd's, bit for bit, and
+        # heic() takes the tridiagonal route.
+        library = ctypes.CDLL
         m = _symmetric(120, 4)
-        counts = count_calls(tridiagonal_eigvals, m.copy())
-        assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 0)
-        np.testing.assert_array_equal(tridiagonal_eigvals(m.copy()), tridiagonalize(m.copy()).values)
-        np.testing.assert_array_equal(tridiagonal_eigvals(m.copy()), np.linalg.eigvalsh(m)[::-1])
+        upper = np.triu(np.random.default_rng(4).random((120, 120)) < 0.3, k=1)
+        for missing in ("dsytrd_sy2sb", "dsytrd_sb2st", "ilaenv2stage"):
+
+            class Without:
+                def __init__(self, path):
+                    self.library = library(path)
+
+                def __getattr__(self, name):
+                    if missing in name:
+                        raise AttributeError(name)
+                    return getattr(self.library, name)
+
+            monkeypatch.setattr(ctypes, "CDLL", Without)
+            spectral._two_stage_routines.cache_clear()
+            try:
+                assert spectral._two_stage_routines() is None
+                counts = count_calls(tridiagonal_eigvals, m.copy())
+                assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 0)
+                np.testing.assert_array_equal(tridiagonal_eigvals(m.copy()), tridiagonalize(m.copy()).values)
+                np.testing.assert_array_equal(tridiagonal_eigvals(m.copy()), np.linalg.eigvalsh(m)[::-1])
+                counts = count_calls(heic.heic, upper | upper.T, 3)
+                assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 0)
+                assert spectral.two_stage_reduction(m.copy()) is None
+            finally:
+                spectral._two_stage_routines.cache_clear()
 
     def test_eigvals_command_takes_two_stage(self, count_calls, two_stage):
         m = _symmetric(50, 2)
         assert count_calls(symmetric_eigvals, m)["dsytrd_2stage"] == 1
         np.testing.assert_allclose(symmetric_eigvals(m), np.linalg.eigvalsh(m)[::-1], rtol=0, atol=1e-13)
 
-    def test_rejects_an_array_lapack_cannot_overwrite(self):
+    def test_rejects_an_array_lapack_cannot_overwrite(self, two_stage):
         m = _symmetric(10, 1)
         read_only = m.copy()
         read_only.flags.writeable = False
         for bad in (np.asfortranarray(m), m.astype(np.float32), m[::2, ::2], m[:, :5].copy(), read_only):
-            with pytest.raises(ValueError, match="square, writeable C-contiguous float64"):
-                spectral._dsytrd_2stage(bad)
+            for reduce in (spectral._dsytrd_2stage, tridiagonal_eigvals, spectral.two_stage_reduction):
+                with pytest.raises(ValueError, match="square, writeable C-contiguous float64"):
+                    reduce(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 33, 34, 300])
+    def test_band_is_an_orthogonal_reduction(self, n):
+        # B = Q^T A Q: B's eigenvalues are T's, and Q carries B's
+        # eigenvectors to A's.  At n <= kd + 1 (kd = 32 here) B is A.
+        m = _symmetric(n, n)
+        reflectors = m.copy()
+        diagonal, offdiagonal, band, tau = spectral._dsytrd_2stage(reflectors, keep_band=True)
+        kd = band.shape[0] - 1
+        full = np.zeros((n, n))
+        for k in range(kd + 1):
+            full[np.arange(k, n), np.arange(n - k)] = band[k, : n - k]
+        full += np.tril(full, -1).T
+        expected = np.linalg.eigvalsh(m)[::-1]
+        bound = 4.0 * n * np.finfo(float).eps * np.linalg.norm(m)
+        assert np.abs(np.linalg.eigvalsh(full)[::-1] - expected).max() <= bound
+        assert np.abs(spectral._tridiagonal_values(diagonal, offdiagonal) - expected).max() <= bound
+        _, vectors = np.linalg.eigh(full)
+        q_vectors = spectral._back_transform(reflectors.T, tau, kd, vectors)
+        np.testing.assert_allclose(m @ q_vectors, q_vectors * np.linalg.eigvalsh(full), atol=1e-12)
 
 
 def _run_python(code: str) -> str:
@@ -257,7 +302,8 @@ def _run_python(code: str) -> str:
 # imported are its OpenBLAS workers (scipy's LAPACK starts its own pool
 # later).  Their CPU ticks are summed over the graph commands and one
 # replicate of each study, with eigenvalue-only solves through both
-# reductions; a worker that is never woken stays asleep and gains none.
+# reductions and heic() through each of its routes; a worker that is never
+# woken stays asleep and gains none.
 # The pause at the end outlasts a woken worker's spin.
 _NUMPY_POOL_TICKS = """
 import os, sys, time
@@ -298,6 +344,8 @@ for matrix in ("observed", "noiseless"):
     heic.run_spectrum_convergence(config("affine:0.5,0.5"), matrix=matrix)
 heic.spectral.TWO_STAGE_MIN_N = 1  # again through LAPACK's two-stage reduction
 heic.estimate_dimension(graph)
+heic.estimator.CERTIFIED_MIN_DENSITY = float("inf")  # and heic()'s route through it
+assert heic.heic(graph, 3)[1].solver == "two-stage"
 heic.run_dimension_study(config("affine:0.5,0.5"))
 heic.run_spectrum_convergence(config("affine:0.5,0.5"))
 time.sleep(0.3)

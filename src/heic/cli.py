@@ -92,7 +92,7 @@ def _cmd_estimate(args) -> int:
         )
         io.write_table(args.out_diag, header, [row])
     if diag.degenerate:
-        print("warning: zero separation score, estimate is degenerate", file=sys.stderr)
+        print("warning: separation score within rounding of zero, estimate is degenerate", file=sys.stderr)
     return 0
 
 

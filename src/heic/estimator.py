@@ -16,16 +16,16 @@ scores the best separation of any d consecutive sorted eigenvalues, and
 the candidate whose score is largest is the estimate.  Ties pick the
 smallest d, because np.argmax returns the first maximum and the default
 candidates 1 .. d_max increase.  The scores read eigenvalues only, so one
-eigenvalue-only solve serves every candidate: spectral.tridiagonal_eigvals,
-a tridiagonal reduction and dsterf.  Below spectral.TWO_STAGE_MIN_N its
-values are numpy's eigvalsh bit for bit; from there on the reduction is
+eigenvalue-only solve serves every candidate: the values of
+spectral.reduce, a reduction and dsterf.  Below spectral.TWO_STAGE_MIN_N
+they are numpy's eigvalsh bit for bit; from there on the reduction is
 LAPACK's two-stage one, whose values differ from those in the last bits.
 The dimension scan always takes this full reduction: its small candidates
 score windows inside the bulk, with gaps far below the bulk's width, which
 no partial spectrum can certify.  It needs n >= d_max + 2.
 
-heic() has three solver routes (see spectral.py) and names the one it took
-in HeicDiagnostics.solver:
+heic() has three solver routes (see spectral.py), tried in this order, and
+names the one it took in HeicDiagnostics.solver:
 
 - "certified" when the edge density is at least CERTIFIED_MIN_DENSITY: a
   few eigenpairs at each end, proved to be the extremes by two Cholesky
@@ -37,10 +37,10 @@ in HeicDiagnostics.solver:
 - "two-stage" from spectral.TWO_STAGE_MIN_N on, when the certified route
   is not tried or fails or declines (ARPACK's Krylov basis too large for
   n, ARPACK past its budget, a factorization that breaks down, or a window
-  rule that does not certify): the dimension scan's reduction and
-  eigenvalues, and the window's eigenvectors from the band matrix its
-  first stage leaves, accepted only under a bound of 1e-10 on their
-  projector's error (spectral.Banded.window_vectors);
+  rule that does not certify): spectral.reduce, the dimension scan's
+  reduction and eigenvalues, and the window's eigenvectors from the band
+  matrix its first stage leaves, accepted only under a bound of 1e-10 on
+  their projector's error (spectral.Banded.window_vectors);
 - "tridiagonal" in its place below spectral.TWO_STAGE_MIN_N, and whenever
   the two-stage certificate fails: the one-stage reduction by dsytrd, every
   eigenvalue, and the window's eigenvectors alone.  Below the crossover its
@@ -65,10 +65,10 @@ _require_window.  heic() checks its scalars rho and analytic_gap before
 that, so bad ones cost no solve.  A uint8 or bool adjacency, which the
 samplers and the edge-list reader produce, is checked where it lies,
 without a copy.  Each command then divides it into its one n x n float64
-array, the working copy A/n that the solvers read and overwrite; the
-certified and two-stage routes write A/n back into it before they fall
-back.  A/n has the same bits whether the adjacency came as uint8, bool or
-float64, so every output does too.  They then trust it through the solve.
+array, the working copy A/n that the solvers read and overwrite; heic()
+writes A/n back in one place, after a route that overwrote it fails (a
+refused proof or a failed band certificate).  A/n has the same bits whether
+the adjacency came as uint8, bool or float64, so every output does too.  They then trust it through the solve.
 heic() picks its window as find_cluster does and reports the margin over
 the runner-up, then keeps the window's eigenvectors and runs event_e_check,
 which reads only the window.  scan_spectrum validates only the candidates
@@ -332,31 +332,36 @@ def event_e_check(
 CERTIFIED_MIN_DENSITY = 0.25
 
 
-def _certified_window(adjacency: np.ndarray, work: np.ndarray, d: int):
-    """(pairs, cluster, margin, vectors) from the certified route, or None with work holding A/n."""
-    pairs = extreme_pairs(work, 2 * d + 5)
-    if pairs is None:
-        return None
-    n = work.shape[0]
-    window = certify_window(pairs.top, pairs.bottom, pairs.lower, pairs.upper, n, d, pairs.slack)
-    if window is None or not pairs.confirm(work, lambda: _working_copy(adjacency, out=work)):
+# Every route gives one result shape: (solver, top eigenvalue, cluster,
+# margin, degenerate, vectors), or None when it fails.  degenerate marks a
+# gap that cannot be told from 0.
+
+
+def _certified_window(work: np.ndarray, d: int, pairs, window):
+    """The certified route's result once confirm() proves the claim in work, else None.
+
+    degenerate is False by construction: certify_window requires margin > 2
+    slack, which proves the true gap positive.
+    """
+    if not pairs.confirm(work):
         return None
     start, gap, margin = window
     cluster = _selection(pairs.window(start, start + d)[0], start, gap)
-    return pairs, cluster, margin, pairs.window_vectors(start, start + d)
+    return pairs.solver, float(pairs.top[0]), cluster, margin, False, pairs.window_vectors(start, start + d)
 
 
-def _two_stage_window(adjacency: np.ndarray, work: np.ndarray, d: int):
-    """(banded, cluster, margin, vectors) from the two-stage route, or None with work holding A/n."""
-    banded = spectral.two_stage_reduction(work)
-    if banded is None:
-        return None
-    cluster, margin = _best_window(banded.values, d)
-    vectors = banded.window_vectors(cluster.start, cluster.start + d)
+def _reduced_window(solved, d: int):
+    """A Banded's or a Tridiagonal's result, or None where Banded's certificate fails.
+
+    A gap within the rounding slack either reduction leaves each eigenvalue
+    (spectral.rounding_slack) is degenerate.
+    """
+    cluster, margin = _best_window(solved.values, d)
+    vectors = solved.window_vectors(cluster.start, cluster.start + d)
     if vectors is None:
-        _working_copy(adjacency, out=work)
         return None
-    return banded, cluster, margin, vectors
+    degenerate = cluster.gap <= spectral.rounding_slack(solved.values)
+    return solved.solver, float(solved.values[0]), cluster, margin, degenerate, vectors
 
 
 def _require_event_e_scalars(rho, analytic_gap) -> bool:
@@ -383,38 +388,44 @@ def heic(
     and its matrix property builds (1/d) V V^T on request.  When rho and
     the analytic gap of the generating link are supplied (simulation
     studies), the diagnostics carry the cluster-quality check; they must
-    come together, and are checked before the adjacency.  A zero separation
-    score marks the estimate as degenerate (e.g. the empty graph), signalled
-    in the diagnostics rather than raised.
+    come together, and are checked before the adjacency.  The routes are
+    tried in turn (see the module docstring); each gives one result shape,
+    and A/n is written back in one place.  A gap that cannot be told from 0
+    (e.g. the empty graph, or K_n) marks the estimate as degenerate,
+    signalled in the diagnostics rather than raised.
     """
     with_event_e = _require_event_e_scalars(rho, analytic_gap)
     adjacency, density = require_adjacency(adjacency)
     n = adjacency.shape[0]
     _require_window(n, d)
     work = _working_copy(adjacency)
-    routed = None
-    if density >= CERTIFIED_MIN_DENSITY:
-        routed = _certified_window(adjacency, work, d)
-    if routed is None:
-        routed = _two_stage_window(adjacency, work, d)
-    if routed is None:
-        solved = spectral.tridiagonalize(work)
-        cluster, margin = _best_window(solved.values, d)
-        routed = solved, cluster, margin, solved.window_vectors(cluster.start, cluster.start + d)
-    solved, cluster, margin, vectors = routed
-    top = float(solved.top[0] if solved.solver == "certified" else solved.values[0])
+    pairs = extreme_pairs(work, 2 * d + 5) if density >= CERTIFIED_MIN_DENSITY else None
+    window = None
+    if pairs is not None:
+        window = certify_window(pairs.top, pairs.bottom, pairs.lower, pairs.upper, n, d, pairs.slack)
+    routed = None if window is None else _certified_window(work, d, pairs, window)
+    overwritten = window is not None  # confirm() has run in work
+    # reduce's Tridiagonal always gives a result; tridiagonalize serves
+    # when a Banded's certificate fails.
+    for reduction in (spectral.reduce, spectral.tridiagonalize):
+        if routed is not None:
+            break
+        if overwritten:
+            _working_copy(adjacency, out=work)
+        routed, overwritten = _reduced_window(reduction(work), d), True
+    solver, top, cluster, margin, degenerate, vectors = routed
     estimate = GramEstimate(vectors, cluster)
     event_e = None
     if with_event_e:
-        event_e = event_e_check(solved, cluster, analytic_gap, rho)
+        event_e = event_e_check(None, cluster, analytic_gap, rho)
     diagnostics = HeicDiagnostics(
         gap=cluster.gap,
         diameter=cluster.diameter,
         cluster_start=cluster.start,
         top_eigenvalue=top,
         edge_density=density,
-        degenerate=cluster.gap <= 0.0,
-        solver=solved.solver,
+        degenerate=degenerate,
+        solver=solver,
         margin=margin,
         event_e=event_e,
     )
@@ -454,4 +465,4 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     if n < d_max + 2:
         raise ValidationError(f"dimension scan needs n >= d_max + 2 = {d_max + 2}, got n = {n}")
     candidates = tuple(range(1, d_max + 1))
-    return _scan(spectral.tridiagonal_eigvals(_working_copy(adjacency)), candidates)
+    return _scan(spectral.reduce(_working_copy(adjacency)).values, candidates)

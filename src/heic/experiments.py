@@ -32,7 +32,7 @@ from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
 from .model import GraphModel, probability_matrix, sample_model_adjacency, sample_uniform_sphere
-from .spectral import delta_2, tridiagonal_eigvals
+from .spectral import delta_2, reduce
 from .io import write_table
 
 log = logging.getLogger(__name__)
@@ -334,7 +334,7 @@ def run_spectrum_convergence(
         _, m, rho = _simulate_graph(cfg, n, r, observed)
         # Theta is divided where it lies; the uint8 adjacency needs a float64 copy.
         m = np.divide(m, n * rho, out=None if observed else m)
-        return ConvergenceRecord(n, r, delta_2(tridiagonal_eigvals(m), reference))
+        return ConvergenceRecord(n, r, delta_2(reduce(m).values, reference))
 
     return _run_replicates(
         cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)

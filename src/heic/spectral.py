@@ -1,16 +1,17 @@
 """Symmetric eigensolvers: three routes to a window, and the matching distance.
 
 heic() needs the eigenvalues around its cluster, to place it, but only the
-d eigenvectors of the window it picks.  There are three routes:
+d eigenvectors of the window it picks.  There are three routes, the first
+two through one entry point, reduce:
 
 - tridiagonal: one in-place reduction to tridiagonal form (tridiagonalize:
   LAPACK dsytrd, then dsterf for the whole spectrum) and the window's
   eigenvectors alone (Tridiagonal.window_vectors).
-- two-stage: from TWO_STAGE_MIN_N, LAPACK's two-stage reduction
-  (two_stage_reduction), every eigenvalue, and the window's eigenvectors
-  from the band matrix the first stage leaves, certified by a bound on
-  their projector's error (Banded.window_vectors).  When the bound fails,
-  estimator.heic() falls back to the tridiagonal route.
+- two-stage: from TWO_STAGE_MIN_N, LAPACK's two-stage reduction, every
+  eigenvalue, and the window's eigenvectors from the band matrix the first
+  stage leaves, certified by a bound on their projector's error
+  (Banded.window_vectors).  When the bound fails, estimator.heic() falls
+  back to the tridiagonal route.
 - certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
   ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
   the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
@@ -55,9 +56,9 @@ by one banded LU (LAPACK dgbtrf, dgbtrs; as in LAPACK's dstein); one QR of
 the n x d block gives orthonormal Y.  The certificate: with M = Y^T B Y and
 R = B Y - Y M, let delta be the distance from M's eigenvalues (the Ritz
 values) to the nearest computed eigenvalue outside the window, less the
-spectrum's rounding slack 4 n eps ||T||_F (the bound the tests hold either
-reduction's spectrum to), so that every true eigenvalue of B outside the
-window is at least delta from each Ritz value.  Writing X for those
+spectrum's rounding slack 4 n eps ||T||_F (rounding_slack, the bound the
+tests hold either reduction's spectrum to), so that every true eigenvalue
+of B outside the window is at least delta from each Ritz value.  Writing X for those
 eigenvalues' eigenvectors, X^T R = L X^T Y - X^T Y M entrywise in the
 eigenbases of L and M, so ||X^T Y||_F <= ||R||_F / delta, and the projector
 onto span(Y) is within sqrt(2) ||R||_F / delta of B's spectral projector
@@ -70,28 +71,26 @@ R.  An LU with a zero pivot, a non-finite iterate or delta <= 0 (a window of
 gap 0) fails it too.  The reductions' own backward error is the
 tridiagonal route's.
 
-The same stage pair serves every caller from TWO_STAGE_MIN_N: the callers
-that need eigenvalues only (the dimension scan, the eig command and the
-convergence study) take tridiagonal_eigvals, which skips B's copy and the
-eigenvectors.  Below TWO_STAGE_MIN_N both take dsytrd, whose values (with
-dsterf) are numpy's eigvalsh bit for bit, as dsytrd and dsterf are the
-arithmetic of its dsyevd without vectors.  So at every n the values from
-which heic()'s reduction route picks its window are the dimension scan's
-bit for bit, unless the two-stage certificate fails and dsytrd's serve.  The
-stages are called as LAPACK's dsytrd_2stage (vect='N') calls them, so the
-values are that routine's too.  scipy wraps neither stage: both are bound
-by ctypes from the library scipy's LAPACK wrappers link, on first use, and
-where either, or their block-size query ilaenv2stage, is missing, dsytrd
-serves every n and every caller.
+reduce serves every caller: heic(), and the callers that read its values
+only (the dimension scan, the eig command and the convergence study).  From
+TWO_STAGE_MIN_N it takes the two stages; below it dsytrd, whose values
+(with dsterf) are numpy's eigvalsh bit for bit, as dsytrd and dsterf are
+the arithmetic of its dsyevd without vectors.  So at every n the values
+from which heic()'s reduction route picks its window are the dimension
+scan's bit for bit, unless the two-stage certificate fails and dsytrd's
+serve.  The stages are called as LAPACK's dsytrd_2stage (vect='N') calls
+them, so the values are that routine's too.  scipy wraps neither stage:
+both are bound by ctypes from the library scipy's LAPACK wrappers link, on
+first use, and where either, or their block-size query ilaenv2stage, is
+missing, dsytrd serves every n and every caller.
 
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice: the top
 end in the triangle above the diagonal, then the bottom end in the triangle
 below it, which the first proof leaves as it was, with the diagonal put
 back from a saved copy.  So the copy must be exactly symmetric, as A/n of a
-validated adjacency is.  confirm() also takes a callable that writes the
-matrix back, which it runs only when the proof fails, so that the caller
-can fall back to the reduction on it.
+validated adjacency is.  When the proof fails, the caller writes the
+matrix back before it falls back to a reduction.
 
 One thread pool.  numpy and scipy each ship an OpenBLAS with its own pool
 of worker threads, and an idle worker spins for about 0.1 s after a call
@@ -113,9 +112,9 @@ A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
 decreasingly (the reversed view of LAPACK's ascending output), plus
 window_vectors(start, stop), the eigenvectors of sorted positions
 start .. stop-1.  ExtremePairs has window_vectors for the positions it
-knows, but no values array.  Banded has both, but its window_vectors gives
-None where its certificate fails, so it is no Spectrum.  Each route names
-itself in its ``solver``.
+knows, but no values array.  Of all window_vectors, only Banded's may
+return None, where its certificate fails.  Each route names itself in its
+``solver``.
 SortedSpectrum, numpy's full eigh, is no route of heic(): it is the
 decomposition symmetric_eig returns.  Eigenvector signs (and bases within
 repeated eigenvalues) are arbitrary; consumers may use V only up to an
@@ -123,9 +122,8 @@ orthogonal transform, as in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
-the matrix is square, finite and symmetric.  tridiagonalize,
-tridiagonal_eigvals and two_stage_reduction overwrite the copy they are
-given.
+the matrix is square, finite and symmetric.  reduce and tridiagonalize
+overwrite the copy they are given.
 """
 
 from __future__ import annotations
@@ -133,7 +131,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -251,7 +249,7 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     return Tridiagonal(values, diagonal, offdiagonal, reflectors, tau)
 
 
-# From this n on, tridiagonal_eigvals reduces through LAPACK's two-stage
+# From this n on, reduce takes LAPACK's two-stage reduction, the stages of
 # dsytrd_2stage.  Median s (quartiles) of 5 alternating runs of each
 # reduction and dsterf on A/n of one threshold(0), d=3 graph per cell,
 # 2 cores, OpenBLAS 0.3.31 under scipy 1.17.1:
@@ -329,11 +327,7 @@ def _two_stage_routines():
     return sy2sb, sb2st, ilaenv2stage
 
 
-def _two_stage_applies(n: int) -> bool:
-    return n >= TWO_STAGE_MIN_N and _two_stage_routines() is not None
-
-
-def _dsytrd_2stage(arr: np.ndarray, keep_band: bool = False):
+def _dsytrd_2stage(arr: np.ndarray):
     """T = Q^T arr Q by LAPACK's two stages: T's diagonal and offdiagonal, band and tau.
 
     dsytrd_sy2sb reduces arr to a band matrix B = Q^T arr Q of half-bandwidth
@@ -342,9 +336,9 @@ def _dsytrd_2stage(arr: np.ndarray, keep_band: bool = False):
     with the arguments LAPACK's dsytrd_2stage (vect='N') gives it, so T has
     its bits.  arr, C-contiguous float64 and exactly symmetric, is
     overwritten; LAPACK reads its upper triangle as the lower one of the
-    Fortran view.  With keep_band, band is a copy of B in LAPACK's lower band
-    storage, band[i - j, j] = B[i, j], of min(kd, n-1) + 1 rows, taken
-    before the second stage overwrites it; otherwise None.
+    Fortran view.  band is a copy of B in LAPACK's lower band storage,
+    band[i - j, j] = B[i, j], of min(kd, n-1) + 1 rows, taken before the
+    second stage overwrites it (0.76 MB and 0.035 ms at n=3000).
     """
     import ctypes
 
@@ -370,7 +364,7 @@ def _dsytrd_2stage(arr: np.ndarray, keep_band: bool = False):
           work.ctypes.data, lw, info, 1)
     if info.value != 0:
         raise EigenSolverError(f"dsytrd_sy2sb failed with info={info.value}")
-    band = ab[:, : min(kd, n - 1) + 1].T.copy(order="F") if keep_band else None
+    band = ab[:, : min(kd, n - 1) + 1].T.copy(order="F")
     sb2st(b"Y", b"N", b"L", size, width, ab.ctypes.data, lead, diagonal.ctypes.data,
           offdiagonal.ctypes.data, hous.ctypes.data, ctypes.c_int(lhous), work.ctypes.data, lw, info,
           1, 1, 1)
@@ -378,19 +372,6 @@ def _dsytrd_2stage(arr: np.ndarray, keep_band: bool = False):
         raise EigenSolverError(f"dsytrd_sb2st failed with info={info.value}")
     # Below kd + 2 rows B is arr itself (Q = I), and LAPACK leaves tau unset.
     return diagonal, offdiagonal[: n - 1], band, tau[: n - kd if n > kd + 1 else 0]
-
-
-def tridiagonal_eigvals(arr: np.ndarray) -> np.ndarray:
-    """Every eigenvalue of a validated symmetric matrix, sorted decreasingly; arr is overwritten.
-
-    arr must be a C-contiguous float64 copy owned by the caller.  Below
-    TWO_STAGE_MIN_N, or when LAPACK lacks a routine of the two-stage
-    reduction, these are the values of tridiagonalize; from it on,
-    _dsytrd_2stage reduces arr and dsterf solves the tridiagonal matrix.
-    """
-    if not _two_stage_applies(arr.shape[0]):
-        return tridiagonalize(arr).values
-    return _tridiagonal_values(*_dsytrd_2stage(arr)[:2])
 
 
 # The largest projector error bound that Banded.window_vectors accepts,
@@ -462,6 +443,11 @@ def _inverse_iteration(band: np.ndarray, theta: float, x: np.ndarray) -> Optiona
     return x
 
 
+def rounding_slack(values: np.ndarray) -> float:
+    """4 n eps ||values||_2: how far either reduction may move each of n eigenvalues (module docstring)."""
+    return 4.0 * values.size * np.finfo(float).eps * _norm(values)
+
+
 def _window_bound(band: np.ndarray, values: np.ndarray, start: int, stop: int, y: np.ndarray) -> float:
     """sqrt(2) ||B Y - Y M||_F / delta, M = Y^T B Y (see the module docstring); inf when delta <= 0."""
     from scipy.linalg import blas, eigvalsh
@@ -475,19 +461,20 @@ def _window_bound(band: np.ndarray, values: np.ndarray, start: int, stop: int, y
     ritz = eigvalsh(m, check_finite=False)
     blas.dgemm(-1.0, y, m, beta=1.0, c=residual, overwrite_c=1)
     below = values[stop] if stop < n else -np.inf
-    slack = 4.0 * n * np.finfo(float).eps * _norm(values)
-    delta = min(values[start - 1] - ritz[-1], ritz[0] - below) - slack
+    delta = min(values[start - 1] - ritz[-1], ritz[0] - below) - rounding_slack(values)
     return math.sqrt(2.0) * _norm(residual) / delta if delta > 0.0 else math.inf
 
 
-def two_stage_reduction(arr: np.ndarray) -> Optional[Banded]:
-    """arr reduced by LAPACK's two stages, B kept; None, arr untouched, below TWO_STAGE_MIN_N.
+def reduce(arr: np.ndarray) -> Union[Banded, Tridiagonal]:
+    """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
-    Also None, at every n, where LAPACK lacks a routine of the two stages.
+    arr must be a C-contiguous float64 copy owned by the caller.  From
+    TWO_STAGE_MIN_N, where LAPACK has every routine of the two-stage
+    reduction, a Banded; otherwise tridiagonalize's Tridiagonal.
     """
-    if not _two_stage_applies(arr.shape[0]):
-        return None
-    diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr, keep_band=True)
+    if arr.shape[0] < TWO_STAGE_MIN_N or _two_stage_routines() is None:
+        return tridiagonalize(arr)
+    diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr)
     return Banded(_tridiagonal_values(diagonal, offdiagonal), band, arr.T, tau)
 
 
@@ -573,25 +560,21 @@ class ExtremePairs:
         """A copy of the Ritz vectors for sorted positions start .. stop-1."""
         return self.window(start, stop)[1].copy()
 
-    def confirm(self, work: np.ndarray, rebuild: Callable[[], object]) -> bool:
+    def confirm(self, work: np.ndarray) -> bool:
         """Prove the claim by two Cholesky factorizations; work holds A on entry and is overwritten.
 
         work must be exactly symmetric.  The first factorization proves the
         top end on the triangle above the diagonal, the second the bottom end
         on the triangle below it, which the first leaves untouched, with the
         diagonal put back from a copy saved on entry (see the module
-        docstring).  rebuild() writes A back into work.  It runs only when
-        the proof fails, so that work then holds A again.
+        docstring).
         """
         s_hi, s_lo = self.shifts
         diagonal = np.diagonal(work).copy()
-        proved = _definite(work, s_hi, -1.0, self.top, self.top_vectors, upper=True)
-        if proved:
-            np.fill_diagonal(work, diagonal)
-            proved = _definite(work, s_lo, 1.0, self.bottom, self.bottom_vectors, upper=False)
-        if not proved:
-            rebuild()
-        return proved
+        if not _definite(work, s_hi, -1.0, self.top, self.top_vectors, upper=True):
+            return False
+        np.fill_diagonal(work, diagonal)
+        return _definite(work, s_lo, 1.0, self.bottom, self.bottom_vectors, upper=False)
 
 
 def extreme_pairs(work: np.ndarray, k: int) -> Optional[ExtremePairs]:
@@ -739,7 +722,7 @@ def symmetric_eig(m) -> SortedSpectrum:
 
 def symmetric_eigvals(m) -> np.ndarray:
     """Eigenvalues of a dense symmetric matrix, sorted decreasingly; no eigenvectors."""
-    return tridiagonal_eigvals(_symmetrized(m))
+    return reduce(_symmetrized(m)).values
 
 
 def normalize_adjacency(adj) -> np.ndarray:

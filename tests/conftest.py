@@ -69,14 +69,17 @@ def count_calls(monkeypatch):
     """Run one call; return its adjacency validation passes, eigh / eigvalsh calls,
     tridiagonal reductions (LAPACK dsytrd, and under "dsytrd_2stage" the
     two-stage pair dsytrd_sy2sb and dsytrd_sb2st, from
-    spectral.TWO_STAGE_MIN_N), ARPACK runs (scipy eigsh) and Cholesky
-    factorizations (LAPACK dpotrf, one per end the certified route proves).
+    spectral.TWO_STAGE_MIN_N), ARPACK runs (scipy eigsh), Cholesky
+    factorizations (LAPACK dpotrf, one per end the certified route proves)
+    and writes of A/n into a graph command's working copy (under "copy",
+    estimator._working_copy: the first makes the copy, each later one writes
+    A/n back after a route overwrote it).
 
     A validation pass is a call of model.require_adjacency, whatever the
     adjacency's dtype: a uint8 or bool one never reaches require_symmetric.
     """
     counts = dict.fromkeys(
-        ("validate", "eigh", "eigvalsh", "dsytrd", "dsytrd_2stage", "arpack", "dpotrf"), 0
+        ("validate", "eigh", "eigvalsh", "dsytrd", "dsytrd_2stage", "arpack", "dpotrf", "copy"), 0
     )
 
     def counting(key, real):
@@ -98,6 +101,7 @@ def count_calls(monkeypatch):
     )
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", counting("arpack", scipy.sparse.linalg.eigsh))
     monkeypatch.setattr(lapack, "dpotrf", counting("dpotrf", lapack.dpotrf))
+    monkeypatch.setattr(heic.estimator, "_working_copy", counting("copy", heic.estimator._working_copy))
 
     def run(fn, *args, **kwargs):
         counts.update(dict.fromkeys(counts, 0))
@@ -129,8 +133,8 @@ def traced_peak():
 
 @pytest.fixture
 def partial_solve(monkeypatch):
-    """heic() takes the partial tridiagonal solve at every density: never
-    the certified route."""
+    """heic() takes a reduction at every density, spectral.reduce's and, when
+    a band certificate fails, dsytrd's: never the certified route."""
     monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", math.inf)
 
 
@@ -143,8 +147,9 @@ def certified_solve(monkeypatch):
 
 @pytest.fixture
 def two_stage(monkeypatch):
-    """spectral.tridiagonal_eigvals and heic()'s reduction route take LAPACK's
-    two-stage reduction at every n."""
+    """spectral.reduce, the one entry point of every caller's reduction, takes
+    LAPACK's two-stage reduction at every n: heic() gets a Banded, the
+    eigenvalue-only callers read its values."""
     monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", 1)
 
 

@@ -85,14 +85,14 @@ class TestEstimateDimension(RejectsBadAdjacency):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
         assert counts == {
             "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "dsytrd_2stage": 0, "arpack": 0,
-            "dpotrf": 0,
+            "dpotrf": 0, "copy": 1,
         }
 
     def test_two_stage_reduction_alone(self, count_calls, two_stage):
         counts = count_calls(heic.estimate_dimension, self._adjacency(n=80), d_max=10)
         assert counts == {
             "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, "dsytrd_2stage": 1, "arpack": 0,
-            "dpotrf": 0,
+            "dpotrf": 0, "copy": 1,
         }
 
     def test_two_stage_scores_match_one_stage(self, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -394,7 +395,7 @@ class TestHeicPipeline(RejectsBadAdjacency):
         counts = count_calls(heic.heic, np.ones((12, 12)) - np.eye(12), 3)
         assert counts == {
             "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 1, "dsytrd_2stage": 0, "arpack": 0,
-            "dpotrf": 0,
+            "dpotrf": 0, "copy": 1,
         }
 
     @pytest.mark.parametrize("min_n, solver", [(12, "dsytrd")])
@@ -405,7 +406,7 @@ class TestHeicPipeline(RejectsBadAdjacency):
         zero = dict.fromkeys(("eigh", "eigvalsh", "dsytrd", "dsytrd_2stage", "arpack", "dpotrf"), 0)
         for n in range(5, min_n + 1):
             counts = count_calls(heic.heic, np.ones((n, n)) - np.eye(n), 3)
-            assert counts == {"validate": 1, **zero, solver: 1}
+            assert counts == {"validate": 1, **zero, "copy": 1, solver: 1}
 
     def test_reduction_route_takes_two_stage_from_min_n(
         self, count_calls, monkeypatch, partial_solve, two_stage
@@ -417,6 +418,51 @@ class TestHeicPipeline(RejectsBadAdjacency):
         monkeypatch.setattr(spectral, "_BAND_BOUND", 0.0)
         counts = count_calls(heic.heic, _seeded_graph(60, 1), 3)
         assert (counts["dsytrd"], counts["dsytrd_2stage"]) == (1, 1)
+
+    def test_writes_a_over_n_back_only_after_an_overwrite(self, count_calls):
+        # heic() makes A/n once and writes it back only after a route that
+        # overwrote it fails, a refused proof or a failed band certificate,
+        # never after an ARPACK that declined having only read it.  Each
+        # fallback then gives the bits of the route it falls back to.
+        adjacency = _seeded_graph(300, 4)
+        real = spectral.extreme_pairs
+
+        def refused_at(end):
+            # The true pairs with one end's shift moved to 0, inside the
+            # bulk, so that end's factorization breaks down.
+            def claim(work, k):
+                pairs = real(work, k)
+                s_hi, s_lo = pairs.shifts
+                return dataclasses.replace(pairs, shifts=(0.0, s_lo) if end == "top" else (s_hi, 0.0))
+
+            return claim
+
+        def run(solver, copies, *patches):
+            with pytest.MonkeyPatch.context() as mp:
+                for target, name, value in patches:
+                    mp.setattr(target, name, value)
+                counts = count_calls(heic.heic, adjacency, 3)
+                estimate, diag = heic.heic(adjacency, 3)
+            assert (diag.solver, counts["copy"]) == (solver, copies)
+            return counts, (estimate.vectors.tobytes(), diag)
+
+        certified = (estimator, "CERTIFIED_MIN_DENSITY", 0.0)
+        reduction = (estimator, "CERTIFIED_MIN_DENSITY", math.inf)
+        two_stage = (spectral, "TWO_STAGE_MIN_N", 1)
+        run("certified", 1, certified)
+        _, reference = run("tridiagonal", 1, reduction)
+        run("two-stage", 1, reduction, two_stage)
+        counts, failed_band = run("tridiagonal", 2, reduction, two_stage, (spectral, "_BAND_BOUND", 0.0))
+        assert (counts["dsytrd_2stage"], counts["dsytrd"]) == (1, 1)
+        assert failed_band == reference
+        for end, factorizations in (("top", 1), ("bottom", 2)):
+            patch = (estimator, "extreme_pairs", refused_at(end))
+            counts, refused = run("tridiagonal", 2, certified, patch)
+            assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (1, factorizations, 1)
+            assert refused == reference
+        counts, declined = run("tridiagonal", 1, certified, (spectral, "_matvec_budget", lambda n: 10))
+        assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (1, 0, 1)
+        assert declined == reference
 
     def test_gap_matches_dimension_scan_bitwise(self, monkeypatch, partial_solve):
         # heic and the dimension scan share one reduction and dsterf at
@@ -620,7 +666,7 @@ class TestHeicPipeline(RejectsBadAdjacency):
         counts = count_calls(heic.heic, _seeded_graph(300, 4), 3)
         assert counts == {
             "validate": 1, "eigh": 0, "eigvalsh": 0, "dsytrd": 0, "dsytrd_2stage": 0, "arpack": 1,
-            "dpotrf": 2,
+            "dpotrf": 2, "copy": 1,
         }
 
     def test_sparse_graph_never_calls_arpack(self, count_calls):
@@ -706,18 +752,22 @@ class TestTwoStageRoute:
         assert np.linalg.norm(estimate.matrix - projector) <= 1e-10
         assert np.abs(estimate.vectors.T @ estimate.vectors - np.eye(3)).max() <= 1e-12
 
-    @pytest.mark.parametrize("edges", [0.0, 1.0], ids=["empty", "complete"])
-    def test_degenerate_graph_falls_back(self, monkeypatch, partial_solve, edges):
+    @pytest.mark.parametrize(
+        "edges, n",
+        [(0.0, 200), (1.0, 200), (1.0, 5), (1.0, 50)],
+        ids=["empty", "complete", "complete-5", "complete-50"],
+    )
+    def test_degenerate_graph_falls_back(self, monkeypatch, partial_solve, edges, n):
         # Every window of the empty graph has gap 0, and every window of K_n
         # a gap of rounding alone: no certificate.  K_n's rounding leaves
-        # dsytrd a gap above 0, so only the empty graph is flagged.
-        n = 200
+        # dsytrd a gap above 0 but within the spectrum's rounding slack, so
+        # both graphs are flagged.
         adjacency = np.full((n, n), edges) - edges * np.eye(n)
         parent, parent_diag = heic.heic(adjacency, 3)
         monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
         estimate, diag = heic.heic(adjacency, 3)
         assert diag == parent_diag and diag.solver == "tridiagonal"
-        assert diag.degenerate == (edges == 0.0)
+        assert diag.degenerate
         assert estimate.vectors.tobytes() == parent.vectors.tobytes()
 
     def test_failed_certificate_gives_dsytrd_bits(self, monkeypatch, partial_solve):

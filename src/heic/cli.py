@@ -12,6 +12,10 @@ Subcommands:
 * ``dim-study``         -- dimension-recovery study from a JSON config,
 * ``convergence-study`` -- spectrum matching-distance study from a config.
 
+Every output path (a study config's ``out`` too) must name a file in an
+existing directory; ``-`` is standard output.  It is checked before any
+input is read or any work is done.
+
 Exit codes: 0 success, 1 validation/usage error or too little memory for
 the graph, 2 numeric failure (also a study whose every replicate failed;
 its CSV of NaN rows is still written).
@@ -21,6 +25,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -85,12 +91,8 @@ def _cmd_estimate(args) -> int:
     estimate, diag = heic(adjacency, args.dim)
     io.write_matrix_csv(args.out_gram, estimate.matrix)
     if args.out_diag:
-        header = "gap,diameter,cluster_start,top_eigenvalue,edge_density,degenerate,solver,margin"
-        row = (
-            diag.gap, diag.diameter, diag.cluster_start, diag.top_eigenvalue, diag.edge_density,
-            diag.degenerate, diag.solver, diag.margin,
-        )
-        io.write_table(args.out_diag, header, [row])
+        names = [field.name for field in fields(diag) if field.name != "event_e"]
+        io.write_table(args.out_diag, ",".join(names), [[getattr(diag, name) for name in names]])
     if diag.degenerate:
         print("warning: separation score within rounding of zero, estimate is degenerate", file=sys.stderr)
     return 0
@@ -103,10 +105,26 @@ def _cmd_dimension(args) -> int:
     return 0
 
 
+def _require_output(path, name: str) -> None:
+    """Reject an output path that is a directory or lies in no existing directory; "-" is stdout."""
+    if path is None or str(path) == "-":
+        return
+    path = Path(path)
+    if path.is_dir():
+        raise ValidationError(f"{name}: {path} is a directory")
+    if not path.parent.is_dir():
+        raise ValidationError(f"{name}: directory {path.parent} does not exist")
+
+
+# Every output flag of every command, as argparse names its attribute.
+_OUTPUT_FLAGS = ("out", "out_gram", "out_diag", "theta_out", "gram_out")
+
+
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_json(args.config)
     if cfg.out is None:
         raise ValidationError("config must set an output path ('out')")
+    _require_output(cfg.out, "config 'out'")
     return cfg
 
 
@@ -217,6 +235,8 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in _OUTPUT_FLAGS:
+            _require_output(getattr(args, flag, None), "--" + flag.replace("_", "-"))
         return args.handler(args)
     except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

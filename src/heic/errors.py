@@ -34,4 +34,8 @@ class QuadratureError(NumericError):
 
 
 class EigenSolverError(NumericError):
-    """The dense symmetric eigensolver did not converge."""
+    """A symmetric eigensolver did not converge, or its certificate failed.
+
+    The certificate is the bound a two-stage reduction's window eigenvectors
+    must meet (spectral.Banded.window_vectors).
+    """

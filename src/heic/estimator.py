@@ -41,15 +41,18 @@ names the one it took in HeicDiagnostics.solver:
   reduction and eigenvalues, and the window's eigenvectors from the band
   matrix its first stage leaves, accepted only under a bound of 1e-10 on
   their projector's error (spectral.Banded.window_vectors);
-- "tridiagonal" in its place below spectral.TWO_STAGE_MIN_N, and whenever
-  the two-stage certificate fails: the one-stage reduction by dsytrd, every
-  eigenvalue, and the window's eigenvectors alone.  Below the crossover its
-  eigenvalues are the dimension scan's bit for bit.
+- "tridiagonal" in its place below spectral.TWO_STAGE_MIN_N: the one-stage
+  reduction by dsytrd, every eigenvalue, and the window's eigenvectors
+  alone.  Its eigenvalues are the dimension scan's bit for bit.  When the
+  two-stage certificate fails, dsytrd serves for the window's eigenvectors
+  alone: heic() writes A/n back, reduces it by dsytrd and takes the
+  eigenvectors of the window the two-stage values placed.
 
-So on the two reduction routes, at every n, heic(adjacency, d) reports the
-dimension scan's score of candidate d as its gap exactly, unless the
-two-stage certificate fails; then the two differ by rounding alone (at most
-2.2e-15 on n=3000 threshold(0) graphs).
+solver names where the window's eigenvectors came from.  The window is
+picked once, on the values the dimension scan scores, so on the two
+reduction routes, at every n, heic(adjacency, d) reports the dimension
+scan's score of candidate d as its gap exactly, with the margin, top
+eigenvalue and degenerate flag of the same values.
 
 Every route, and the dimension scan, runs every BLAS and LAPACK call on
 scipy's thread pool, so numpy's pool stays idle (see spectral.py).
@@ -59,16 +62,17 @@ for estimation; it only enters the simulation-side check event_e_check.
 
 heic() and estimate_dimension validate their adjacency once, at the top,
 with model.require_adjacency (square, finite, symmetric, 0/1 entries, no
-self-loops), so both accept and reject the same graphs with the same
-messages, and check their window sizes (integers, against n) with
-_require_window.  heic() checks its scalars rho and analytic_gap before
-that, so bad ones cost no solve.  A uint8 or bool adjacency, which the
-samplers and the edge-list reader produce, is checked where it lies,
-without a copy.  Each command then divides it into its one n x n float64
-array, the working copy A/n that the solvers read and overwrite; heic()
-writes A/n back in one place, after a route that overwrote it fails (a
-refused proof or a failed band certificate).  A/n has the same bits whether
-the adjacency came as uint8, bool or float64, so every output does too.  They then trust it through the solve.
+self-loops), and then trust it through the solve, so both accept and
+reject the same graphs with the same messages; they check their window
+sizes (integers, against n) with _require_window.  heic() checks its
+scalars rho and analytic_gap before that, so bad ones cost no solve.  A
+uint8 or bool adjacency, which the samplers and the edge-list reader
+produce, is checked where it lies, without a copy.  Each command then
+divides it into its one n x n float64 array, the working copy A/n that the
+solvers read and overwrite; heic() writes A/n back after a route that
+overwrote it fails (a refused proof or a failed band certificate).  A/n
+has the same bits whether the adjacency came as uint8, bool or float64, so
+every output does too.
 heic() picks its window as find_cluster does and reports the margin over
 the runner-up, then keeps the window's eigenvectors and runs event_e_check,
 which reads only the window.  scan_spectrum validates only the candidates
@@ -83,7 +87,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .errors import ValidationError
+from .errors import EigenSolverError, ValidationError
 from .model import require_adjacency
 from .spectral import Spectrum, extreme_pairs
 
@@ -135,14 +139,17 @@ class EventEReport:
 class HeicDiagnostics:
     """How heic() chose its window.
 
-    solver names the route: "certified" (ARPACK's extreme pairs, proved
-    by Cholesky factorizations), "two-stage" (LAPACK's two-stage
-    reduction, with window eigenvectors from its band matrix under a
-    projector error bound) or "tridiagonal" (dsytrd; the fallback of both).
-    margin is the chosen window's gap minus the largest gap of any other
-    window: the selection margin over the runner-up on the reductions, and
-    on the certified route the certificate margin, against the largest
-    bound on another window's gap.
+    solver names where the window's eigenvectors came from: "certified"
+    (ARPACK's extreme pairs, proved by Cholesky factorizations),
+    "two-stage" (the band matrix of LAPACK's two-stage reduction, under a
+    projector error bound) or "tridiagonal" (dsytrd: below
+    spectral.TWO_STAGE_MIN_N, and wherever the band certificate fails).
+    The window itself, and gap, margin, top_eigenvalue and degenerate, come
+    from the certified pairs or, on the reductions, from spectral.reduce's
+    values, which the dimension scan scores.  margin is the chosen window's
+    gap minus the largest gap of any other window: the selection margin
+    over the runner-up on the reductions, and on the certified route the
+    certificate margin, against the largest bound on another window's gap.
     """
 
     gap: float
@@ -280,10 +287,17 @@ def certify_window(
 
 
 def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
-    """The estimate over the selected window's eigenvectors."""
+    """The estimate over the selected window's eigenvectors.
+
+    Raises EigenSolverError where a Banded's certificate fails for the window.
+    """
     if cluster.indices[-1] >= len(spec.values) or cluster.start < 1:
         raise ValidationError("cluster does not fit the spectrum")
-    return GramEstimate(spec.window_vectors(cluster.start, cluster.start + cluster.d), cluster)
+    vectors = spec.window_vectors(cluster.start, cluster.start + cluster.d)
+    if vectors is None:
+        window = f"{cluster.start} .. {cluster.indices[-1]}"
+        raise EigenSolverError(f"band certificate failed for the window at sorted positions {window}")
+    return GramEstimate(vectors, cluster)
 
 
 def _require_gap(gap_analytic: float) -> None:
@@ -333,8 +347,8 @@ CERTIFIED_MIN_DENSITY = 0.25
 
 
 # Every route gives one result shape: (solver, top eigenvalue, cluster,
-# margin, degenerate, vectors), or None when it fails.  degenerate marks a
-# gap that cannot be told from 0.
+# margin, degenerate, vectors).  The certified route gives None when its
+# proof fails.  degenerate marks a gap that cannot be told from 0.
 
 
 def _certified_window(work: np.ndarray, d: int, pairs, window):
@@ -351,15 +365,14 @@ def _certified_window(work: np.ndarray, d: int, pairs, window):
 
 
 def _reduced_window(solved, d: int):
-    """A Banded's or a Tridiagonal's result, or None where Banded's certificate fails.
+    """A Banded's or a Tridiagonal's result; its vectors are None where Banded's certificate fails.
 
-    A gap within the rounding slack either reduction leaves each eigenvalue
-    (spectral.rounding_slack) is degenerate.
+    The window is picked on solved's values, the dimension scan's, whatever
+    becomes of the vectors.  A gap within the rounding slack either
+    reduction leaves each eigenvalue (spectral.rounding_slack) is degenerate.
     """
     cluster, margin = _best_window(solved.values, d)
     vectors = solved.window_vectors(cluster.start, cluster.start + d)
-    if vectors is None:
-        return None
     degenerate = cluster.gap <= spectral.rounding_slack(solved.values)
     return solved.solver, float(solved.values[0]), cluster, margin, degenerate, vectors
 
@@ -388,9 +401,10 @@ def heic(
     and its matrix property builds (1/d) V V^T on request.  When rho and
     the analytic gap of the generating link are supplied (simulation
     studies), the diagnostics carry the cluster-quality check; they must
-    come together, and are checked before the adjacency.  The routes are
-    tried in turn (see the module docstring); each gives one result shape,
-    and A/n is written back in one place.  A gap that cannot be told from 0
+    come together, and are checked before the adjacency.  The certified
+    route is tried first, then spectral.reduce (see the module docstring);
+    the window is picked once, and a failed band certificate recomputes
+    only its eigenvectors, by dsytrd.  A gap that cannot be told from 0
     (e.g. the empty graph, or K_n) marks the estimate as degenerate,
     signalled in the diagnostics rather than raised.
     """
@@ -404,16 +418,14 @@ def heic(
     if pairs is not None:
         window = certify_window(pairs.top, pairs.bottom, pairs.lower, pairs.upper, n, d, pairs.slack)
     routed = None if window is None else _certified_window(work, d, pairs, window)
-    overwritten = window is not None  # confirm() has run in work
-    # reduce's Tridiagonal always gives a result; tridiagonalize serves
-    # when a Banded's certificate fails.
-    for reduction in (spectral.reduce, spectral.tridiagonalize):
-        if routed is not None:
-            break
-        if overwritten:
+    if routed is None:
+        if window is not None:  # confirm() has run in work
             _working_copy(adjacency, out=work)
-        routed, overwritten = _reduced_window(reduction(work), d), True
+        routed = _reduced_window(spectral.reduce(work), d)
     solver, top, cluster, margin, degenerate, vectors = routed
+    if vectors is None:  # a Banded's certificate failed: dsytrd's vectors for the same window
+        solved = spectral.tridiagonalize(_working_copy(adjacency, out=work))
+        solver, vectors = solved.solver, solved.window_vectors(cluster.start, cluster.start + d)
     estimate = GramEstimate(vectors, cluster)
     event_e = None
     if with_event_e:

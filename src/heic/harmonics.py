@@ -117,7 +117,9 @@ def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarra
     per level; the per-level error estimate is the change under the final
     node doubling.  The rule starts with enough panels per segment to
     resolve a degree-k_max oscillation and doubles them until every level
-    changes by at most QUAD_TOL.
+    changes by at most QUAD_TOL.  When the panel budget runs out first, the
+    QuadratureError carries the largest change of the last doubling, or NaN
+    when there was none.
     """
     gamma = _require_dim(d)
     if k_max < 0:
@@ -144,18 +146,20 @@ def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarra
 
     pieces = 1 + (k_max + 2 * QUAD_NODES) // (2 * QUAD_NODES)
     values = eval_levels(pieces)
+    change = float("nan")  # no doubling yet
     while True:
         pieces *= 2
         if pieces * len(segments) > QUAD_MAX_PANELS:
             raise QuadratureError(
                 f"level table did not converge within {QUAD_MAX_PANELS} panels",
                 best_estimate=float(np.abs(values).max()),
-                error_estimate=float("nan"),
+                error_estimate=change,
             )
         refined = eval_levels(pieces)
         errors = np.abs(refined - values)
         values = refined
-        if float(errors.max()) <= QUAD_TOL:
+        change = float(errors.max())
+        if change <= QUAD_TOL:
             return values, errors
 
 

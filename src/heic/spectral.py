@@ -10,8 +10,9 @@ two through one entry point, reduce:
 - two-stage: from TWO_STAGE_MIN_N, LAPACK's two-stage reduction, every
   eigenvalue, and the window's eigenvectors from the band matrix the first
   stage leaves, certified by a bound on their projector's error
-  (Banded.window_vectors).  When the bound fails, estimator.heic() falls
-  back to the tridiagonal route.
+  (Banded.window_vectors).  When the bound fails, estimator.heic() keeps
+  the window the two-stage values placed and takes its eigenvectors alone
+  from the tridiagonal route's reduction.
 - certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
   ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
   the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
@@ -77,12 +78,11 @@ TWO_STAGE_MIN_N it takes the two stages; below it dsytrd, whose values
 (with dsterf) are numpy's eigvalsh bit for bit, as dsytrd and dsterf are
 the arithmetic of its dsyevd without vectors.  So at every n the values
 from which heic()'s reduction route picks its window are the dimension
-scan's bit for bit, unless the two-stage certificate fails and dsytrd's
-serve.  The stages are called as LAPACK's dsytrd_2stage (vect='N') calls
-them, so the values are that routine's too.  scipy wraps neither stage:
-both are bound by ctypes from the library scipy's LAPACK wrappers link, on
-first use, and where either, or their block-size query ilaenv2stage, is
-missing, dsytrd serves every n and every caller.
+scan's bit for bit.  The stages are called as LAPACK's dsytrd_2stage
+(vect='N') calls them, so the values are that routine's too.  scipy wraps
+neither stage: both are bound by ctypes from the library scipy's LAPACK
+wrappers link, on first use, and where either, or their block-size query
+ilaenv2stage, is missing, dsytrd serves every n and every caller.
 
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice: the top
@@ -108,7 +108,7 @@ scipy is imported on first use (about 0.3 s and 27 MB of RSS, and 0.5 s
 and 3.7 MB more for scipy.sparse.linalg), not by ``import heic`` or
 analytic_spectrum.
 
-A Spectrum (SortedSpectrum or Tridiagonal) is its values, sorted
+A Spectrum (SortedSpectrum, Tridiagonal or Banded) is its values, sorted
 decreasingly (the reversed view of LAPACK's ascending output), plus
 window_vectors(start, stop), the eigenvectors of sorted positions
 start .. stop-1.  ExtremePairs has window_vectors for the positions it
@@ -191,8 +191,9 @@ def _back_transform(reflectors: np.ndarray, tau: np.ndarray, kd: int, y: np.ndar
 class Tridiagonal:
     """A = Q T Q^T from one Householder reduction (LAPACK dsytrd, lower triangle).
 
-    heic()'s reduction route below TWO_STAGE_MIN_N, and its fallback from
-    there on when the two-stage route's certificate fails.  values holds
+    heic()'s reduction route below TWO_STAGE_MIN_N; from there on it gives
+    only the window's eigenvectors, when the two-stage route's certificate
+    fails.  values holds
     every eigenvalue of T (LAPACK dsterf), sorted decreasingly.
     reflectors is the reduced matrix in Fortran order and tau its n-1
     scalars; they hold Q as _back_transform reads it, with kd = 1.
@@ -478,7 +479,7 @@ def reduce(arr: np.ndarray) -> Union[Banded, Tridiagonal]:
     return Banded(_tridiagonal_values(diagonal, offdiagonal), band, arr.T, tau)
 
 
-Spectrum = Union[SortedSpectrum, Tridiagonal]
+Spectrum = Union[SortedSpectrum, Tridiagonal, Banded]
 
 
 # ARPACK's Krylov basis for k Ritz pairs.

@@ -133,8 +133,8 @@ def traced_peak():
 
 @pytest.fixture
 def partial_solve(monkeypatch):
-    """heic() takes a reduction at every density, spectral.reduce's and, when
-    a band certificate fails, dsytrd's: never the certified route."""
+    """heic() takes spectral.reduce at every density, never the certified
+    route; where a band certificate fails, the window's vectors are dsytrd's."""
     monkeypatch.setattr(heic.estimator, "CERTIFIED_MIN_DENSITY", math.inf)
 
 

@@ -133,6 +133,17 @@ class TestEstimateCommand:
         assert code == 0
         assert diag_csv.read_text().splitlines()[1].split(",")[5:7] == ["False", "two-stage"]
 
+    def test_degenerate_estimate_warns_once(self, tmp_path, capsys):
+        # A graph with no edges: every window's gap is 0.
+        edges, diag_csv = tmp_path / "empty.edges", tmp_path / "diag.csv"
+        edges.write_text("n=8\n")
+        argv = ["estimate", "--input", str(edges), "--dim", "3", "--out-gram", str(tmp_path / "g.csv")]
+        assert cli.cli_main([*argv, "--out-diag", str(diag_csv)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: ")
+        header, row = diag_csv.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["degenerate"] == "True"
+
     def test_missing_input_is_validation_error(self, tmp_path):
         code = cli.cli_main(
             [
@@ -339,6 +350,73 @@ class TestStudyCommands:
         assert cli.cli_main(["mse-study", "--config", str(cfg)]) == 0
         mse = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]
         assert [value == "nan" for value in mse] == [True, True, False, False]
+
+
+class TestOutputPaths:
+    """An output path in no existing directory, or naming a directory, fails before any work."""
+
+    COMMANDS = {
+        "sample": ["sample", "--link", "threshold:0", "--d", "3", "--n", "20", "--seed", "1"],
+        "spectrum": ["spectrum", "--link", "threshold:0", "--d", "3"],
+        "eig": ["eig", "--input", "{input}"],
+        "estimate": ["estimate", "--input", "{input}", "--dim", "3"],
+        "dimension": ["dimension", "--input", "{input}"],
+    }
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work ran before the output path was checked")
+
+        for module, name in (
+            (io, "read_edge_list"), (io, "read_matrix_csv"), (cli, "sample_uniform_sphere"),
+            (cli, "analytic_spectrum"), (cli, "run_mse_study"), (cli, "run_dimension_study"),
+            (cli, "run_spectrum_convergence"), (experiments, "sample_uniform_sphere"),
+        ):
+            monkeypatch.setattr(module, name, unreachable)
+
+    @staticmethod
+    def _bad_path(tmp_path, kind):
+        return str(tmp_path if kind == "directory" else tmp_path / "nodir" / "out.csv")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize(
+        "command, flag, others",
+        [
+            ("sample", "--out", []),
+            ("sample", "--theta-out", ["--out"]),
+            ("sample", "--gram-out", ["--out"]),
+            ("spectrum", "--out", []),
+            ("eig", "--out", []),
+            ("estimate", "--out-gram", []),
+            ("estimate", "--out-diag", ["--out-gram"]),
+            ("dimension", "--out", []),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_output_flag_rejected_first(self, tmp_path, capsys, no_work, kind, command, flag, others):
+        argv = [arg.replace("{input}", str(tmp_path / "in.txt")) for arg in self.COMMANDS[command]]
+        for i, other in enumerate(others):
+            argv += [other, str(tmp_path / f"ok{i}.csv")]
+        assert cli.cli_main([*argv, flag, self._bad_path(tmp_path, kind)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    @pytest.mark.parametrize("command", ["mse-study", "dim-study", "convergence-study"])
+    def test_study_out_rejected_first(self, tmp_path, capsys, no_work, kind, command):
+        config = tmp_path / "cfg.json"
+        raw = {"link": "threshold:0", "d": 3, "n_grid": [60], "replicates": 2, "seed": 1}
+        config.write_text(json.dumps({**raw, "out": self._bad_path(tmp_path, kind)}))
+        assert cli.cli_main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config 'out': ") and err.count("\n") == 1
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_stdout_is_not_checked(self, capsys):
+        assert cli.cli_main(["spectrum", "--link", "threshold:0", "--d", "3", "--kmax", "2", "--out", "-"]) == 0
+        assert capsys.readouterr().out.startswith("k,eigenvalue,multiplicity,quad_err\n")
 
 
 class TestExitCodes:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import heic
 from heic import estimator, spectral
-from heic.errors import ValidationError
+from heic.errors import EigenSolverError, ValidationError
 from oracles import (
     cluster_scan_bruteforce,
     diagonal_spectrum,
@@ -423,7 +423,8 @@ class TestHeicPipeline(RejectsBadAdjacency):
         # heic() makes A/n once and writes it back only after a route that
         # overwrote it fails, a refused proof or a failed band certificate,
         # never after an ARPACK that declined having only read it.  Each
-        # fallback then gives the bits of the route it falls back to.
+        # fallback then gives the bits of the route it falls back to; a
+        # failed band certificate, dsytrd's vectors for the window it placed.
         adjacency = _seeded_graph(300, 4)
         real = spectral.extreme_pairs
 
@@ -454,7 +455,8 @@ class TestHeicPipeline(RejectsBadAdjacency):
         run("two-stage", 1, reduction, two_stage)
         counts, failed_band = run("tridiagonal", 2, reduction, two_stage, (spectral, "_BAND_BOUND", 0.0))
         assert (counts["dsytrd_2stage"], counts["dsytrd"]) == (1, 1)
-        assert failed_band == reference
+        assert failed_band[0] == reference[0]
+        assert failed_band[1].cluster_start == reference[1].cluster_start
         for end, factorizations in (("top", 1), ("bottom", 2)):
             patch = (estimator, "extreme_pairs", refused_at(end))
             counts, refused = run("tridiagonal", 2, certified, patch)
@@ -464,22 +466,33 @@ class TestHeicPipeline(RejectsBadAdjacency):
         assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (1, 0, 1)
         assert declined == reference
 
-    def test_gap_matches_dimension_scan_bitwise(self, monkeypatch, partial_solve):
+    def test_gap_matches_dimension_scan_bitwise(self, monkeypatch, count_calls, partial_solve):
         # heic and the dimension scan share one reduction and dsterf at
         # every n, so heic reports the candidate's score exactly.  Below
         # spectral.TWO_STAGE_MIN_N that is dsytrd, the arithmetic of numpy's
-        # eigvalsh too; from it on, the two stages.
-        for min_n in (spectral.TWO_STAGE_MIN_N, 1):
+        # eigvalsh too; from it on, the two stages.  A failed band
+        # certificate keeps the two-stage window and takes only its
+        # vectors from dsytrd, on A/n written back.
+        for min_n, bound in ((spectral.TWO_STAGE_MIN_N, None), (1, None), (1, 0.0)):
             monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", min_n)
+            if bound is not None:
+                monkeypatch.setattr(spectral, "_BAND_BOUND", bound)
             for n in (60, 200):
                 for seed in range(20):
                     adjacency = _seeded_graph(n, seed)
-                    _, diag = heic.heic(adjacency, 3)
+                    estimate, diag = heic.heic(adjacency, 3)
                     assert diag.gap == heic.estimate_dimension(adjacency).scores[2]
-                    assert diag.solver == ("two-stage" if min_n == 1 else "tridiagonal")
+                    assert diag.solver == ("two-stage" if (min_n, bound) == (1, None) else "tridiagonal")
                     if min_n > n:
                         values = np.linalg.eigvalsh(adjacency / n)[::-1]
                         assert diag.gap == heic.window_gaps(values, 3).max()
+                    if bound is not None:
+                        start = heic.find_cluster(spectral.reduce(adjacency / n), 3).start
+                        assert diag.cluster_start == start
+                        vectors = spectral.tridiagonalize(adjacency / n).window_vectors(start, start + 3)
+                        assert estimate.vectors.tobytes() == vectors.tobytes()
+                        counts = count_calls(heic.heic, adjacency, 3)
+                        assert (counts["dsytrd_2stage"], counts["dsytrd"], counts["copy"]) == (1, 1, 2)
 
     @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)])
     def test_matches_full_eigh_reference(self, partial_solve, link):
@@ -759,25 +772,53 @@ class TestTwoStageRoute:
     )
     def test_degenerate_graph_falls_back(self, monkeypatch, partial_solve, edges, n):
         # Every window of the empty graph has gap 0, and every window of K_n
-        # a gap of rounding alone: no certificate.  K_n's rounding leaves
-        # dsytrd a gap above 0 but within the spectrum's rounding slack, so
-        # both graphs are flagged.
+        # a gap of rounding alone: no certificate.  The window is the one
+        # the two-stage values place, with dsytrd's vectors for it.  K_n's
+        # rounding leaves a gap above 0 but within the spectrum's rounding
+        # slack, so both graphs are flagged.
         adjacency = np.full((n, n), edges) - edges * np.eye(n)
         parent, parent_diag = heic.heic(adjacency, 3)
         monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
         estimate, diag = heic.heic(adjacency, 3)
-        assert diag == parent_diag and diag.solver == "tridiagonal"
-        assert diag.degenerate
-        assert estimate.vectors.tobytes() == parent.vectors.tobytes()
+        solved = spectral.reduce(adjacency / n)
+        cluster = heic.find_cluster(solved, 3)
+        gaps = np.sort(heic.window_gaps(solved.values, 3))
+        assert diag == dataclasses.replace(
+            parent_diag,
+            gap=cluster.gap,
+            diameter=cluster.diameter,
+            cluster_start=cluster.start,
+            top_eigenvalue=float(solved.values[0]),
+            margin=gaps[-1] - gaps[-2],
+        )
+        assert diag.degenerate and diag.solver == "tridiagonal"
+        start = cluster.start
+        vectors = spectral.tridiagonalize(adjacency / n).window_vectors(start, start + 3)
+        assert estimate.vectors.tobytes() == vectors.tobytes()
+        if edges == 0.0:
+            assert diag == parent_diag
+            assert estimate.vectors.tobytes() == parent.vectors.tobytes()
 
     def test_failed_certificate_gives_dsytrd_bits(self, monkeypatch, partial_solve):
+        # dsytrd's vectors for the window, which the two-stage values place
+        # and score.
         adjacency = _seeded_graph(300, 6, rho=0.3)
         parent, parent_diag = heic.heic(adjacency, 3)
         monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
+        _, two_stage_diag = heic.heic(adjacency, 3)
         monkeypatch.setattr(spectral, "_BAND_BOUND", 0.0)
         estimate, diag = heic.heic(adjacency, 3)
-        assert diag == parent_diag and diag.solver == "tridiagonal"
+        assert diag == dataclasses.replace(two_stage_diag, solver="tridiagonal")
+        assert diag.cluster_start == parent_diag.cluster_start
         assert estimate.vectors.tobytes() == parent.vectors.tobytes()
+
+    def test_gram_estimate_refuses_an_uncertified_window(self, two_stage):
+        # Every window of K_50 has a gap of rounding alone, so the band
+        # certificate fails and there are no vectors to estimate from.
+        solved = spectral.reduce((np.ones((50, 50)) - np.eye(50)) / 50)
+        cluster = heic.find_cluster(solved, 3)
+        with pytest.raises(EigenSolverError, match="band certificate failed for the window"):
+            heic.gram_estimate(solved, cluster)
 
 
 class TestAdjacencyDtypes:

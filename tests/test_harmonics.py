@@ -146,10 +146,18 @@ class TestFunckHeckeTable:
                 assert errs.max() < 1e-10
 
     def test_budget_exhaustion(self, monkeypatch):
+        # The error estimate is the largest change of the last doubling: it
+        # is finite, and above the tolerance that was not met.
         monkeypatch.setattr(harmonics, "QUAD_TOL", 1e-30)
         monkeypatch.setattr(harmonics, "QUAD_MAX_PANELS", 64)
-        with pytest.raises(QuadratureError):
+        with pytest.raises(QuadratureError) as excinfo:
             funck_hecke_table(heic.threshold(0.0), 3, 5)
+        estimate = excinfo.value.error_estimate
+        assert math.isfinite(estimate) and estimate > harmonics.QUAD_TOL
+        monkeypatch.setattr(harmonics, "QUAD_MAX_PANELS", 4)  # not even one doubling fits
+        with pytest.raises(QuadratureError) as excinfo:
+            funck_hecke_table(heic.threshold(0.0), 3, 5)
+        assert math.isnan(excinfo.value.error_estimate)
 
 
 def _spectrum_from_values(eigs, d=3):

@@ -173,7 +173,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True, help="node count")
     p.add_argument("--rho", type=float, default=1.0, help="edge-density scale in (0, 1]")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="edge-list output path")
+    p.add_argument("--out", required=True, help="edge-list output path, or - for stdout")
     p.add_argument("--theta-out", help="optional dense CSV of the probability matrix")
     p.add_argument("--gram-out", help="optional dense CSV of the population Gram matrix")
     p.set_defaults(handler=_cmd_sample)
@@ -193,8 +193,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="Gram estimate from an edge list")
     p.add_argument("--input", required=True, help="edge-list path")
     p.add_argument("--dim", type=int, required=True, help="latent dimension d")
-    p.add_argument("--out-gram", required=True, help="dense CSV output path")
-    p.add_argument("--out-diag", help="optional diagnostics CSV path")
+    p.add_argument("--out-gram", required=True, help="dense CSV output path, or - for stdout")
+    p.add_argument("--out-diag", help="optional diagnostics CSV path, or - for stdout")
     p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("dimension", help="candidate-dimension scores from an edge list")

@@ -73,10 +73,16 @@ solvers read and overwrite; heic() writes A/n back after a route that
 overwrote it fails (a refused proof or a failed band certificate).  A/n
 has the same bits whether the adjacency came as uint8, bool or float64, so
 every output does too.
-heic() picks its window as find_cluster does and reports the margin over
-the runner-up, then keeps the window's eigenvectors and runs event_e_check,
-which reads only the window.  scan_spectrum validates only the candidates
-against the spectrum it is given.
+heic() reads whichever route it took through one interface (see
+spectral.py): its sorted values, solver, slack and window_vectors.  One
+window rule, _pick, places the window on every route: on a reduction's
+values as find_cluster does, with the margin over the runner-up, and
+inside certify_window with the margin over every other window's bound.
+The estimate is degenerate when its gap is within the route's slack, so
+that it cannot be told from 0; a certified one never is, as the proof
+gives a gap above 2 slack.  heic() then keeps the window's eigenvectors
+and runs event_e_check, which reads only the window.  scan_spectrum
+validates only the candidates against the spectrum it is given.
 """
 
 from __future__ import annotations
@@ -150,6 +156,10 @@ class HeicDiagnostics:
     gap minus the largest gap of any other window: the selection margin
     over the runner-up on the reductions, and on the certified route the
     certificate margin, against the largest bound on another window's gap.
+    degenerate means the gap is within the route's slack (the reductions'
+    rounding slack), so it cannot be told from 0.  It is False on the
+    certified route: the proof gives a gap above 2 slack plus every other
+    window's bound, and each bound is at least that window's gap, >= 0.
     """
 
     gap: float
@@ -196,6 +206,29 @@ def _require_window(n: int, d: int) -> None:
         raise ValidationError(f"need at least d + 2 = {d + 2} eigenvalues, got {n}")
 
 
+def _window_min(steps: np.ndarray, d: int) -> np.ndarray:
+    """Each window's smaller step; steps[j] is the step from sorted position j to j+1.
+
+    Entry i-1 is window i's: the smaller of steps[i-1] and steps[i+d-1],
+    the first alone for the window that ends at the last position.  A NaN
+    step gives a NaN entry.
+    """
+    return np.minimum(steps[: steps.size + 1 - d], np.append(steps[d:], np.inf))
+
+
+def _pick(gaps: np.ndarray, bounds: np.ndarray) -> tuple[int, float, float]:
+    """(start, gap, margin) of the window of largest gap; margin is over every other window's bound.
+
+    A NaN gap is unknown and never picked; ties take the smallest start.
+    bounds, one per window (gaps itself when every gap is known), is
+    overwritten.
+    """
+    best = int(np.nanargmax(gaps))
+    gap = float(gaps[best])
+    bounds[best] = -np.inf
+    return best + 1, gap, gap - float(bounds.max())
+
+
 def window_gaps(values, d: int) -> np.ndarray:
     """Separation of every window {i, ..., i+d-1}, i = 1 .. n-d, from the rest.
 
@@ -205,8 +238,7 @@ def window_gaps(values, d: int) -> np.ndarray:
     has only the first.  Windows never contain sorted position 0 (the top
     eigenvalue tracks the mean connectivity, not the degree-1 harmonics).
     """
-    steps = np.abs(np.diff(values))  # steps[j] = |values[j+1] - values[j]|
-    return np.minimum(steps[: len(values) - d], np.append(steps[d:], np.inf))
+    return _window_min(np.abs(np.diff(values)), d)
 
 
 def _selection(window: np.ndarray, start: int, gap: float) -> ClusterSelection:
@@ -221,15 +253,6 @@ def _selection(window: np.ndarray, start: int, gap: float) -> ClusterSelection:
     )
 
 
-def _best_window(values: np.ndarray, d: int) -> tuple[ClusterSelection, float]:
-    """The best window, as find_cluster picks it, and its margin over the runner-up."""
-    gaps = window_gaps(values, d)
-    best = int(np.argmax(gaps))
-    gap = float(gaps[best])
-    gaps[best] = -np.inf
-    return _selection(values[best + 1 : best + 1 + d], best + 1, gap), gap - float(gaps.max())
-
-
 def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     """Window of d consecutive sorted eigenvalues with the largest separation.
 
@@ -237,7 +260,9 @@ def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     spectrum's size-d cluster score.
     """
     _require_window(len(spec.values), d)
-    return _best_window(spec.values, d)[0]
+    gaps = window_gaps(spec.values, d)
+    start, gap, _ = _pick(gaps, gaps)
+    return _selection(spec.values[start : start + d], start, gap)
 
 
 def certify_window(
@@ -272,18 +297,12 @@ def certify_window(
     high = np.concatenate([top + slack, np.full(middle, upper), bottom + slack])
     low = np.concatenate([top - slack, np.full(middle, lower), bottom - slack])
     steps = known[:-1] - known[1:]  # NaN where a step touches the middle
-    bounds = np.where(np.isnan(steps), high[:-1] - low[1:], steps + 2.0 * slack)
-    exact = np.minimum(steps[: n - d], np.append(steps[d:], np.inf))
-    bound = np.minimum(bounds[: n - d], np.append(bounds[d:], np.inf))
+    exact = _window_min(steps, d)
     if np.isnan(exact).all():
         return None
-    best = int(np.nanargmax(exact))
-    gap = float(exact[best])
-    bound[best] = -np.inf
-    margin = gap - float(bound.max())
-    if not margin > 2.0 * slack:
-        return None
-    return best + 1, gap, margin
+    bounds = np.where(np.isnan(steps), high[:-1] - low[1:], steps + 2.0 * slack)
+    picked = _pick(exact, _window_min(bounds, d))
+    return picked if picked[2] > 2.0 * slack else None
 
 
 def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
@@ -346,37 +365,6 @@ def event_e_check(
 CERTIFIED_MIN_DENSITY = 0.25
 
 
-# Every route gives one result shape: (solver, top eigenvalue, cluster,
-# margin, degenerate, vectors).  The certified route gives None when its
-# proof fails.  degenerate marks a gap that cannot be told from 0.
-
-
-def _certified_window(work: np.ndarray, d: int, pairs, window):
-    """The certified route's result once confirm() proves the claim in work, else None.
-
-    degenerate is False by construction: certify_window requires margin > 2
-    slack, which proves the true gap positive.
-    """
-    if not pairs.confirm(work):
-        return None
-    start, gap, margin = window
-    cluster = _selection(pairs.window(start, start + d)[0], start, gap)
-    return pairs.solver, float(pairs.top[0]), cluster, margin, False, pairs.window_vectors(start, start + d)
-
-
-def _reduced_window(solved, d: int):
-    """A Banded's or a Tridiagonal's result; its vectors are None where Banded's certificate fails.
-
-    The window is picked on solved's values, the dimension scan's, whatever
-    becomes of the vectors.  A gap within the rounding slack either
-    reduction leaves each eigenvalue (spectral.rounding_slack) is degenerate.
-    """
-    cluster, margin = _best_window(solved.values, d)
-    vectors = solved.window_vectors(cluster.start, cluster.start + d)
-    degenerate = cluster.gap <= spectral.rounding_slack(solved.values)
-    return solved.solver, float(solved.values[0]), cluster, margin, degenerate, vectors
-
-
 def _require_event_e_scalars(rho, analytic_gap) -> bool:
     """Range-check whichever is given; True when both are, so heic() runs the check."""
     if analytic_gap is not None:
@@ -404,7 +392,7 @@ def heic(
     come together, and are checked before the adjacency.  The certified
     route is tried first, then spectral.reduce (see the module docstring);
     the window is picked once, and a failed band certificate recomputes
-    only its eigenvectors, by dsytrd.  A gap that cannot be told from 0
+    only its eigenvectors, by dsytrd.  A gap within the route's slack
     (e.g. the empty graph, or K_n) marks the estimate as degenerate,
     signalled in the diagnostics rather than raised.
     """
@@ -413,19 +401,28 @@ def heic(
     n = adjacency.shape[0]
     _require_window(n, d)
     work = _working_copy(adjacency)
-    pairs = extreme_pairs(work, 2 * d + 5) if density >= CERTIFIED_MIN_DENSITY else None
-    window = None
-    if pairs is not None:
-        window = certify_window(pairs.top, pairs.bottom, pairs.lower, pairs.upper, n, d, pairs.slack)
-    routed = None if window is None else _certified_window(work, d, pairs, window)
-    if routed is None:
-        if window is not None:  # confirm() has run in work
-            _working_copy(adjacency, out=work)
-        routed = _reduced_window(spectral.reduce(work), d)
-    solver, top, cluster, margin, degenerate, vectors = routed
+    route = extreme_pairs(work, 2 * d + 5) if density >= CERTIFIED_MIN_DENSITY else None
+    picked = None
+    if route is not None:
+        picked = certify_window(route.top, route.bottom, route.lower, route.upper, n, d, route.slack)
+    if picked is not None and not route.confirm(work):
+        picked = None
+        _working_copy(adjacency, out=work)
+    if picked is None:
+        route = spectral.reduce(work)
+        gaps = window_gaps(route.values, d)
+        picked = _pick(gaps, gaps)
+    start, gap, margin = picked
+    values = route.values
+    cluster = _selection(values[start : start + d], start, gap)
+    # A certified gap exceeds 2 slack plus every other window's bound, each
+    # at least that window's true gap >= 0, and n >= d + 2 leaves at least
+    # one other window: so the certified route is never degenerate.
+    degenerate = bool(gap <= route.slack)
+    vectors = route.window_vectors(start, start + d)
     if vectors is None:  # a Banded's certificate failed: dsytrd's vectors for the same window
-        solved = spectral.tridiagonalize(_working_copy(adjacency, out=work))
-        solver, vectors = solved.solver, solved.window_vectors(cluster.start, cluster.start + d)
+        route = spectral.tridiagonalize(_working_copy(adjacency, out=work))
+        vectors = route.window_vectors(start, start + d)
     estimate = GramEstimate(vectors, cluster)
     event_e = None
     if with_event_e:
@@ -434,10 +431,10 @@ def heic(
         gap=cluster.gap,
         diameter=cluster.diameter,
         cluster_start=cluster.start,
-        top_eigenvalue=top,
+        top_eigenvalue=float(values[0]),
         edge_density=density,
         degenerate=degenerate,
-        solver=solver,
+        solver=route.solver,
         margin=margin,
         event_e=event_e,
     )
@@ -454,7 +451,8 @@ def _require_candidates(candidates, n: int) -> tuple[int, ...]:
 
 
 def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
-    scores = np.array([window_gaps(values, d).max() for d in candidates])
+    steps = np.abs(np.diff(values))
+    scores = np.array([_window_min(steps, d).max() for d in candidates])
     best = int(np.argmax(scores))
     top = float(scores[best])
     runner_up = float(np.delete(scores, best).max(initial=0.0))

@@ -5,7 +5,8 @@ edge (0-based, i < j, unique, whitespace separated); read_edge_list
 returns it as a symmetric uint8 0/1 adjacency.  Dense CSV: one row per line,
 comma separated, 17 significant digits so float64 values round-trip.
 Table: a header line, then one comma-separated line per row, floats with
-17 significant digits and every other cell as ``str`` gives it.
+17 significant digits and every other cell as ``str`` gives it.  Every
+writer writes to standard output when its path is "-".
 """
 
 from __future__ import annotations
@@ -23,6 +24,14 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to path, or to standard output when path is "-" (a str or a Path)."""
+    if str(path) == "-":
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
+
+
 def write_table(path, header: str, rows) -> None:
     """Write a CSV table to path, or to stdout when path is "-"."""
     lines = [header]
@@ -30,11 +39,7 @@ def write_table(path, header: str, rows) -> None:
         ",".join(format_float(cell) if isinstance(cell, float) else str(cell) for cell in row)
         for row in rows
     )
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_edge_list(path, adj) -> None:
@@ -43,7 +48,7 @@ def write_edge_list(path, adj) -> None:
     rows, cols = np.nonzero(np.triu(adj, k=1))
     lines = [f"n={n}"]
     lines.extend(f"{i} {j}" for i, j in zip(rows.tolist(), cols.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_edge_list(path) -> np.ndarray:
@@ -83,7 +88,7 @@ def write_matrix_csv(path, m) -> None:
     if arr.ndim != 2:
         raise ValidationError("dense CSV export expects a 2-d matrix")
     # %.17g formats each value exactly as format_float does.
-    np.savetxt(path, arr, fmt="%.17g", delimiter=",")
+    np.savetxt(sys.stdout if str(path) == "-" else path, arr, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path) -> np.ndarray:

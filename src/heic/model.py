@@ -190,7 +190,7 @@ def require_adjacency(adj) -> tuple[np.ndarray, float]:
         raise ValidationError("adjacency entries must be 0 or 1")
     if np.any(np.diagonal(arr)):
         raise ValidationError("adjacency has a nonzero diagonal (self-loop)")
-    return arr, (ones // 2) / (n * (n - 1) / 2.0)
+    return arr, float((ones // 2) / (n * (n - 1) / 2.0))
 
 
 def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:

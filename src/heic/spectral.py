@@ -108,17 +108,20 @@ scipy is imported on first use (about 0.3 s and 27 MB of RSS, and 0.5 s
 and 3.7 MB more for scipy.sparse.linalg), not by ``import heic`` or
 analytic_spectrum.
 
-A Spectrum (SortedSpectrum, Tridiagonal or Banded) is its values, sorted
-decreasingly (the reversed view of LAPACK's ascending output), plus
-window_vectors(start, stop), the eigenvectors of sorted positions
-start .. stop-1.  ExtremePairs has window_vectors for the positions it
-knows, but no values array.  Of all window_vectors, only Banded's may
-return None, where its certificate fails.  Each route names itself in its
-``solver``.
-SortedSpectrum, numpy's full eigh, is no route of heic(): it is the
-decomposition symmetric_eig returns.  Eigenvector signs (and bases within
-repeated eigenvalues) are arbitrary; consumers may use V only up to an
-orthogonal transform, as in the projector V V^T.
+One route interface.  Each route's object (Tridiagonal, Banded or
+ExtremePairs) gives heic() the same four things: values, the n
+eigenvalues sorted decreasingly (the reversed view of LAPACK's ascending
+output; ExtremePairs gives its top values, NaN for each unproved middle
+value, then its bottom values); solver, the route's name; slack, a bound
+on each eigenvalue's error (the reductions' rounding_slack of their
+values, ExtremePairs' Ritz slack); and window_vectors(start, stop), the
+eigenvectors of sorted positions start .. stop-1 (ExtremePairs' only
+within one known end; Banded's None where its certificate fails).  A
+Spectrum (SortedSpectrum, Tridiagonal or Banded) has values and
+window_vectors.  SortedSpectrum, numpy's full eigh, is no route of
+heic(): it is the decomposition symmetric_eig returns.  Eigenvector
+signs (and bases within repeated eigenvalues) are arbitrary; consumers
+may use V only up to an orthogonal transform, as in the projector V V^T.
 
 symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
 input.  The other solvers trust it: the caller has already checked that
@@ -193,10 +196,10 @@ class Tridiagonal:
 
     heic()'s reduction route below TWO_STAGE_MIN_N; from there on it gives
     only the window's eigenvectors, when the two-stage route's certificate
-    fails.  values holds
-    every eigenvalue of T (LAPACK dsterf), sorted decreasingly.
-    reflectors is the reduced matrix in Fortran order and tau its n-1
-    scalars; they hold Q as _back_transform reads it, with kd = 1.
+    fails.  values holds every eigenvalue of T (LAPACK dsterf), sorted
+    decreasingly, and slack their rounding_slack.  reflectors is the
+    reduced matrix in Fortran order and tau its n-1 scalars; they hold Q as
+    _back_transform reads it, with kd = 1.
     """
 
     values: np.ndarray
@@ -204,6 +207,7 @@ class Tridiagonal:
     offdiagonal: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
+    slack: float
     solver: ClassVar[str] = "tridiagonal"
 
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
@@ -247,7 +251,7 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
         arr.T, lower=1, lwork=int(lwork), overwrite_a=1
     )
     values = _tridiagonal_values(diagonal, offdiagonal)
-    return Tridiagonal(values, diagonal, offdiagonal, reflectors, tau)
+    return Tridiagonal(values, diagonal, offdiagonal, reflectors, tau, rounding_slack(values))
 
 
 # From this n on, reduce takes LAPACK's two-stage reduction, the stages of
@@ -385,15 +389,17 @@ class Banded:
     """A = Q B Q^T from the first stage of LAPACK's two-stage reduction, B banded.
 
     values holds every eigenvalue of B (the second stage, then dsterf),
-    sorted decreasingly; band holds B in LAPACK's lower band storage, its
-    half-bandwidth kd = band.shape[0] - 1; reflectors (the reduced matrix in
-    Fortran order) and tau hold Q as _back_transform reads it.
+    sorted decreasingly, and slack their rounding_slack; band holds B in
+    LAPACK's lower band storage, its half-bandwidth kd = band.shape[0] - 1;
+    reflectors (the reduced matrix in Fortran order) and tau hold Q as
+    _back_transform reads it.
     """
 
     values: np.ndarray
     band: np.ndarray
     reflectors: np.ndarray
     tau: np.ndarray
+    slack: float
     solver: ClassVar[str] = "two-stage"
 
     def window_vectors(self, start: int, stop: int) -> Optional[np.ndarray]:
@@ -417,7 +423,7 @@ class Banded:
                 return None
             y[:, i] = x
         y = qr(y, mode="economic", overwrite_a=True, check_finite=False)[0]
-        if _window_bound(self.band, self.values, start, stop, y) >= _BAND_BOUND:
+        if _window_bound(self, start, stop, y) >= _BAND_BOUND:
             return None
         return _back_transform(self.reflectors, self.tau, self.band.shape[0] - 1, y)
 
@@ -449,10 +455,11 @@ def rounding_slack(values: np.ndarray) -> float:
     return 4.0 * values.size * np.finfo(float).eps * _norm(values)
 
 
-def _window_bound(band: np.ndarray, values: np.ndarray, start: int, stop: int, y: np.ndarray) -> float:
+def _window_bound(banded: Banded, start: int, stop: int, y: np.ndarray) -> float:
     """sqrt(2) ||B Y - Y M||_F / delta, M = Y^T B Y (see the module docstring); inf when delta <= 0."""
     from scipy.linalg import blas, eigvalsh
 
+    band, values = banded.band, banded.values
     kd, n = band.shape[0] - 1, band.shape[1]
     residual = np.empty_like(y, order="F")
     for i in range(y.shape[1]):
@@ -462,7 +469,7 @@ def _window_bound(band: np.ndarray, values: np.ndarray, start: int, stop: int, y
     ritz = eigvalsh(m, check_finite=False)
     blas.dgemm(-1.0, y, m, beta=1.0, c=residual, overwrite_c=1)
     below = values[stop] if stop < n else -np.inf
-    delta = min(values[start - 1] - ritz[-1], ritz[0] - below) - rounding_slack(values)
+    delta = min(values[start - 1] - ritz[-1], ritz[0] - below) - banded.slack
     return math.sqrt(2.0) * _norm(residual) / delta if delta > 0.0 else math.inf
 
 
@@ -476,7 +483,8 @@ def reduce(arr: np.ndarray) -> Union[Banded, Tridiagonal]:
     if arr.shape[0] < TWO_STAGE_MIN_N or _two_stage_routines() is None:
         return tridiagonalize(arr)
     diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr)
-    return Banded(_tridiagonal_values(diagonal, offdiagonal), band, arr.T, tau)
+    values = _tridiagonal_values(diagonal, offdiagonal)
+    return Banded(values, band, arr.T, tau, rounding_slack(values))
 
 
 Spectrum = Union[SortedSpectrum, Tridiagonal, Banded]
@@ -544,22 +552,19 @@ class ExtremePairs:
     solver: ClassVar[str] = "certified"
 
     @property
-    def n(self) -> int:
-        return self.top_vectors.shape[0]
-
-    def window(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ritz values and vectors (views) of sorted positions start .. stop-1, all at one end."""
-        if stop <= self.top.size:
-            return self.top[start:stop], self.top_vectors[:, start:stop]
-        first = self.n - self.bottom.size
-        if start >= first:
-            rows = slice(start - first, stop - first)
-            return self.bottom[rows], self.bottom_vectors[:, rows]
-        raise ValueError(f"positions {start} .. {stop - 1} are not all at one known end")
+    def values(self) -> np.ndarray:
+        """The n sorted values as far as known: top, NaN for each unproved middle value, bottom."""
+        middle = self.top_vectors.shape[0] - self.top.size - self.bottom.size
+        return np.concatenate([self.top, np.full(middle, np.nan), self.bottom])
 
     def window_vectors(self, start: int, stop: int) -> np.ndarray:
-        """A copy of the Ritz vectors for sorted positions start .. stop-1."""
-        return self.window(start, stop)[1].copy()
+        """A copy of the Ritz vectors for sorted positions start .. stop-1, all at one known end."""
+        first = self.top_vectors.shape[0] - self.bottom.size
+        if stop <= self.top.size:
+            return self.top_vectors[:, start:stop].copy()
+        if start >= first:
+            return self.bottom_vectors[:, start - first : stop - first].copy()
+        raise ValueError(f"positions {start} .. {stop - 1} are not all at one known end")
 
     def confirm(self, work: np.ndarray) -> bool:
         """Prove the claim by two Cholesky factorizations; work holds A on entry and is overwritten.

@@ -89,6 +89,21 @@ class TestSampleCommand:
         b = _sample_graph(second, seed=7)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_dash_out_prints_to_stdout(self, tmp_path, monkeypatch, capsys):
+        # sample --out - and estimate --out-gram - print what they would
+        # write to a file, and leave no file "-".
+        monkeypatch.chdir(tmp_path)
+        edges = _sample_graph(tmp_path)
+        argv = ["sample", "--link", "threshold:0", "--d", "3", "--n", "80", "--seed", "5"]
+        assert cli.cli_main([*argv, "--out", "-"]) == 0
+        assert capsys.readouterr().out.encode() == edges.read_bytes()
+        gram = tmp_path / "ghat.csv"
+        argv = ["estimate", "--input", str(edges), "--dim", "3", "--out-gram"]
+        assert cli.cli_main([*argv, str(gram)]) == 0
+        assert cli.cli_main([*argv, "-"]) == 0
+        assert capsys.readouterr().out.encode() == gram.read_bytes()
+        assert not (tmp_path / "-").exists()
+
 
 class TestEstimateCommand:
     def test_writes_gram_and_diagnostics(self, tmp_path):

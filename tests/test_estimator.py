@@ -39,9 +39,11 @@ ROUTES = [
 
 
 def force_route(mp, route):
-    """Make heic() take route whatever the graph's density; "certified"
-    falls back to "tridiagonal" when it fails."""
+    """Make heic() take route whatever the graph's density and size;
+    "certified" falls back to "tridiagonal" when it fails."""
     mp.setattr(estimator, "CERTIFIED_MIN_DENSITY", 0.0 if route == "certified" else math.inf)
+    if route == "two-stage":
+        mp.setattr(spectral, "TWO_STAGE_MIN_N", 1)
 
 
 class TestGaps:
@@ -199,7 +201,10 @@ class TestCertifyWindow:
             start, gap, margin = certified
             assert (start, gap) == cluster_scan_bruteforce(values, d)
             assert (start, gap) == window_certificate_bruteforce(top, bottom, lower, upper, n, d)
-            assert margin > 0.0
+            # Every bound is at least its window's gap, so the certificate
+            # never claims more than the full scan's margin over its runner-up.
+            gaps = np.sort(heic.window_gaps(values, d))
+            assert 0.0 < margin <= gaps[-1] - gaps[-2]
 
     def test_certifies_the_harmonic_window(self):
         # The flattened threshold(0) spectrum on S^2, levels 0 .. 3: 0.5,
@@ -589,15 +594,19 @@ class TestHeicPipeline(RejectsBadAdjacency):
             assert s.cluster_start >= 1
             assert abs(s.top_eigenvalue - 0.5) <= 0.05
 
-    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("route", [*ROUTES, "two-stage"])
     def test_margin_over_runner_up(self, monkeypatch, route):
         # The full routes report the best gap minus the runner-up's; the
         # certified route subtracts bounds, which are at least the gaps.
+        # Every route reports Python scalars.
         n = 300
         adjacency = _seeded_graph(n, 4)
         force_route(monkeypatch, route)
         _, diag = heic.heic(adjacency, 3)
         assert diag.solver == route
+        assert type(diag.degenerate) is bool and not diag.degenerate
+        for name in ("edge_density", "gap", "diameter", "top_eigenvalue", "margin"):
+            assert type(getattr(diag, name)) is float
         gaps = np.sort(heic.window_gaps(np.linalg.eigvalsh(adjacency / n)[::-1], 3))
         if route == "certified":
             assert 0.0 < diag.margin <= gaps[-1] - gaps[-2] + 1e-12

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,10 +67,26 @@ def test_table_bytes(tmp_path):
 
 
 def test_table_dash_goes_to_stdout(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
+    # Every writer prints what it would write to a file, for "-" as a str
+    # or as a Path (a study config's out), and makes no file "-".
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     io.write_table("-", "k,value", [(1, 0.5), (2, 1e300)])
     assert capsys.readouterr().out == "k,value\n1,0.5\n2,1.0000000000000001e+300\n"
-    assert not list(tmp_path.iterdir())
+    adj = np.zeros((4, 4), dtype=np.uint8)
+    adj[[0, 1, 2, 3], [2, 3, 0, 1]] = 1
+    writers = [
+        (lambda path, rows: io.write_table(path, "k,value", rows), [(1, 0.5)]),
+        (io.write_edge_list, adj),
+        (io.write_matrix_csv, [[0.1, 1.0], [-0.0, 5e-324]]),
+    ]
+    for write, data in writers:
+        write(tmp_path / "file", data)
+        for dash in ("-", Path("-")):
+            write(dash, data)
+            assert capsys.readouterr().out.encode() == (tmp_path / "file").read_bytes()
+    assert not list(cwd.iterdir())
 
 
 @pytest.mark.parametrize("i, j, value, match", [(0, 1, 0.5, "0 or 1"), (2, 2, 1.0, "diagonal")])

@@ -497,6 +497,41 @@ class TestExtremePairs:
         assert extreme_pairs(_separated_ends(200, 6), 9) is None
 
 
+class TestRouteInterface:
+    # heic() reads the same four things of whichever route it holds.
+    @pytest.mark.parametrize("route", ["tridiagonal", "two-stage", "certified"])
+    def test_values_slack_and_window_vectors(self, monkeypatch, route):
+        n, d = 300, 3
+        latent_seed, adjacency_seed = heic.replicate_seeds(4, n, 0)
+        sample = heic.sample_uniform_sphere(n, d, latent_seed)
+        model = heic.GraphModel(link=heic.threshold(0.0), sparsity=1.0, n=n)
+        work = heic.sample_adjacency(heic.probability_matrix(sample, model), adjacency_seed) / n
+        expected = np.linalg.eigvalsh(work)[::-1]
+        if route == "certified":
+            solved = extreme_pairs(work, 2 * d + 5)
+            assert solved.confirm(work.copy())
+            middle = np.arange(solved.top.size, n - solved.bottom.size)
+        else:
+            monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
+            solved = tridiagonalize(work.copy()) if route == "tridiagonal" else reduce(work.copy())
+            middle = np.arange(0)
+        assert solved.solver == route
+        values = solved.values
+        known = ~np.isnan(values)
+        assert values.shape == (n,)
+        np.testing.assert_array_equal(np.flatnonzero(~known), middle)
+        assert np.all(np.diff(values[known]) <= 0.0)
+        assert solved.slack >= 0.0
+        # The top eigenvalue comes first, and every known value is within slack.
+        assert np.abs(values[known] - expected[known]).max() <= solved.slack + 1e-15
+        # The degree-1 cluster is the bottom window, which every route knows.
+        vectors = solved.window_vectors(n - d, n)
+        assert vectors.shape == (n, d)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(d), atol=1e-10)
+        ritz = vectors.T @ work @ vectors
+        assert np.linalg.norm(work @ vectors - vectors @ ritz) <= 1e-8
+
+
 class TestNormalizeAdjacency:
     def test_complete_graph(self):
         adj = np.ones((4, 4)) - np.eye(4)

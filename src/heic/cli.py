@@ -13,8 +13,10 @@ Subcommands:
 * ``convergence-study`` -- spectrum matching-distance study from a config.
 
 Every output path (a study config's ``out`` too) must name a file in an
-existing directory; ``-`` is standard output.  It is checked before any
-input is read or any work is done.
+existing directory; ``-`` is standard output, and at most one output of a
+command may be ``-``.  Both are checked before any input is read or any
+work is done.  Standard output carries only data: a status line goes to
+standard error when the command's CSV goes to standard output.
 
 Exit codes: 0 success, 1 validation/usage error or too little memory for
 the graph, 2 numeric failure (also a study whose every replicate failed;
@@ -101,8 +103,13 @@ def _cmd_estimate(args) -> int:
 def _cmd_dimension(args) -> int:
     scan = estimate_dimension(io.read_edge_list(args.input), d_max=args.dmax)
     io.write_table(args.out, "candidate_d,score", zip(scan.candidates, scan.scores))
-    print(f"chosen dimension: {scan.chosen}")
+    _status(f"chosen dimension: {scan.chosen}", args.out)
     return 0
+
+
+def _status(line: str, out) -> None:
+    """Print a status line after writing out: to stderr when out is "-", so stdout holds only the CSV."""
+    print(line, file=sys.stderr if str(out) == "-" else sys.stdout)
 
 
 def _require_output(path, name: str) -> None:
@@ -132,7 +139,7 @@ def _cmd_mse_study(args) -> int:
     cfg = _load_config(args)
     records = run_mse_study(cfg)
     write_mse_csv(records, cfg.out, timing=args.timing)
-    print(f"wrote {len(records)} records to {cfg.out}")
+    _status(f"wrote {len(records)} records to {cfg.out}", cfg.out)
     return _study_exit([rec.error for rec in records])
 
 
@@ -140,7 +147,7 @@ def _cmd_dim_study(args) -> int:
     cfg = _load_config(args)
     result = run_dimension_study(cfg)
     write_dimension_csv(result, cfg.out)
-    print(f"recovery rate: {result.recovery_rate:.3f} (true d={result.true_d})")
+    _status(f"recovery rate: {result.recovery_rate:.3f} (true d={result.true_d})", cfg.out)
     if cfg.d > cfg.d_max:
         print("warning: true_d_outside_candidates", file=sys.stderr)
     return _study_exit(result.errors)
@@ -150,7 +157,7 @@ def _cmd_convergence_study(args) -> int:
     cfg = _load_config(args)
     records = run_spectrum_convergence(cfg, matrix=args.matrix)
     write_convergence_csv(records, cfg.out)
-    print(f"wrote {len(records)} records to {cfg.out}")
+    _status(f"wrote {len(records)} records to {cfg.out}", cfg.out)
     return _study_exit([rec.error for rec in records])
 
 
@@ -235,8 +242,12 @@ def cli_main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for flag in _OUTPUT_FLAGS:
-            _require_output(getattr(args, flag, None), "--" + flag.replace("_", "-"))
+        outputs = {"--" + flag.replace("_", "-"): getattr(args, flag, None) for flag in _OUTPUT_FLAGS}
+        for name, path in outputs.items():
+            _require_output(path, name)
+        dashes = [name for name, path in outputs.items() if str(path) == "-"]
+        if len(dashes) > 1:
+            raise ValidationError(f"{', '.join(dashes)}: only one output can be - (stdout)")
         return args.handler(args)
     except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

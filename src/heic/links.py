@@ -9,16 +9,22 @@ domain.  Built-in kinds:
 * ``table(ts, values)``-- piecewise-linear interpolation of sample points,
 * ``custom(fn)``       -- arbitrary callable.
 
-LinkFunction.__call__ checks that its arguments lie in [-1, 1], clips them
-there and hands them to the private evaluator LinkFunction._evaluate, which
-runs fn and the one range check of the links: a value that is not finite or
-leaves [0, 1] by more than 1e-12 raises
+LinkFunction.__call__ checks that its arguments lie in [-1, 1], clips a
+float64 copy of them there and hands it to the private evaluator
+LinkFunction._evaluate, which runs fn and the one range check of the links:
+a value that is not finite or leaves [0, 1] by more than 1e-12 raises
 ``<label> link leaves [0, 1]: range [lo, hi]``.  Every link is probed once,
 when it is built, through __call__ at 1024 Chebyshev-spaced points; the
 samplers and probability_matrix, which clip the inner products themselves,
 call _evaluate directly, one block at a time, so a spike the probe missed is
 caught there too.  Declared discontinuities are carried along so quadrature
 can split the domain there.
+
+fn may overwrite its argument and return it: __call__ and the samplers
+always hand it a buffer they own.  threshold and affine write their values
+into it, so Theta in probability_matrix is the inner products' one n x n
+array; table and custom links return a new array, a second n x n array
+there.
 """
 
 from __future__ import annotations
@@ -53,20 +59,24 @@ class LinkFunction:
         Values more than 1e-12 outside [0, 1], or not finite, are rejected;
         smaller float dust is clipped.
         """
-        arr = np.asarray(t, dtype=float)
+        arr = np.array(t, dtype=float)  # a copy, 0-d included, for fn to overwrite
         # Written so that NaN, which fails every comparison, fails the check.
         if arr.size and not (arr.min() >= -1.0 - RANGE_SLACK and arr.max() <= 1.0 + RANGE_SLACK):
             raise ValidationError("link argument outside [-1, 1]")
-        out = self._evaluate(np.clip(arr, -1.0, 1.0))
+        out = self._evaluate(np.clip(arr, -1.0, 1.0, out=arr))
         return float(out) if out.ndim == 0 else out
 
     def _evaluate(self, t: np.ndarray) -> np.ndarray:
         """fn at arguments already in [-1, 1], range-checked and clipped to [0, 1].
 
-        The result is fn's own output as float64 when it lies in [0, 1], so
-        fn must return a new array or its argument: the samplers scale the
-        result in place.  It is a clipped copy when some value lies within
-        the slack outside [0, 1], or when fn's output is read-only.
+        t is a float64 buffer the caller owns, and fn may overwrite it and
+        return it; threshold and affine do.  The result is fn's own output
+        as float64 when it lies in [0, 1], so fn must return a new array or
+        its argument: the samplers scale the result in place.  A table or
+        custom link's new array is a second n x n array in
+        probability_matrix.  When some value lies within the slack outside
+        [0, 1], the result is clipped: in place when it is t, else as a
+        copy.  A read-only result is copied too.
         """
         out = np.asarray(self.fn(t), dtype=float)
         if out.size:
@@ -75,7 +85,7 @@ class LinkFunction:
             if not (lo >= -RANGE_SLACK and hi <= 1.0 + RANGE_SLACK):
                 raise ValidationError(f"{self.label} link leaves [0, 1]: range [{lo:g}, {hi:g}]")
             if lo < 0.0 or hi > 1.0 or not out.flags.writeable:
-                out = np.clip(out, 0.0, 1.0)
+                out = np.clip(out, 0.0, 1.0, out=out if out is t else None)
         return out
 
 
@@ -94,7 +104,7 @@ def threshold(tau: float) -> LinkFunction:
     tau = _number(tau, "threshold tau")
 
     def fn(t):
-        return (t <= tau).astype(float)
+        return np.less_equal(t, tau, out=t)
 
     disc = (tau,) if -1.0 < tau < 1.0 else ()
     return LinkFunction(fn=fn, discontinuities=disc, label=f"threshold({tau:g})")
@@ -108,7 +118,9 @@ def affine(a: float, b: float) -> LinkFunction:
             raise ValidationError(f"affine link leaves [0, 1] at the endpoints: {endpoint:g}")
 
     def fn(t):
-        return a + b * t
+        t *= b
+        t += a  # rounds as a + b * t does
+        return t
 
     return LinkFunction(fn=fn, label=f"affine({a:g},{b:g})")
 
@@ -132,7 +144,12 @@ def table(ts, values) -> LinkFunction:
 
 
 def custom(fn: Callable, label: str = "custom", discontinuities=()) -> LinkFunction:
-    """Wrap an arbitrary callable; probed on [-1, 1] before acceptance."""
+    """Wrap an arbitrary callable; probed on [-1, 1] before acceptance.
+
+    fn gets a float64 array it may overwrite and return; __call__ and the
+    samplers always hand it a buffer they own.  A new array it returns costs
+    a second n x n array in probability_matrix.
+    """
     return LinkFunction(fn, tuple(float(x) for x in discontinuities), label)
 
 

@@ -17,8 +17,10 @@ filled once, at the end, as the mirror of the upper one.  So neither the
 n x n uniforms nor, in sample_model_adjacency, Theta itself ever exists
 whole; there each block's link values are evaluated and scaled in place,
 through the link's private evaluator, as probability_matrix does on the
-whole matrix.  Operations are pure: identical inputs and seed reproduce
-the output bit for bit.
+whole matrix.  Both hand the evaluator inner products they own, which the
+threshold and affine links overwrite with their values, so with those links
+Theta takes no n x n array besides the inner products.  Operations are
+pure: identical inputs and seed reproduce the output bit for bit.
 """
 
 from __future__ import annotations
@@ -259,8 +261,10 @@ def _require_model_size(sample: LatentSample, model: GraphModel) -> None:
 def probability_matrix(sample: LatentSample, model: GraphModel) -> np.ndarray:
     """Theta with Theta_ij = rho * f(<X_i, X_j>) off-diagonal, 0 on the diagonal.
 
-    The link's values are scaled and their diagonal cleared in place, so
-    the inner products and those values are the only n x n arrays.
+    The link is evaluated into the inner products, and its values are
+    scaled and their diagonal cleared in place.  With the threshold and
+    affine links the inner products are the only n x n array; a table or
+    custom link's values are a second one.
     """
     _require_model_size(sample, model)
     theta = model.link._evaluate(inner_products(sample))
@@ -270,10 +274,12 @@ def probability_matrix(sample: LatentSample, model: GraphModel) -> np.ndarray:
 
 
 # The samplers hold a block of rows of the uniforms at a time, about this
-# many bytes of float64, with its part of Theta and the link's temporaries
-# of at most the same size.  Together they stay within the 2 MB L2 cache of
-# a core.  sample_model_adjacency, threshold(0), d=3, rho=1, 2 cores, median
-# ms of 25 runs interleaved after a warm-up:
+# many bytes of float64, with its part of Theta of at most the same size:
+# the threshold and affine links evaluate into the block's inner products,
+# and a table or custom link adds one more block for its values.  Together
+# they stay within the 2 MB L2 cache of a core.  sample_model_adjacency,
+# threshold(0), d=3, rho=1, 2 cores, median ms of 25 runs interleaved after
+# a warm-up:
 #
 #   n      2^17   2^18   2^19   2^20   2^21
 #   500     2.7    2.4    2.4    3.5    4.6

@@ -197,6 +197,17 @@ class TestDimensionCommand:
         assert len(lines) == 16
         assert "chosen dimension: 3" in capsys.readouterr().out
 
+    def test_default_stdout_holds_only_the_csv(self, tmp_path, capsys):
+        # The default --out is -: the status line goes to stderr.
+        edges = _sample_graph(tmp_path, n=120)
+        out = tmp_path / "scores.csv"
+        assert cli.cli_main(["dimension", "--input", str(edges), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.cli_main(["dimension", "--input", str(edges)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out.read_bytes()
+        assert captured.err == "chosen dimension: 3\n"
+
     def test_too_few_nodes_names_d_max(self, tmp_path, capsys):
         # With the default --dmax 15 a 4-node graph is rejected for d_max, a
         # value the user can change, not for some candidate d.
@@ -276,6 +287,25 @@ class TestStudyCommands:
         assert cli.cli_main(["dim-study", "--config", str(cfg)]) == 0
         assert "recovery rate:" in capsys.readouterr().out
         assert out.read_text().splitlines()[-1].startswith("summary,")
+
+    @pytest.mark.parametrize(
+        "command, status",
+        [
+            ("mse-study", "wrote 2 records to -"),
+            ("dim-study", "recovery rate: "),
+            ("convergence-study", "wrote 2 records to -"),
+        ],
+    )
+    def test_dash_out_holds_only_the_csv(self, tmp_path, capsys, command, status):
+        # With "out": "-" the CSV is all of stdout and the status line goes to stderr.
+        cfg, out = self._write_config(tmp_path, n_grid=[60], replicates=2, d_max=5, k_max=10)
+        assert cli.cli_main([command, "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        cfg, _ = self._write_config(tmp_path, n_grid=[60], replicates=2, d_max=5, k_max=10, out="-")
+        assert cli.cli_main([command, "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.encode() == out.read_bytes()
+        assert captured.err.startswith(status) and captured.err.count("\n") == 1
 
     def test_dim_study_warns_when_true_d_is_no_candidate(self, tmp_path, capsys):
         for d, warned in ((7, True), (3, False)):
@@ -428,6 +458,29 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: config 'out': ") and err.count("\n") == 1
         assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize(
+        "command, dashes, others",
+        [
+            ("sample", ["--out", "--theta-out"], []),
+            ("sample", ["--out", "--gram-out"], []),
+            ("sample", ["--theta-out", "--gram-out"], ["--out"]),
+            ("sample", ["--out", "--theta-out", "--gram-out"], []),
+            ("estimate", ["--out-gram", "--out-diag"], []),
+        ],
+        ids=["sample-out-theta", "sample-out-gram", "sample-theta-gram", "sample-all", "estimate"],
+    )
+    def test_two_outputs_to_stdout_rejected_first(self, tmp_path, capsys, no_work, command, dashes, others):
+        argv = [arg.replace("{input}", str(tmp_path / "in.txt")) for arg in self.COMMANDS[command]]
+        for i, other in enumerate(others):
+            argv += [other, str(tmp_path / f"ok{i}.csv")]
+        for flag in dashes:
+            argv += [flag, "-"]
+        assert cli.cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {', '.join(dashes)}: only one output can be - (stdout)\n"
+        assert not any(tmp_path.iterdir())
 
     def test_stdout_is_not_checked(self, capsys):
         assert cli.cli_main(["spectrum", "--link", "threshold:0", "--d", "3", "--kmax", "2", "--out", "-"]) == 0

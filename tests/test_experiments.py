@@ -295,12 +295,12 @@ class TestConvergenceStudy:
         assert observed == noiseless
 
     def test_noiseless_replicate_divides_theta_in_place(self, traced_peak):
-        # Theta's peak inside probability_matrix (the inner products and the
-        # link's values) is the replicate's: Theta / (n rho) is no second copy.
+        # Theta is the one buffer of the inner products, which the link's
+        # values overwrite, and Theta / (n rho) is no second copy.
         n = 800
         cfg = _config(link=heic.affine(0.5, 0.5), n_grid=(n,), replicates=1, k_max=20)
         experiments.run_spectrum_convergence(_config(n_grid=(60,), replicates=1, k_max=20), matrix="noiseless")
-        assert traced_peak(experiments.run_spectrum_convergence, cfg, matrix="noiseless") < 2.5 * 8 * n * n
+        assert traced_peak(experiments.run_spectrum_convergence, cfg, matrix="noiseless") < 1.5 * 8 * n * n
 
     def test_solver_failure_is_eigen_solver_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):

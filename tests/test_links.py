@@ -118,10 +118,30 @@ class TestEvaluator:
         # formula clip(fn(clip(t, -1, 1)), 0, 1): the same bits, arrays and scalars.
         t = np.array(ts)
         clipped = np.clip(t, -1.0, 1.0)
-        expected = np.clip(np.asarray(link.fn(clipped), dtype=float), 0.0, 1.0)
+        # fn may overwrite its argument, so it gets a copy of clipped.
+        expected = np.clip(np.asarray(link.fn(clipped.copy()), dtype=float), 0.0, 1.0)
         assert link._evaluate(clipped.copy()).tobytes() == expected.tobytes()
         assert link(t).tobytes() == expected.tobytes()
         assert np.float64(link(t[0])).tobytes() == expected[:1].tobytes()
+
+    @pytest.mark.parametrize(
+        "link",
+        [heic.threshold(0.0), heic.affine(0.5, 0.5), heic.affine(0.5, 0.5 + RANGE_SLACK / 2)],
+        ids=["threshold", "affine", "dusty-affine"],
+    )
+    def test_builtin_links_evaluate_into_their_argument(self, link):
+        # Theta in probability_matrix is then the inner products' one buffer;
+        # the dusty affine link's values past 1 are clipped there too.
+        buf = np.linspace(-1.0, 1.0, 9)
+        assert link._evaluate(buf) is buf
+
+    @pytest.mark.parametrize("link", _LINKS, ids=lambda link: link.label)
+    def test_call_leaves_its_argument(self, link):
+        # fn may overwrite what it is handed, so __call__ hands it a copy.
+        for t in (np.linspace(-1.0 - RANGE_SLACK, 1.0, 9), np.array(0.3), np.array(1.0 + RANGE_SLACK)):
+            before = t.copy()
+            link(t)
+            assert t.tobytes() == before.tobytes()
 
     def test_read_only_output_scaled_as_a_copy(self):
         # The samplers scale the evaluator's result in place.

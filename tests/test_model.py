@@ -143,13 +143,13 @@ class TestProbabilityMatrix:
 
     @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)], ids=["threshold", "affine"])
     def test_scaled_in_place(self, traced_peak, link):
-        # The inner products and the link's values (with threshold's bool
-        # mask, 1/8 of 8 n^2): no clipped or scaled copy besides.
+        # The link's values overwrite the inner products: no second n x n
+        # array, and no clipped or scaled copy besides.
         n = 800
         sample = heic.sample_uniform_sphere(n, 3, seed=n)
         model = heic.GraphModel(link=link, sparsity=0.5, n=n)
         heic.probability_matrix(sample, model)  # imports before tracing
-        assert traced_peak(heic.probability_matrix, sample, model) < 2.5 * 8 * n * n
+        assert traced_peak(heic.probability_matrix, sample, model) < 1.25 * 8 * n * n
 
     def test_permutation_equivariance(self):
         sample = heic.sample_uniform_sphere(12, 3, seed=21)

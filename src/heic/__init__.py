@@ -61,7 +61,7 @@ from .model import (
     sample_adjacency,
     sample_uniform_sphere,
 )
-from .spectral import SortedSpectrum, delta_2, normalize_adjacency, symmetric_eig
+from .spectral import delta_2, normalize_adjacency, symmetric_eig
 
 __version__ = "0.1.0"
 
@@ -84,7 +84,6 @@ __all__ = [
     "NumericError",
     "QuadratureError",
     "RhoRule",
-    "SortedSpectrum",
     "SpectrumLevel",
     "ValidationError",
     "addition_constant",

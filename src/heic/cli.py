@@ -47,7 +47,7 @@ from .experiments import (
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import link_from_spec
 from .model import GraphModel, gram_population, probability_matrix, sample_model_adjacency, sample_uniform_sphere
-from .spectral import symmetric_eigvals
+from .spectral import symmetric_eig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,7 +83,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_eig(args) -> int:
-    values = symmetric_eigvals(io.read_matrix_csv(args.input))
+    values = symmetric_eig(io.read_matrix_csv(args.input)).values
     io.write_table(args.out, "index,eigenvalue", enumerate(values))
     return 0
 

@@ -11,6 +11,7 @@ writer writes to standard output when its path is "-".
 
 from __future__ import annotations
 
+import contextlib
 import sys
 from pathlib import Path
 
@@ -24,12 +25,9 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_text(path, text: str) -> None:
-    """Write text to path, or to standard output when path is "-" (a str or a Path)."""
-    if str(path) == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _text_out(path):
+    """Where to write text: path, or standard output when path is "-" (a str or a Path)."""
+    return contextlib.nullcontext(sys.stdout) if str(path) == "-" else open(path, "w")
 
 
 def write_table(path, header: str, rows) -> None:
@@ -39,47 +37,57 @@ def write_table(path, header: str, rows) -> None:
         ",".join(format_float(cell) if isinstance(cell, float) else str(cell) for cell in row)
         for row in rows
     )
-    _write_text(path, "\n".join(lines) + "\n")
+    with _text_out(path) as out:
+        out.write("\n".join(lines) + "\n")
 
 
 def write_edge_list(path, adj) -> None:
+    """Write the graph's edge list row by row, holding no more than one row's lines."""
     adj, _ = require_adjacency(adj)
     n = adj.shape[0]
-    rows, cols = np.nonzero(np.triu(adj, k=1))
-    lines = [f"n={n}"]
-    lines.extend(f"{i} {j}" for i, j in zip(rows.tolist(), cols.tolist()))
-    _write_text(path, "\n".join(lines) + "\n")
+    with _text_out(path) as out:
+        out.write(f"n={n}\n")
+        for i in range(n - 1):
+            if neighbours := (np.flatnonzero(adj[i, i + 1 :]) + (i + 1)).tolist():
+                out.write(f"{i} " + f"\n{i} ".join(map(str, neighbours)) + "\n")
 
 
 def read_edge_list(path) -> np.ndarray:
     """The graph of an edge-list file as a symmetric uint8 0/1 matrix with zero diagonal."""
-    header, _, body = Path(path).read_text().strip().partition("\n")
-    if not header.startswith("n="):
-        raise ValidationError(f"{path}: missing 'n=<count>' header")
-    try:
-        n = int(header[2:])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad node count {header!r}") from exc
-    if n < 1:
-        raise ValidationError(f"{path}: node count must be >= 1")
-    edges = np.empty((0, 2), dtype=np.int64)
-    if body.strip():
+    with open(path) as f:  # the body is parsed from the open file, with no copy of its text
+        header = next((line for line in iter(f.readline, "") if line.strip()), "")
+        start = f.tell()
+        has_body = any(line.strip() for line in iter(f.readline, ""))
+        f.seek(start)
+        # The header line as .strip() of the whole text leaves it.
+        header = header.lstrip().removesuffix("\n") if has_body else header.strip()
+        if not header.startswith("n="):
+            raise ValidationError(f"{path}: missing 'n=<count>' header")
         try:
-            edges = np.loadtxt(body.splitlines(), dtype=np.int64, ndmin=2, comments=None)
+            n = int(header[2:])
         except ValueError as exc:
-            raise ValidationError(f"{path}: expected 'i j' integer pairs ({exc})") from exc
+            raise ValidationError(f"{path}: bad node count {header!r}") from exc
+        if n < 1:
+            raise ValidationError(f"{path}: node count must be >= 1")
+        edges = np.empty((0, 2), dtype=np.int64)
+        if has_body:
+            try:
+                edges = np.loadtxt(f, dtype=np.int64, ndmin=2, comments=None)
+            except ValueError as exc:
+                raise ValidationError(f"{path}: expected 'i j' integer pairs ({exc})") from exc
     if edges.shape[1] != 2:
         raise ValidationError(f"{path}: expected 'i j', got {edges.shape[1]} columns")
     i, j = edges.T
     bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
     if bad.size:
         raise ValidationError(f"{path}: edge ({i[bad[0]]}, {j[bad[0]]}) out of range for n={n}")
-    keys = np.sort(i * n + j)
-    repeated = keys[1:][keys[1:] == keys[:-1]]
-    if repeated.size:
-        raise ValidationError(f"{path}: duplicate edge {divmod(int(repeated[0]), n)}")
     adj = np.zeros((n, n), dtype=np.uint8)
-    adj[i, j] = adj[j, i] = 1
+    adj[i, j] = 1
+    if np.count_nonzero(adj) < i.size:  # a repeated edge sets its entry twice
+        keys = np.sort(i * n + j)
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        raise ValidationError(f"{path}: duplicate edge {divmod(int(repeated[0]), n)}")
+    adj[j, i] = 1
     return adj
 
 

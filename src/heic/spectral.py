@@ -72,17 +72,18 @@ R.  An LU with a zero pivot, a non-finite iterate or delta <= 0 (a window of
 gap 0) fails it too.  The reductions' own backward error is the
 tridiagonal route's.
 
-reduce serves every caller: heic(), and the callers that read its values
-only (the dimension scan, the eig command and the convergence study).  From
-TWO_STAGE_MIN_N it takes the two stages; below it dsytrd, whose values
-(with dsterf) are numpy's eigvalsh bit for bit, as dsytrd and dsterf are
-the arithmetic of its dsyevd without vectors.  So at every n the values
-from which heic()'s reduction route picks its window are the dimension
-scan's bit for bit.  The stages are called as LAPACK's dsytrd_2stage
-(vect='N') calls them, so the values are that routine's too.  scipy wraps
-neither stage: both are bound by ctypes from the library scipy's LAPACK
-wrappers link, on first use, and where either, or their block-size query
-ilaenv2stage, is missing, dsytrd serves every n and every caller.
+reduce serves every caller: heic(), symmetric_eig, and the callers that
+read its values only (the dimension scan, the eig command and the
+convergence study).  From TWO_STAGE_MIN_N it takes the two stages; below it
+dsytrd, whose values (with dsterf) are numpy's eigvalsh bit for bit, as
+dsytrd and dsterf are the arithmetic of its dsyevd without vectors.  So at
+every n the values from which heic()'s reduction route picks its window are
+the dimension scan's bit for bit.  The stages are called as LAPACK's
+dsytrd_2stage (vect='N') calls them, so the values are that routine's too.
+scipy wraps neither stage: both are bound by ctypes from the library
+scipy's LAPACK wrappers link, on first use, and where either, or their
+block-size query ilaenv2stage, is missing, dsytrd serves every n and every
+caller.
 
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice: the top
@@ -117,16 +118,15 @@ on each eigenvalue's error (the reductions' rounding_slack of their
 values, ExtremePairs' Ritz slack); and window_vectors(start, stop), the
 eigenvectors of sorted positions start .. stop-1 (ExtremePairs' only
 within one known end; Banded's None where its certificate fails).  A
-Spectrum (SortedSpectrum, Tridiagonal or Banded) has values and
-window_vectors.  SortedSpectrum, numpy's full eigh, is no route of
-heic(): it is the decomposition symmetric_eig returns.  Eigenvector
-signs (and bases within repeated eigenvalues) are arbitrary; consumers
-may use V only up to an orthogonal transform, as in the projector V V^T.
+Spectrum, the result of reduce (Tridiagonal or Banded), has values and
+window_vectors.  Eigenvector signs (and bases within repeated eigenvalues)
+are arbitrary; consumers may use V only up to an orthogonal transform, as
+in the projector V V^T.
 
-symmetric_eig, symmetric_eigvals and normalize_adjacency validate their
-input.  The other solvers trust it: the caller has already checked that
-the matrix is square, finite and symmetric.  reduce and tridiagonalize
-overwrite the copy they are given.
+symmetric_eig and normalize_adjacency validate their input.  The other
+solvers trust it: the caller has already checked that the matrix is
+square, finite and symmetric.  reduce and tridiagonalize overwrite the
+copy they are given.
 """
 
 from __future__ import annotations
@@ -139,19 +139,7 @@ from typing import ClassVar, Optional, Union
 import numpy as np
 
 from .errors import EigenSolverError
-from .model import require_symmetric, row_gram
-
-
-@dataclass(frozen=True)
-class SortedSpectrum:
-    """Eigenvalues sorted decreasingly; column i of vectors pairs with values[i]."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def window_vectors(self, start: int, stop: int) -> np.ndarray:
-        """A copy of the eigenvectors for sorted positions start .. stop-1."""
-        return self.vectors[:, start:stop].copy()
+from .model import _mirrored_tiles, require_symmetric, row_gram
 
 
 def _solve(solver, *args, **kwargs):
@@ -473,7 +461,10 @@ def _window_bound(banded: Banded, start: int, stop: int, y: np.ndarray) -> float
     return math.sqrt(2.0) * _norm(residual) / delta if delta > 0.0 else math.inf
 
 
-def reduce(arr: np.ndarray) -> Union[Banded, Tridiagonal]:
+Spectrum = Union[Tridiagonal, Banded]
+
+
+def reduce(arr: np.ndarray) -> Spectrum:
     """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
     arr must be a C-contiguous float64 copy owned by the caller.  From
@@ -485,9 +476,6 @@ def reduce(arr: np.ndarray) -> Union[Banded, Tridiagonal]:
     diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr)
     values = _tridiagonal_values(diagonal, offdiagonal)
     return Banded(values, band, arr.T, tau, rounding_slack(values))
-
-
-Spectrum = Union[SortedSpectrum, Tridiagonal, Banded]
 
 
 # ARPACK's Krylov basis for k Ritz pairs.
@@ -714,21 +702,23 @@ def _definite(work: np.ndarray, shift: float, sign: float, values, vectors, uppe
 
 
 def _symmetrized(m) -> np.ndarray:
+    """(m + m^T) / 2 of a validated m, tile by tile, as one new C-order array: no strided pass over m^T."""
     arr = require_symmetric(m, "matrix", tol=1e-8)
-    s = arr + arr.T
-    s *= 0.5  # halving is exact: the bits of (arr + arr.T) / 2, without a second n x n array
+    s = np.empty(arr.shape)
+    for (upper, lower, _), (out, mirror, _) in zip(_mirrored_tiles(arr), _mirrored_tiles(s)):
+        np.add(upper, lower, out=out)
+        out *= 0.5  # halving is exact
+        mirror[...] = out  # a_ji + a_ij has the bits of a_ij + a_ji
     return s
 
 
-def symmetric_eig(m) -> SortedSpectrum:
-    """Full eigendecomposition of a dense symmetric matrix, sorted decreasingly (numpy's eigh)."""
-    values, vectors = _solve(np.linalg.eigh, _symmetrized(m))
-    return SortedSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
+def symmetric_eig(m) -> Spectrum:
+    """reduce of a validated, symmetrized copy of a dense matrix: sorted values, vectors per window.
 
-
-def symmetric_eigvals(m) -> np.ndarray:
-    """Eigenvalues of a dense symmetric matrix, sorted decreasingly; no eigenvectors."""
-    return reduce(_symmetrized(m)).values
+    From TWO_STAGE_MIN_N a Banded, whose window_vectors is None where its
+    certificate fails (estimator.gram_estimate then raises EigenSolverError).
+    """
+    return reduce(_symmetrized(m))
 
 
 def normalize_adjacency(adj) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -12,7 +13,6 @@ from numpy.polynomial import legendre
 from heic.errors import QuadratureError, ValidationError
 from heic.harmonics import QUAD_MAX_PANELS, QUAD_NODES, QUAD_TOL, gegenbauer, sphere_weight_total
 from heic.links import affine, threshold
-from heic.spectral import SortedSpectrum
 
 
 def delta2_bruteforce(a, b) -> float:
@@ -67,11 +67,31 @@ def delta2_numpy(a, b) -> float:
     return norm_numpy(pa - pb)
 
 
-def diagonal_spectrum(values) -> SortedSpectrum:
+@dataclass(frozen=True)
+class FullSpectrum:
+    """Every eigenpair, sorted decreasingly; column i of vectors pairs with values[i].
+
+    Has the values and window_vectors that heic's spectrum consumers read.
+    """
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    def window_vectors(self, start: int, stop: int) -> np.ndarray:
+        return self.vectors[:, start:stop].copy()
+
+
+def diagonal_spectrum(values) -> FullSpectrum:
     """Spectrum of diag(values): coordinate-axis eigenvectors, sorted decreasingly."""
     vals = np.asarray(values, dtype=float).ravel()
     order = np.argsort(-vals, kind="stable")
-    return SortedSpectrum(values=vals[order], vectors=np.eye(vals.size)[:, order])
+    return FullSpectrum(values=vals[order], vectors=np.eye(vals.size)[:, order])
+
+
+def eigh_spectrum(m) -> FullSpectrum:
+    """numpy's full eigh of a symmetric matrix, sorted decreasingly: the full-eigenvector reference."""
+    values, vectors = np.linalg.eigh(m)
+    return FullSpectrum(values=values[::-1], vectors=vectors[:, ::-1])
 
 
 def cluster_scan_bruteforce(values, d) -> tuple[int, float]:

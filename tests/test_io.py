@@ -123,3 +123,45 @@ def test_edge_list_without_edges(tmp_path):
     path = tmp_path / "empty.edges"
     path.write_text("n=4\n")
     np.testing.assert_array_equal(io.read_edge_list(path), np.zeros((4, 4)))
+
+
+def test_edge_list_accepts_blank_space_around_the_list(tmp_path):
+    path = tmp_path / "g.edges"
+    for text in ("n=4\n\n  \n", "\n\n  n=4  \n", "  n=4\n0 1\n\n\t\n2 3 \n\n", "n=4 \r\n0\t1\r\n2   3\r\n"):
+        path.write_text(text)
+        expected = np.zeros((4, 4), dtype=np.uint8)
+        if "0" in text:
+            expected[[0, 1, 2, 3], [1, 0, 3, 2]] = 1
+        np.testing.assert_array_equal(io.read_edge_list(path), expected)
+    path.write_text("\n n=x \n0 1\n")
+    with pytest.raises(ValidationError, match="bad node count 'n=x '"):
+        io.read_edge_list(path)
+
+
+def _complete_graph(n):
+    return np.ones((n, n), dtype=np.uint8) - np.eye(n, dtype=np.uint8)
+
+
+def test_edge_list_write_holds_one_row_at_a_time(tmp_path, traced_peak):
+    # The lines go out row by row: the writer never holds the whole list,
+    # as text or as index arrays, so its peak stays below the n x n uint8
+    # adjacency itself.
+    n = 400
+    adj = _complete_graph(n)
+    path = tmp_path / "k.edges"
+    io.write_edge_list(path, adj)
+    lines = ["n=400", *(f"{i} {j}" for i in range(n) for j in range(i + 1, n))]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    assert traced_peak(io.write_edge_list, path, adj) < adj.nbytes
+
+
+def test_edge_list_read_streams_the_body(tmp_path, traced_peak):
+    # The body is parsed from the open file: no copy of its text and no
+    # string per line, only the int64 pairs (16 bytes an edge) and the
+    # uint8 adjacency.
+    n = 400
+    path = tmp_path / "k.edges"
+    io.write_edge_list(path, _complete_graph(n))
+    io.read_edge_list(path)  # imports before tracing
+    edges = n * (n - 1) // 2
+    assert traced_peak(io.read_edge_list, path) < 20 * edges + n * n

@@ -21,10 +21,9 @@ from heic.spectral import (
     _symmetrized,
     extreme_pairs,
     reduce,
-    symmetric_eigvals,
     tridiagonalize,
 )
-from oracles import delta2_bruteforce, delta2_numpy, diagonal_spectrum, grid_values
+from oracles import delta2_bruteforce, delta2_numpy, diagonal_spectrum, eigh_spectrum, grid_values
 
 
 class TestSymmetricEig:
@@ -36,7 +35,7 @@ class TestSymmetricEig:
         spec = heic.symmetric_eig(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(spec.values, [3.0, 1.0])
         # eigenvectors are the coordinate axes up to sign
-        np.testing.assert_allclose(np.abs(spec.vectors), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(np.abs(spec.window_vectors(0, 2)), np.eye(2), atol=1e-12)
 
     def test_two_by_two(self):
         spec = heic.symmetric_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -48,19 +47,19 @@ class TestSymmetricEig:
         m = (m + m.T) / 2.0
         spec = heic.symmetric_eig(m)
         assert np.all(np.diff(spec.values) <= 0.0)
-        raw_values, raw_vectors = np.linalg.eigh(m)
-        np.testing.assert_array_equal(spec.values, raw_values[::-1])
-        np.testing.assert_array_equal(spec.vectors, raw_vectors[:, ::-1])
-        np.testing.assert_array_equal(symmetric_eigvals(m), np.linalg.eigvalsh(m)[::-1])
+        np.testing.assert_array_equal(spec.values, np.linalg.eigvalsh(m)[::-1])
+        v, reference = spec.window_vectors(2, 5), eigh_spectrum(m).window_vectors(2, 5)
+        np.testing.assert_allclose(v @ v.T, reference @ reference.T, atol=1e-12)
 
     def test_invariants_on_random_matrix(self):
         rng = np.random.default_rng(12)
         m = rng.standard_normal((30, 30))
         m = (m + m.T) / 2.0
         spec = heic.symmetric_eig(m)
-        gram = spec.vectors.T @ spec.vectors
+        vectors = spec.window_vectors(0, 30)
+        gram = vectors.T @ vectors
         assert np.abs(gram - np.eye(30)).max() < 1e-8
-        recon = spec.vectors @ np.diag(spec.values) @ spec.vectors.T
+        recon = vectors @ np.diag(spec.values) @ vectors.T
         assert np.linalg.norm(recon - m) <= 1e-7 * np.linalg.norm(m)
 
     def test_trace_and_frobenius_identities(self):
@@ -80,9 +79,8 @@ class TestSymmetricEig:
     def test_rejects_non_finite(self, bad):
         m = np.eye(4)
         m[1, 2] = m[2, 1] = bad
-        for solve in (heic.symmetric_eig, symmetric_eigvals):
-            with pytest.raises(ValidationError, match="non-finite"):
-                solve(m)
+        with pytest.raises(ValidationError, match="non-finite"):
+            heic.symmetric_eig(m)
 
     def test_symmetrized_halves_in_place(self, traced_peak):
         # Halving is exact, so s *= 0.5 gives (m + m.T) / 2 bit for bit, and
@@ -94,12 +92,36 @@ class TestSymmetricEig:
 
     def test_eigvals_from_min_n_are_eigvalsh_bitwise(self, count_calls):
         m = _symmetric(40, 9)
-        assert count_calls(symmetric_eigvals, m)["dsytrd"] == 1
-        np.testing.assert_array_equal(symmetric_eigvals(m), np.linalg.eigvalsh(m)[::-1])
+        assert count_calls(heic.symmetric_eig, m)["dsytrd"] == 1
+        np.testing.assert_array_equal(heic.symmetric_eig(m).values, np.linalg.eigvalsh(m)[::-1])
+
+    @pytest.mark.parametrize("min_n, solver", [(None, "tridiagonal"), (1, "two-stage")])
+    def test_is_the_reduction(self, monkeypatch, count_calls, min_n, solver):
+        # symmetric_eig is reduce of the symmetrized copy: the same route and
+        # values bit for bit, from one reduction and no numpy eigensolver.
+        if min_n is not None:
+            monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", min_n)
+        m = _symmetric(60, 14)
+        spec = heic.symmetric_eig(m)
+        assert spec.solver == solver
+        np.testing.assert_array_equal(spec.values, reduce(_symmetrized(m)).values)
+        counts = count_calls(heic.symmetric_eig, m)
+        assert (counts["eigh"], counts["eigvalsh"], counts["dsytrd"] + counts["dsytrd_2stage"]) == (0, 0, 1)
+
+    @pytest.mark.parametrize("min_n, solver", [(None, "tridiagonal"), (1, "two-stage")])
+    @pytest.mark.parametrize("start, stop", [(1, 4), (20, 27), (57, 60)])
+    def test_window_vectors_match_eigh(self, monkeypatch, min_n, solver, start, stop):
+        if min_n is not None:
+            monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", min_n)
+        m = _symmetric(60, 15)
+        spec = heic.symmetric_eig(m)
+        assert spec.solver == solver
+        v, reference = spec.window_vectors(start, stop), eigh_spectrum(m).window_vectors(start, stop)
+        assert np.linalg.norm(v @ v.T - reference @ reference.T) <= 1e-8
 
     def test_from_values(self):
         # diagonal_spectrum, the test oracle for a spectrum with given values,
-        # is the decomposition symmetric_eig makes of diag(values).
+        # has the values symmetric_eig finds for diag(values).
         values = [0.1, 0.7, -0.3]
         spec = diagonal_spectrum(values)
         np.testing.assert_array_equal(spec.values, [0.7, 0.1, -0.3])
@@ -111,6 +133,57 @@ class TestSymmetricEig:
 def _symmetric(n, seed):
     m = np.random.default_rng(seed).standard_normal((n, n))
     return (m + m.T) / 2.0
+
+
+def test_library_needs_no_numpy_eigensolver(monkeypatch, tmp_path):
+    # Every eigensolve in the library is a reduction (or ARPACK and its
+    # proof): with numpy's eigh and eigvalsh made to raise when a heic
+    # module calls them, symmetric_eig, heic() on each route, the dimension
+    # scan, the three studies and the eig command all still run, and no
+    # study replicate fails.  numpy's own callers, such as the Golub-Welsch
+    # nodes of np.polynomial.legendre.leggauss in the quadrature, still
+    # reach the real solvers.
+    from heic import cli, estimator
+    from heic.experiments import ExperimentConfig, RhoRule
+
+    def refusing(real):
+        def solver(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("heic"):
+                raise AssertionError("numpy eigensolver called by the library")
+            return real(*args, **kwargs)
+
+        return solver
+
+    monkeypatch.setattr(np.linalg, "eigh", refusing(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", refusing(np.linalg.eigvalsh))
+    heic.symmetric_eig(_symmetric(40, 2))
+    latent_seed, adjacency_seed = heic.replicate_seeds(7, 300, 0)
+    sample = heic.sample_uniform_sphere(300, 3, latent_seed)
+    model = heic.GraphModel(link=heic.threshold(0.0), sparsity=1.0, n=300)
+    adjacency = heic.sample_adjacency(heic.probability_matrix(sample, model), adjacency_seed)
+    routes = [
+        ("certified", []),
+        ("tridiagonal", [(estimator, "CERTIFIED_MIN_DENSITY", np.inf)]),
+        ("two-stage", [(estimator, "CERTIFIED_MIN_DENSITY", np.inf), (spectral, "TWO_STAGE_MIN_N", 1)]),
+        ("tridiagonal", [(estimator, "CERTIFIED_MIN_DENSITY", np.inf), (spectral, "TWO_STAGE_MIN_N", 1),
+                         (spectral, "_BAND_BOUND", 0.0)]),
+    ]
+    for solver, patches in routes:
+        with pytest.MonkeyPatch.context() as mp:
+            for target, name, value in patches:
+                mp.setattr(target, name, value)
+            assert heic.heic(adjacency, 3)[1].solver == solver
+    heic.estimate_dimension(adjacency)
+    cfg = ExperimentConfig(
+        link=heic.affine(0.5, 0.5), d=3, rho=RhoRule("constant", 1.0), n_grid=(60,), replicates=1, seed=3
+    )
+    assert all(r.error is None for r in heic.run_mse_study(cfg))
+    assert not any(heic.run_dimension_study(cfg).errors)
+    for matrix in ("observed", "noiseless"):
+        assert all(r.error is None for r in heic.run_spectrum_convergence(cfg, matrix=matrix))
+    m_csv = tmp_path / "m.csv"
+    m_csv.write_text("2,1\n1,2\n")
+    assert cli.cli_main(["eig", "--input", str(m_csv), "--out", str(tmp_path / "eig.csv")]) == 0
 
 
 class TestTridiagonalize:
@@ -259,8 +332,9 @@ class TestTwoStage:
 
     def test_eigvals_command_takes_two_stage(self, count_calls, two_stage):
         m = _symmetric(50, 2)
-        assert count_calls(symmetric_eigvals, m)["dsytrd_2stage"] == 1
-        np.testing.assert_allclose(symmetric_eigvals(m), np.linalg.eigvalsh(m)[::-1], rtol=0, atol=1e-13)
+        assert count_calls(heic.symmetric_eig, m)["dsytrd_2stage"] == 1
+        values = heic.symmetric_eig(m).values
+        np.testing.assert_allclose(values, np.linalg.eigvalsh(m)[::-1], rtol=0, atol=1e-13)
 
     def test_rejects_an_array_lapack_cannot_overwrite(self, two_stage):
         m = _symmetric(10, 1)

@@ -75,14 +75,16 @@ has the same bits whether the adjacency came as uint8, bool or float64, so
 every output does too.
 heic() reads whichever route it took through one interface (see
 spectral.py): its sorted values, solver, slack and window_vectors.  One
-window rule, _pick, places the window on every route: on a reduction's
-values as find_cluster does, with the margin over the runner-up, and
-inside certify_window with the margin over every other window's bound.
-The estimate is degenerate when its gap is within the route's slack, so
-that it cannot be told from 0; a certified one never is, as the proof
-gives a gap above 2 slack.  heic() then keeps the window's eigenvectors
-and runs event_e_check, which reads only the window.  scan_spectrum
-validates only the candidates against the spectrum it is given.
+window rule, _pick, places the window on every route and returns it as a
+ClusterSelection: on a reduction heic() calls find_cluster, whose margin
+is over the runner-up, and on the certified route certify_window, whose
+margin is over every other window's bound.  The estimate is degenerate
+when its gap is within the route's slack, so that it cannot be told from
+0; a certified one never is, as the proof gives a gap above 2 slack.
+heic() then keeps the window's eigenvectors and runs event_e_check, which
+reads only the window.  estimate_dimension scores its reduction with
+scan_spectrum, which validates only the candidates against the spectrum
+it is given.
 """
 
 from __future__ import annotations
@@ -104,15 +106,23 @@ DEFAULT_D_MAX = 15
 class ClusterSelection:
     """A window of d consecutive sorted eigenvalue positions (never position 0).
 
-    values holds the window's eigenvalues, largest first.
+    values holds the window's eigenvalues, largest first.  margin is gap
+    minus the largest gap, or bound on a gap, of any other window.
     """
 
     d: int
     start: int
-    indices: tuple[int, ...]
     gap: float
-    diameter: float
+    margin: float
     values: np.ndarray = field(compare=False)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(range(self.start, self.start + self.d))
+
+    @property
+    def diameter(self) -> float:
+        return float(self.values[0] - self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -216,8 +226,8 @@ def _window_min(steps: np.ndarray, d: int) -> np.ndarray:
     return np.minimum(steps[: steps.size + 1 - d], np.append(steps[d:], np.inf))
 
 
-def _pick(gaps: np.ndarray, bounds: np.ndarray) -> tuple[int, float, float]:
-    """(start, gap, margin) of the window of largest gap; margin is over every other window's bound.
+def _pick(values: np.ndarray, d: int, gaps: np.ndarray, bounds: np.ndarray) -> ClusterSelection:
+    """The window of largest gap among values' windows of size d; margin is over every other window's bound.
 
     A NaN gap is unknown and never picked; ties take the smallest start.
     bounds, one per window (gaps itself when every gap is known), is
@@ -226,7 +236,8 @@ def _pick(gaps: np.ndarray, bounds: np.ndarray) -> tuple[int, float, float]:
     best = int(np.nanargmax(gaps))
     gap = float(gaps[best])
     bounds[best] = -np.inf
-    return best + 1, gap, gap - float(bounds.max())
+    start = best + 1
+    return ClusterSelection(int(d), start, gap, gap - float(bounds.max()), values[start : start + d])
 
 
 def window_gaps(values, d: int) -> np.ndarray:
@@ -241,40 +252,25 @@ def window_gaps(values, d: int) -> np.ndarray:
     return _window_min(np.abs(np.diff(values)), d)
 
 
-def _selection(window: np.ndarray, start: int, gap: float) -> ClusterSelection:
-    d = window.size
-    return ClusterSelection(
-        d=d,
-        start=start,
-        indices=tuple(range(start, start + d)),
-        gap=gap,
-        diameter=float(window[0] - window[-1]),
-        values=window,
-    )
-
-
 def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     """Window of d consecutive sorted eigenvalues with the largest separation.
 
     Ties return the smallest start index.  The achieved gap is the
-    spectrum's size-d cluster score.
+    spectrum's size-d cluster score, and margin is over the runner-up.
     """
     _require_window(len(spec.values), d)
     gaps = window_gaps(spec.values, d)
-    start, gap, _ = _pick(gaps, gaps)
-    return _selection(spec.values[start : start + d], start, gap)
+    return _pick(spec.values, d, gaps, gaps)
 
 
-def certify_window(
-    top, bottom, lower: float, upper: float, n: int, d: int, slack: float
-) -> Optional[tuple[int, float, float]]:
+def certify_window(values, lower: float, upper: float, d: int, slack: float) -> Optional[ClusterSelection]:
     """The window find_cluster would pick on a spectrum known only at its ends, or None.
 
-    The n sorted eigenvalues are known at the top (the decreasing values
-    top, at positions 0 .. t-1) and the bottom (bottom, decreasing, at
-    positions n-b .. n-1), each within slack; every other eigenvalue lies
-    in [lower, upper].  Returns (start, gap, margin) when one window is
-    proved best, else None.
+    values holds the n sorted eigenvalues as far as they are known, each
+    within slack, and NaN for each unknown one (ExtremePairs.values: the
+    top, then the middle, then the bottom); every unknown eigenvalue lies
+    in [lower, upper].  Returns find_cluster's window, with the certificate
+    margin, when one window is proved best, else None.
 
     The rule.  A step between two known eigenvalues is exact: its computed
     value is within 2 slack of the true one.  A step that touches the
@@ -290,19 +286,17 @@ def certify_window(
     middle holds, and G is its score within 2 slack.  margin is
     G - max U_i, and the rule certifies when margin > 2 slack.
     """
-    top = np.asarray(top, dtype=float)
-    bottom = np.asarray(bottom, dtype=float)
-    middle = n - top.size - bottom.size
-    known = np.concatenate([top, np.full(middle, np.nan), bottom])
-    high = np.concatenate([top + slack, np.full(middle, upper), bottom + slack])
-    low = np.concatenate([top - slack, np.full(middle, lower), bottom - slack])
-    steps = known[:-1] - known[1:]  # NaN where a step touches the middle
+    values = np.asarray(values, dtype=float)
+    unknown = np.isnan(values)
+    high = np.where(unknown, upper, values + slack)
+    low = np.where(unknown, lower, values - slack)
+    steps = values[:-1] - values[1:]  # NaN where a step touches the middle
     exact = _window_min(steps, d)
     if np.isnan(exact).all():
         return None
     bounds = np.where(np.isnan(steps), high[:-1] - low[1:], steps + 2.0 * slack)
-    picked = _pick(exact, _window_min(bounds, d))
-    return picked if picked[2] > 2.0 * slack else None
+    cluster = _pick(values, d, exact, _window_min(bounds, d))
+    return cluster if cluster.margin > 2.0 * slack else None
 
 
 def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
@@ -402,28 +396,25 @@ def heic(
     _require_window(n, d)
     work = _working_copy(adjacency)
     route = extreme_pairs(work, 2 * d + 5) if density >= CERTIFIED_MIN_DENSITY else None
-    picked = None
+    cluster = None
     if route is not None:
-        picked = certify_window(route.top, route.bottom, route.lower, route.upper, n, d, route.slack)
-    if picked is not None and not route.confirm(work):
-        picked = None
+        cluster = certify_window(route.values, route.lower, route.upper, d, route.slack)
+    if cluster is not None and not route.confirm(work):
+        cluster = None
         _working_copy(adjacency, out=work)
-    if picked is None:
+    if cluster is None:
         route = spectral.reduce(work)
-        gaps = window_gaps(route.values, d)
-        picked = _pick(gaps, gaps)
-    start, gap, margin = picked
-    values = route.values
-    cluster = _selection(values[start : start + d], start, gap)
+        cluster = find_cluster(route, d)
+    top_eigenvalue = float(route.values[0])
     # A certified gap exceeds 2 slack plus every other window's bound, each
     # at least that window's true gap >= 0, and n >= d + 2 leaves at least
     # one other window: so the certified route is never degenerate.
-    degenerate = bool(gap <= route.slack)
-    vectors = route.window_vectors(start, start + d)
+    degenerate = bool(cluster.gap <= route.slack)
+    start, stop = cluster.start, cluster.start + d
+    vectors = route.window_vectors(start, stop)
     if vectors is None:  # a Banded's certificate failed: dsytrd's vectors for the same window
         route = spectral.tridiagonalize(_working_copy(adjacency, out=work))
-        vectors = route.window_vectors(start, start + d)
-    estimate = GramEstimate(vectors, cluster)
+        vectors = route.window_vectors(start, stop)
     event_e = None
     if with_event_e:
         event_e = event_e_check(None, cluster, analytic_gap, rho)
@@ -431,14 +422,14 @@ def heic(
         gap=cluster.gap,
         diameter=cluster.diameter,
         cluster_start=cluster.start,
-        top_eigenvalue=float(values[0]),
+        top_eigenvalue=top_eigenvalue,
         edge_density=density,
         degenerate=degenerate,
         solver=route.solver,
-        margin=margin,
+        margin=cluster.margin,
         event_e=event_e,
     )
-    return estimate, diagnostics
+    return GramEstimate(vectors, cluster), diagnostics
 
 
 def _require_candidates(candidates, n: int) -> tuple[int, ...]:
@@ -450,19 +441,16 @@ def _require_candidates(candidates, n: int) -> tuple[int, ...]:
     return tuple(int(d) for d in candidates)
 
 
-def _scan(values: np.ndarray, candidates: tuple[int, ...]) -> DimensionScan:
-    steps = np.abs(np.diff(values))
+def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
+    """Score each candidate d on an already-computed sorted spectrum."""
+    candidates = _require_candidates(candidates, len(spec.values))
+    steps = np.abs(np.diff(spec.values))
     scores = np.array([_window_min(steps, d).max() for d in candidates])
     best = int(np.argmax(scores))
     top = float(scores[best])
     runner_up = float(np.delete(scores, best).max(initial=0.0))
     margin = top / runner_up if runner_up > 0.0 else (np.inf if top > 0.0 else 1.0)
     return DimensionScan(candidates=candidates, scores=scores, chosen=candidates[best], margin=margin)
-
-
-def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
-    """Score each candidate d on an already-computed sorted spectrum."""
-    return _scan(spec.values, _require_candidates(candidates, len(spec.values)))
 
 
 def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
@@ -474,5 +462,4 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     n = adjacency.shape[0]
     if n < d_max + 2:
         raise ValidationError(f"dimension scan needs n >= d_max + 2 = {d_max + 2}, got n = {n}")
-    candidates = tuple(range(1, d_max + 1))
-    return _scan(spectral.reduce(_working_copy(adjacency)).values, candidates)
+    return scan_spectrum(spectral.reduce(_working_copy(adjacency)), range(1, d_max + 1))

@@ -12,7 +12,10 @@ and for the adjacency coin flips are derived by hashing
 (base seed, n, replicate), so results are independent of run order.
 One runner executes every study in sorted (n, replicate) order, which
 makes the CSV output byte-identical across runs.  A replicate that raises
-becomes a NaN row whose error names the exception.
+becomes a NaN row whose error names the exception, but for MemoryError,
+which stops the study.  A config whose grid holds an n too large for the
+machine's physical memory (model.require_memory) is refused before any
+replicate runs.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .errors import ValidationError
 from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
-from .model import GraphModel, probability_matrix, sample_model_adjacency, sample_uniform_sphere
+from .model import GraphModel, probability_matrix, require_memory, sample_model_adjacency, sample_uniform_sphere
 from .spectral import delta_2, reduce
 from .io import write_table
 
@@ -130,6 +133,8 @@ class ExperimentConfig:
             raise ValidationError("n grid must not be empty")
         if any(n < self.d + 2 for n in self.n_grid):
             raise ValidationError("every n must be at least d + 2")
+        for n in self.n_grid:
+            require_memory(n, "experiment config n_grid")
         repeated = sorted({n for n in self.n_grid if self.n_grid.count(n) > 1})
         if repeated:
             raise ValidationError(f"n grid repeats {repeated}")
@@ -180,11 +185,15 @@ def _run_replicates(cfg: ExperimentConfig, compute, failed) -> list:
 
     A replicate that raises is logged and replaced by
     failed(n, replicate, error), where error is "<exception class>: <message>".
+    MemoryError stops the study instead: the machine is too small for it, and
+    the CLI exits 1 on it.
     """
 
     def run(n: int, replicate: int):
         try:
             return compute(n, replicate)
+        except MemoryError:
+            raise
         except Exception as exc:  # noqa: BLE001 - studies must survive bad replicates
             log.warning("replicate (n=%d, r=%d) failed", n, replicate, exc_info=True)
             return failed(n, replicate, f"{type(exc).__name__}: {exc}")

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import require_adjacency
+from .model import require_adjacency, require_memory
 
 
 def format_float(x: float) -> str:
@@ -69,6 +69,7 @@ def read_edge_list(path) -> np.ndarray:
             raise ValidationError(f"{path}: bad node count {header!r}") from exc
         if n < 1:
             raise ValidationError(f"{path}: node count must be >= 1")
+        require_memory(n, str(path))
         edges = np.empty((0, 2), dtype=np.int64)
         if has_body:
             try:

@@ -26,6 +26,7 @@ pure: identical inputs and seed reproduce the output bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,6 +194,24 @@ def require_adjacency(adj) -> tuple[np.ndarray, float]:
     if np.any(np.diagonal(arr)):
         raise ValidationError("adjacency has a nonzero diagonal (self-loop)")
     return arr, float((ones // 2) / (n * (n - 1) / 2.0))
+
+
+# Bytes per adjacency entry at a command's peak on an n-node graph: the
+# uint8 adjacency, one n x n float64 array (A/n, or the noiseless study's
+# Theta) and LAPACK's workspace, about 1.6 x 8.  The rise in peak RSS over
+# one fresh command at n=4000 (2 cores) was 12.4 for heic estimate, 12.3 for
+# mse-study, 11.3 for dimension and dim-study and 10.9 for convergence-study.
+PEAK_BYTES_PER_ENTRY = 13
+
+
+def require_memory(n: int, name: str) -> None:
+    """Refuse an n-node graph whose command would need more than the machine's physical memory."""
+    needed = PEAK_BYTES_PER_ENTRY * n * n
+    present = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > present:
+        raise ValidationError(
+            f"{name}: n={n} needs about {needed} bytes of memory, more than the {present} bytes present"
+        )
 
 
 def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:

@@ -382,6 +382,17 @@ class TestStudyCommands:
         assert "all 2 replicates failed (RuntimeError)" in capsys.readouterr().err
         assert "nan" in out.read_text().splitlines()[1]
 
+    @pytest.mark.parametrize("command", ["mse-study", "dim-study", "convergence-study"])
+    def test_memory_error_exits_one_without_a_csv(self, tmp_path, monkeypatch, capsys, command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("synthetic")
+
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", exhausted)
+        cfg, out = self._write_config(tmp_path, n_grid=[60], d_max=5, k_max=10)
+        assert cli.cli_main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: synthetic\n"
+        assert not out.exists()
+
     def test_some_replicates_failed_exits_zero(self, tmp_path, monkeypatch):
         real = experiments.heic
 

@@ -113,6 +113,23 @@ class TestEstimateDimension(RejectsBadAdjacency):
         expected = [heic.window_gaps(values, d).max() for d in range(1, 11)]
         assert heic.estimate_dimension(adjacency, d_max=10).scores.tolist() == expected
 
+    @pytest.mark.parametrize("min_n", [heic.spectral.TWO_STAGE_MIN_N, 1], ids=["tridiagonal", "two-stage"])
+    def test_scores_the_reduction_by_scan_spectrum(self, monkeypatch, min_n):
+        # One call of scan_spectrum on the command's own reduction: every
+        # field equals scan_spectrum's on a reduction of A/n, bit for bit.
+        monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", min_n)
+        adjacency = self._adjacency(n=80)
+        real = heic.estimator.scan_spectrum
+        calls = []
+        monkeypatch.setattr(
+            heic.estimator, "scan_spectrum", lambda spec, candidates: calls.append(1) or real(spec, candidates)
+        )
+        scan = heic.estimate_dimension(adjacency, d_max=10)
+        expected = real(heic.spectral.reduce(adjacency / 80), range(1, 11))
+        assert calls == [1]
+        assert scan.scores.tobytes() == expected.scores.tobytes()
+        assert (scan.candidates, scan.chosen, scan.margin) == (expected.candidates, expected.chosen, expected.margin)
+
     def test_reduction_holds_one_n_by_n_array(self, traced_peak):
         # A/n, reduced in place, plus O(n) workspace; a second n x n float64
         # array would reach 2.  The bound is in float64 bytes: the adjacency is uint8.

@@ -182,6 +182,11 @@ class TestFindCluster:
             heic.find_cluster(diagonal_spectrum([1.0, 0.5, 0.3]), 2)
 
 
+def _known_ends(top, bottom, n):
+    """A spectrum as ExtremePairs.values gives it: top, NaN for each unknown middle value, bottom."""
+    return np.concatenate([top, np.full(n - len(top) - len(bottom), np.nan), bottom])
+
+
 class TestCertifyWindow:
     """The window rule on spectra known only at their ends, against the full scan."""
 
@@ -197,15 +202,26 @@ class TestCertifyWindow:
         lower = middle.min() - data.draw(widen, label="below")
         upper = middle.max() + data.draw(widen, label="above")
         top, bottom = values[:t], values[n - b :]
-        certified = estimator.certify_window(top, bottom, lower, upper, n, d, 0.0)
+        certified = estimator.certify_window(_known_ends(top, bottom, n), lower, upper, d, 0.0)
         if certified is not None:
-            start, gap, margin = certified
-            assert (start, gap) == cluster_scan_bruteforce(values, d)
-            assert (start, gap) == window_certificate_bruteforce(top, bottom, lower, upper, n, d)
-            # Every bound is at least its window's gap, so the certificate
-            # never claims more than the full scan's margin over its runner-up.
-            gaps = np.sort(heic.window_gaps(values, d))
-            assert 0.0 < margin <= gaps[-1] - gaps[-2]
+            # find_cluster's record on the full spectrum, bit for bit, but
+            # for the margin: every bound is at least its window's gap, so
+            # the certificate never claims more than the full scan's margin
+            # over its runner-up.  An exact gap needs only the steps at the
+            # window's ends, so a window may hold unknown (NaN) values here;
+            # heic()'s never does, as ARPACK's few pairs leave a middle far
+            # wider than a window.
+            full = heic.find_cluster(diagonal_spectrum(values), d)
+            assert certified == dataclasses.replace(full, margin=certified.margin)
+            known = ~np.isnan(certified.values)
+            assert certified.values[known].tobytes() == full.values[known].tobytes()
+            if known.all():
+                assert certified.diameter == full.diameter
+            assert 0.0 < certified.margin <= full.margin
+            assert (certified.start, certified.gap) == cluster_scan_bruteforce(values, d)
+            assert (certified.start, certified.gap) == window_certificate_bruteforce(
+                top, bottom, lower, upper, n, d
+            )
 
     def test_certifies_the_harmonic_window(self):
         # The flattened threshold(0) spectrum on S^2, levels 0 .. 3: 0.5,
@@ -215,25 +231,24 @@ class TestCertifyWindow:
         # the middle's range.
         values = diagonal_spectrum(heic.analytic_spectrum(heic.threshold(0.0), 3, 3).flattened()).values
         n = values.size
-        top, bottom = values[:2], values[n - 4 :]
-        start, gap, margin = estimator.certify_window(top, bottom, 0.0, 0.0625, n, 3, 1e-12)
-        assert (start, gap) == cluster_scan_bruteforce(values, 3) == (n - 3, values[n - 4] - values[n - 3])
-        assert margin == pytest.approx(0.25 - 0.0625, abs=1e-9)
+        cluster = estimator.certify_window(_known_ends(values[:2], values[n - 4 :], n), 0.0, 0.0625, 3, 1e-12)
+        assert (cluster.start, cluster.gap) == cluster_scan_bruteforce(values, 3)
+        assert (cluster.start, cluster.gap) == (n - 3, values[n - 4] - values[n - 3])
+        assert cluster.margin == pytest.approx(0.25 - 0.0625, abs=1e-9)
 
     def test_slack_can_spoil_the_proof(self):
         # Window 1 wins by 0.45 against 0.05.  The other windows each touch
         # the middle value -0.05, so a slack of 0.14 lifts their bounds to
         # 0.19, and leaves a margin of 0.26 < 2 * 0.14.
-        values = np.array([1.0, 0.5, 0.45, 0.0, -0.05, -0.1])
-        top, bottom = values[:4], values[5:]
-        start, gap, margin = estimator.certify_window(top, bottom, -0.05, -0.05, 6, 2, 0.0)
-        assert (start, gap, margin) == (1, 0.45, pytest.approx(0.4))
-        assert estimator.certify_window(top, bottom, -0.05, -0.05, 6, 2, 0.13) is not None
-        assert estimator.certify_window(top, bottom, -0.05, -0.05, 6, 2, 0.14) is None
+        known = np.array([1.0, 0.5, 0.45, 0.0, np.nan, -0.1])
+        cluster = estimator.certify_window(known, -0.05, -0.05, 2, 0.0)
+        assert (cluster.start, cluster.gap, cluster.margin) == (1, 0.45, pytest.approx(0.4))
+        assert estimator.certify_window(known, -0.05, -0.05, 2, 0.13) is not None
+        assert estimator.certify_window(known, -0.05, -0.05, 2, 0.14) is None
 
     def test_declines_without_an_exact_window(self):
         # Only the top is known, and every window touches the middle.
-        assert estimator.certify_window([1.0], [], -0.1, 0.1, 6, 2, 0.0) is None
+        assert estimator.certify_window(_known_ends([1.0], [], 6), -0.1, 0.1, 2, 0.0) is None
 
 
 class TestGramEstimate:
@@ -499,6 +514,27 @@ class TestHeicPipeline(RejectsBadAdjacency):
                         assert estimate.vectors.tobytes() == vectors.tobytes()
                         counts = count_calls(heic.heic, adjacency, 3)
                         assert (counts["dsytrd_2stage"], counts["dsytrd"], counts["copy"]) == (1, 1, 2)
+
+    @pytest.mark.parametrize("route", ["tridiagonal", "two-stage"])
+    def test_reduction_route_places_the_window_by_find_cluster(self, monkeypatch, partial_solve, route):
+        # On both reduction routes heic() makes one call of find_cluster on
+        # spectral.reduce's values, and reports that record bit for bit.
+        if route == "two-stage":
+            monkeypatch.setattr(spectral, "TWO_STAGE_MIN_N", 1)
+        real = estimator.find_cluster
+        for n, seed in ((60, 1), (200, 2), (300, 4)):
+            adjacency = _seeded_graph(n, seed)
+            expected = real(spectral.reduce(adjacency / n), 3)
+            calls = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimator, "find_cluster", lambda spec, d: calls.append(d) or real(spec, d))
+                estimate, diag = heic.heic(adjacency, 3)
+            assert calls == [3]
+            assert diag.solver == route
+            reported = (diag.cluster_start, diag.gap, diag.margin, diag.diameter)
+            assert reported == (expected.start, expected.gap, expected.margin, expected.diameter)
+            assert estimate.cluster == expected
+            assert estimate.cluster.values.tobytes() == expected.values.tobytes()
 
     @pytest.mark.parametrize("link", [heic.threshold(0.0), heic.affine(0.5, 0.5)])
     def test_matches_full_eigh_reference(self, partial_solve, link):

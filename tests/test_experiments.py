@@ -113,6 +113,22 @@ class TestExperimentConfig:
         with pytest.raises(ValidationError, match=rf"(^|'){key}\b"):
             ExperimentConfig.from_dict({**raw, key: value})
 
+    @pytest.mark.parametrize("n_grid", [(1_000_000,), (30, 1_000_000)])
+    def test_grid_too_large_for_memory_rejected(self, n_grid):
+        # Refused in the config, before any replicate allocates.
+        needs = r"n=1000000 needs about 13000000000000 bytes of memory, more than the \d+ bytes present"
+        with pytest.raises(ValidationError, match=f"^experiment config n_grid: {needs}$"):
+            _config(n_grid=n_grid)
+
+    def test_memory_bound_is_physical_memory(self, monkeypatch):
+        # n=50 needs 13 * 50^2 = 32500 bytes, so it fits in exactly that much.
+        memory = {"SC_PHYS_PAGES": 8125, "SC_PAGE_SIZE": 4}
+        monkeypatch.setattr(heic.model.os, "sysconf", memory.__getitem__)
+        assert _config(n_grid=(50,)).n_grid == (50,)
+        memory["SC_PHYS_PAGES"] = 8124
+        with pytest.raises(ValidationError, match="n=50 needs about 32500 bytes of memory, more than the 32496"):
+            _config(n_grid=(50,))
+
 
 class TestReplicateSeeds:
     def test_deterministic(self):

@@ -28,6 +28,14 @@ def test_edge_list_header_required(tmp_path):
         io.read_edge_list(path)
 
 
+def test_edge_list_too_large_for_memory_rejected_after_header(tmp_path):
+    # Refused before the n x n adjacency (931 GiB) is allocated.
+    path = tmp_path / "big.edges"
+    path.write_text("n=1000000\n0 1\n")
+    with pytest.raises(ValidationError, match=r"big.edges: n=1000000 needs about 13000000000000 bytes of memory"):
+        io.read_edge_list(path)
+
+
 def test_edge_list_rejects_out_of_range(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("n=3\n1 5\n")

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require_integer
 from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .experiments import (
     ExperimentConfig,
@@ -61,9 +61,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _cmd_sample(args) -> int:
     link = link_from_spec(args.link)
-    if args.seed < 0:
-        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    ss = np.random.SeedSequence(args.seed)
+    ss = np.random.SeedSequence(require_integer(args.seed, "--seed", 0))
     latent_seed, adjacency_seed = (int(s) for s in ss.generate_state(2, np.uint64))
     sample = sample_uniform_sphere(args.n, args.d, latent_seed)
     model = GraphModel(link=link, sparsity=args.rho, n=args.n)

@@ -4,8 +4,11 @@ Validation failures (bad arguments, malformed files, contract violations)
 raise :class:`ValidationError`; numeric failures that occur on valid input
 (quadrature that will not converge, an eigensolver that does not converge)
 raise :class:`NumericError` subclasses.  The CLI maps the former to exit
-code 1 and the latter to exit code 2.
+code 1 and the latter to exit code 2.  require_integer is the one check
+of an integer argument (a count, a size, a level or a seed).
 """
+
+import numpy as np
 
 
 class HeicError(Exception):
@@ -39,3 +42,15 @@ class EigenSolverError(NumericError):
     The certificate is the bound a two-stage reduction's window eigenvectors
     must meet (spectral.Banded.window_vectors).
     """
+
+
+def require_integer(value, name: str, minimum: int) -> int:
+    """value as an int, when it is an int or a numpy integer, not a bool, of at least minimum.
+
+    Otherwise raises ValidationError, with a message that starts with name.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)

@@ -95,7 +95,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .errors import EigenSolverError, ValidationError
+from .errors import EigenSolverError, ValidationError, require_integer
 from .model import require_adjacency
 from .spectral import Spectrum, extreme_pairs
 
@@ -203,17 +203,11 @@ def _working_copy(adjacency: np.ndarray, out: Optional[np.ndarray] = None) -> np
     return np.divide(adjacency, n, out=np.empty((n, n)) if out is None else out)
 
 
-def _require_integer(value, name: str) -> None:
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_window(n: int, d: int) -> None:
-    _require_integer(d, "cluster size")
-    if d < 1:
-        raise ValidationError(f"cluster size must be >= 1, got {d}")
+def _require_window(n: int, d: int) -> int:
+    d = require_integer(d, "cluster size", 1)
     if n < d + 2:
         raise ValidationError(f"need at least d + 2 = {d + 2} eigenvalues, got {n}")
+    return d
 
 
 def _window_min(steps: np.ndarray, d: int) -> np.ndarray:
@@ -258,7 +252,7 @@ def find_cluster(spec: Spectrum, d: int) -> ClusterSelection:
     Ties return the smallest start index.  The achieved gap is the
     spectrum's size-d cluster score, and margin is over the runner-up.
     """
-    _require_window(len(spec.values), d)
+    d = _require_window(len(spec.values), d)
     gaps = window_gaps(spec.values, d)
     return _pick(spec.values, d, gaps, gaps)
 
@@ -330,7 +324,9 @@ def event_e_check(
 
     Requires the analytic spectral gap of the generating link, so it is
     only available when the model is known: diameter < rho*gap/2 and
-    separation >= rho*gap/2.
+    separation >= rho*gap/2.  spec is not read: the check needs only the
+    cluster.  It stays because callers pass the four arguments by
+    position; heic() passes None for it.
     """
     _require_gap(gap_analytic)
     _require_rho(rho)
@@ -393,7 +389,7 @@ def heic(
     with_event_e = _require_event_e_scalars(rho, analytic_gap)
     adjacency, density = require_adjacency(adjacency)
     n = adjacency.shape[0]
-    _require_window(n, d)
+    d = _require_window(n, d)
     work = _working_copy(adjacency)
     route = extreme_pairs(work, 2 * d + 5) if density >= CERTIFIED_MIN_DENSITY else None
     cluster = None
@@ -436,9 +432,7 @@ def _require_candidates(candidates, n: int) -> tuple[int, ...]:
     candidates = tuple(candidates)
     if not candidates:
         raise ValidationError("candidate set must not be empty")
-    for d in candidates:
-        _require_window(n, d)
-    return tuple(int(d) for d in candidates)
+    return tuple(_require_window(n, d) for d in candidates)
 
 
 def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
@@ -455,9 +449,7 @@ def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
 
 def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     """Scan candidate dimensions 1 .. d_max on an adjacency matrix."""
-    _require_integer(d_max, "d_max")
-    if d_max < 1:
-        raise ValidationError(f"d_max must be >= 1, got {d_max}")
+    d_max = require_integer(d_max, "d_max", 1)
     adjacency, _ = require_adjacency(adjacency)
     n = adjacency.shape[0]
     if n < d_max + 2:

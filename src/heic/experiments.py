@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
@@ -55,6 +56,9 @@ class RhoRule:
     def __post_init__(self):
         if self.kind not in ("constant", "log"):
             raise ValidationError(f"unknown rho rule {self.kind!r}")
+        if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
+            raise ValidationError(f"rho rule constant must be a number, got {self.value!r}")
+        object.__setattr__(self, "value", float(self.value))
         if not self.value > 0:  # also rejects NaN
             raise ValidationError("rho rule constant must be positive")
         if self.kind == "constant" and self.value > 1.0:
@@ -76,15 +80,7 @@ def rho_rule_from_spec(spec) -> RhoRule:
         if unknown:
             raise ValidationError(f"rho rule has unknown keys {unknown}")
         kind, c = str(spec.get("kind", "constant")), spec["c"]
-    if isinstance(c, bool) or not isinstance(c, (int, float)):
-        raise ValidationError(f"rho rule constant must be a number, got {spec!r}")
-    return RhoRule(kind=kind, value=float(c))
-
-
-def _integer(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"experiment config key {key!r} must be an integer, got {value!r}")
-    return value
+    return RhoRule(kind=kind, value=c)
 
 
 def _integers(key: str, value) -> tuple[int, ...]:
@@ -92,7 +88,7 @@ def _integers(key: str, value) -> tuple[int, ...]:
         raise ValidationError(
             f"experiment config key {key!r} must be a list of integers, got {value!r}"
         )
-    return tuple(_integer(key, n) for n in value)
+    return tuple(value)
 
 
 def _out_path(key: str, value) -> Optional[Path]:
@@ -101,7 +97,8 @@ def _out_path(key: str, value) -> Optional[Path]:
     return Path(value) if value else None
 
 
-# How ExperimentConfig.from_dict reads each key; every other key is an integer.
+# How ExperimentConfig.from_dict reads each key; every other key is an
+# integer, which ExperimentConfig checks as it does every n of n_grid.
 _CONFIG_PARSERS = {
     "link": lambda key, value: link_from_spec(value),
     "rho": lambda key, value: rho_rule_from_spec(value),
@@ -125,23 +122,18 @@ class ExperimentConfig:
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValidationError(f"latent dimension must be >= 2 (sphere S^(d-1)), got {self.d}")
-        if self.d_max < 1:
-            raise ValidationError(f"d_max must be >= 1, got {self.d_max}")
+        d = require_integer(self.d, "d (latent dimension of the sphere S^(d-1))", 2)
+        require_integer(self.d_max, "d_max", 1)
+        require_integer(self.k_max, "k_max", 1)
         if not self.n_grid:
             raise ValidationError("n grid must not be empty")
-        if any(n < self.d + 2 for n in self.n_grid):
-            raise ValidationError("every n must be at least d + 2")
         for n in self.n_grid:
-            require_memory(n, "experiment config n_grid")
+            require_memory(require_integer(n, "n_grid", d + 2), "experiment config n_grid")
         repeated = sorted({n for n in self.n_grid if self.n_grid.count(n) > 1})
         if repeated:
             raise ValidationError(f"n grid repeats {repeated}")
-        if self.replicates < 1:
-            raise ValidationError("replicate count must be >= 1")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        require_integer(self.replicates, "replicates", 1)
+        require_integer(self.seed, "seed", 0)
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -154,8 +146,8 @@ class ExperimentConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
         if missing:
             raise ValidationError(f"experiment config is missing keys {missing}")
-        parsed = {key: _CONFIG_PARSERS.get(key, _integer)(key, value) for key, value in raw.items()}
-        return cls(**parsed)
+        parsed = {key: parse(key, raw[key]) for key, parse in _CONFIG_PARSERS.items() if key in raw}
+        return cls(**{**raw, **parsed})
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -172,10 +164,8 @@ def replicate_seeds(base_seed: int, n: int, replicate: int) -> tuple[int, int]:
     Hashing the triple through a seed sequence keeps streams independent of
     scheduling order and of each other.
     """
-    for name, value in (("base_seed", base_seed), ("n", n), ("replicate", replicate)):
-        if value < 0:
-            raise ValidationError(f"{name} must be >= 0, got {value}")
-    ss = np.random.SeedSequence(entropy=(int(base_seed), int(n), int(replicate)))
+    arguments = (("base_seed", base_seed), ("n", n), ("replicate", replicate))
+    ss = np.random.SeedSequence(entropy=tuple(require_integer(value, name, 0) for name, value in arguments))
     latent, adjacency = ss.generate_state(2, np.uint64)
     return int(latent), int(adjacency)
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError
+from .errors import QuadratureError, ValidationError, require_integer
 from .links import RANGE_SLACK, LinkFunction
 
 DEFAULT_K_MAX = 25
@@ -39,17 +39,10 @@ QUAD_MAX_PANELS = 2 ** 14
 QUAD_NODES = 16
 
 
-def _require_dim(d: int) -> float:
-    if d < 3:
-        raise ValidationError(f"sphere machinery needs ambient dimension d >= 3, got {d}")
-    return (d - 2) / 2.0
-
-
 def harmonic_space_dim(d: int, k: int) -> int:
     """Dimension of the degree-k spherical harmonic space on S^{d-1}."""
-    _require_dim(d)
-    if k < 0:
-        raise ValidationError(f"level index must be >= 0, got {k}")
+    d = require_integer(d, "d", 3)
+    k = require_integer(k, "k", 0)
     if k == 0:
         return 1
     second = math.comb(k + d - 3, k - 2) if k >= 2 else 0
@@ -58,9 +51,8 @@ def harmonic_space_dim(d: int, k: int) -> int:
 
 def addition_constant(d: int, k: int) -> Fraction:
     """Constant c_k = (2k + d - 2) / (d - 2) in the addition identity."""
-    _require_dim(d)
-    if k < 0:
-        raise ValidationError(f"level index must be >= 0, got {k}")
+    d = require_integer(d, "d", 3)
+    k = require_integer(k, "k", 0)
     return Fraction(2 * k + d - 2, d - 2)
 
 
@@ -87,8 +79,7 @@ def gegenbauer(k: int, gamma: float, t):
     """
     if not gamma > 0:  # NaN fails too
         raise ValidationError(f"Gegenbauer parameter must be positive, got {gamma}")
-    if k < 0:
-        raise ValidationError(f"degree must be >= 0, got {k}")
+    k = require_integer(k, "k", 0)
     arr = np.asarray(t, dtype=float)
     if arr.size and not float(np.abs(arr).max()) <= 1.0 + RANGE_SLACK:  # NaN fails too
         raise ValidationError("Gegenbauer argument outside [-1, 1]")
@@ -98,7 +89,7 @@ def gegenbauer(k: int, gamma: float, t):
 
 def sphere_weight_total(d: int) -> float:
     """int_0^pi sin(theta)^{d-2} d(theta) = sqrt(pi) Gamma((d-1)/2) / Gamma(d/2)."""
-    _require_dim(d)
+    d = require_integer(d, "d", 3)
     return math.sqrt(math.pi) * math.gamma((d - 1) / 2.0) / math.gamma(d / 2.0)
 
 
@@ -121,9 +112,9 @@ def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarra
     QuadratureError carries the largest change of the last doubling, or NaN
     when there was none.
     """
-    gamma = _require_dim(d)
-    if k_max < 0:
-        raise ValidationError(f"k_max must be >= 0, got {k_max}")
+    d = require_integer(d, "d", 3)
+    gamma = (d - 2) / 2.0
+    k_max = require_integer(k_max, "k_max", 0)
     segments = _angle_segments(link)
     x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     power = d - 2
@@ -198,8 +189,7 @@ class AnalyticSpectrum:
 
 def analytic_spectrum(link: LinkFunction, d: int, k_max: int = DEFAULT_K_MAX) -> AnalyticSpectrum:
     """Compute levels 0 .. k_max of the kernel spectrum by quadrature."""
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
+    k_max = require_integer(k_max, "k_max", 1)
     values, errors = funck_hecke_table(link, d, k_max)
     levels = [
         SpectrumLevel(

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .model import require_adjacency, require_memory
 
 
@@ -67,9 +67,7 @@ def read_edge_list(path) -> np.ndarray:
             n = int(header[2:])
         except ValueError as exc:
             raise ValidationError(f"{path}: bad node count {header!r}") from exc
-        if n < 1:
-            raise ValidationError(f"{path}: node count must be >= 1")
-        require_memory(n, str(path))
+        require_memory(require_integer(n, f"{path}: node count", 1), str(path))
         edges = np.empty((0, 2), dtype=np.int64)
         if has_body:
             try:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_integer
 from .links import RANGE_SLACK, LinkFunction
 
 UNIT_NORM_TOL = 1e-12
@@ -78,8 +78,7 @@ class GraphModel:
     def __post_init__(self):
         if not (0.0 < self.sparsity <= 1.0):
             raise ValidationError(f"sparsity must lie in (0, 1], got {self.sparsity}")
-        if self.n < 1:
-            raise ValidationError("node count must be >= 1")
+        require_integer(self.n, "n", 1)
 
 
 # require_symmetric compares arr with arr.T in square tiles of this side,
@@ -216,13 +215,8 @@ def require_memory(n: int, name: str) -> None:
 
 def sample_uniform_sphere(n: int, d: int, seed: int) -> LatentSample:
     """Draw n points uniformly on S^{d-1}: normalized independent Gaussians."""
-    if n < 1:
-        raise ValidationError(f"need n >= 1, got {n}")
-    if d < 2:
-        raise ValidationError(f"need ambient dimension d >= 2, got {d}")
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    n, d = require_integer(n, "n", 1), require_integer(d, "d", 2)
+    rng = np.random.default_rng(require_integer(seed, "seed", 0))
     pts = rng.standard_normal((n, d))
     norms = np.linalg.norm(pts, axis=1)
     # A exactly-zero Gaussian row has probability zero but would poison the
@@ -268,8 +262,10 @@ def inner_products(sample: LatentSample) -> np.ndarray:
 
 
 def gram_population(sample: LatentSample) -> np.ndarray:
-    """Population Gram matrix G with G_ij = <X_i, X_j> / n."""
-    return inner_products(sample) / sample.n
+    """Population Gram matrix G with G_ij = <X_i, X_j> / n, divided in place."""
+    t = inner_products(sample)
+    t /= sample.n
+    return t
 
 
 def _require_model_size(sample: LatentSample, model: GraphModel) -> None:
@@ -333,9 +329,7 @@ def _sample_rows(n: int, theta_rows, seed: int) -> np.ndarray:
     of each block's leading square below the diagonal is then written over
     by the mirror of the upper triangle, and the diagonal cleared.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(require_integer(seed, "seed", 0))
     adj = np.empty((n, n), dtype=np.uint8)
     step = max(1, SAMPLE_BLOCK_BYTES // (8 * n))
     for i in range(0, n, step):

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,21 @@ class TestRhoRule:
     def test_from_spec(self):
         assert experiments.rho_rule_from_spec(0.4).kind == "constant"
         assert experiments.rho_rule_from_spec({"kind": "log", "c": 2.0}).value == 2.0
+
+    @pytest.mark.parametrize("value", [True, False, "3", None, [0.5]])
+    def test_value_must_be_a_real_number(self, value):
+        # Checked by the rule itself, so a rule built in Python is checked
+        # as one read from a spec is.
+        message = f"^rho rule constant must be a number, got {re.escape(repr(value))}$"
+        for kind in ("constant", "log"):
+            with pytest.raises(ValidationError, match=message):
+                RhoRule(kind, value)
+        with pytest.raises(ValidationError, match="^rho rule constant must be a number"):
+            experiments.rho_rule_from_spec({"kind": "log", "c": value})
+
+    def test_value_is_a_float(self):
+        assert RhoRule("constant", 1).rho_for(50).hex() == (1.0).hex()
+        assert experiments.rho_rule_from_spec(np.float32(0.5)).value == 0.5
 
     @pytest.mark.parametrize("spec", [{"kind": "log"}, {"kind": "log", "value": 2.0}])
     def test_from_spec_needs_c(self, spec):

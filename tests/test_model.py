@@ -69,6 +69,14 @@ class TestGramPopulation:
         np.testing.assert_allclose(np.diag(g), 1.0 / 40.0, atol=1e-12)
         assert np.abs(g).max() <= 1.0 / 40.0 + 1e-12
 
+    def test_divides_the_inner_products_in_place(self, traced_peak):
+        # One n x n array, with the bits of the inner products divided by n.
+        n = 800
+        sample = heic.sample_uniform_sphere(n, 3, seed=n)
+        g = heic.gram_population(sample)  # imports before tracing
+        assert g.tobytes() == (heic.inner_products(sample) / n).tobytes()
+        assert traced_peak(heic.gram_population, sample) < 1.25 * 8 * n * n
+
     def test_inner_products_exactly_symmetric(self):
         # inner_products mirrors the triangle its symmetric rank-k update writes
         for n in (2, 7, 64, 301, 1001):

@@ -4,8 +4,8 @@ Validation failures (bad arguments, malformed files, contract violations)
 raise :class:`ValidationError`; numeric failures that occur on valid input
 (quadrature that will not converge, an eigensolver that does not converge)
 raise :class:`NumericError` subclasses.  The CLI maps the former to exit
-code 1 and the latter to exit code 2.  require_integer is the one check
-of an integer argument (a count, a size, a level or a seed).
+code 1 and the latter to exit code 2.  require_integer is the one check of an
+integer argument (a count, a size, a level or a seed), require_real of a real one.
 """
 
 import numpy as np
@@ -54,3 +54,10 @@ def require_integer(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def require_real(value, name: str) -> float:
+    """value as a float, if an int, a float or a numpy real but not a bool; NaN is left to the range check."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)

@@ -95,7 +95,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral
-from .errors import EigenSolverError, ValidationError, require_integer
+from .errors import EigenSolverError, ValidationError, require_integer, require_real
 from .model import require_adjacency
 from .spectral import Spectrum, extreme_pairs
 
@@ -308,12 +308,12 @@ def gram_estimate(spec: Spectrum, cluster: ClusterSelection) -> GramEstimate:
 
 
 def _require_gap(gap_analytic: float) -> None:
-    if not gap_analytic > 0:  # NaN fails both checks
+    if not require_real(gap_analytic, "analytic gap") > 0:  # NaN fails too
         raise ValidationError(f"analytic gap must be positive for the cluster check, got {gap_analytic}")
 
 
 def _require_rho(rho: float) -> None:
-    if not 0.0 < rho <= 1.0:
+    if not 0.0 < require_real(rho, "rho") <= 1.0:  # NaN fails too
         raise ValidationError(f"rho must lie in (0, 1], got {rho}")
 
 

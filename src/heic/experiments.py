@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import numbers
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -31,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, require_integer
+from .errors import ValidationError, require_integer, require_real
 from .estimator import DEFAULT_D_MAX, estimate_dimension, heic
 from .harmonics import DEFAULT_K_MAX, analytic_spectrum
 from .links import LinkFunction, link_from_spec
@@ -56,9 +55,7 @@ class RhoRule:
     def __post_init__(self):
         if self.kind not in ("constant", "log"):
             raise ValidationError(f"unknown rho rule {self.kind!r}")
-        if isinstance(self.value, bool) or not isinstance(self.value, numbers.Real):
-            raise ValidationError(f"rho rule constant must be a number, got {self.value!r}")
-        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "value", require_real(self.value, "rho rule constant"))
         if not self.value > 0:  # also rejects NaN
             raise ValidationError("rho rule constant must be positive")
         if self.kind == "constant" and self.value > 1.0:
@@ -71,7 +68,9 @@ class RhoRule:
 
 
 def rho_rule_from_spec(spec) -> RhoRule:
-    """A number is a constant rule; a dict gives the constant "c" and the "kind"."""
+    """A RhoRule as it is; a number is a constant rule; a dict gives the constant "c" and the "kind"."""
+    if isinstance(spec, RhoRule):
+        return spec
     kind, c = "constant", spec
     if isinstance(spec, dict):
         if "c" not in spec:
@@ -83,33 +82,14 @@ def rho_rule_from_spec(spec) -> RhoRule:
     return RhoRule(kind=kind, value=c)
 
 
-def _integers(key: str, value) -> tuple[int, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(
-            f"experiment config key {key!r} must be a list of integers, got {value!r}"
-        )
-    return tuple(value)
-
-
-def _out_path(key: str, value) -> Optional[Path]:
-    if value is not None and not isinstance(value, str):
-        raise ValidationError(f"experiment config key {key!r} must be a path, got {value!r}")
-    return Path(value) if value else None
-
-
-# How ExperimentConfig.from_dict reads each key; every other key is an
-# integer, which ExperimentConfig checks as it does every n of n_grid.
-_CONFIG_PARSERS = {
-    "link": lambda key, value: link_from_spec(value),
-    "rho": lambda key, value: rho_rule_from_spec(value),
-    "n_grid": _integers,
-    "out": _out_path,
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One study: link, dimension, n grid, replicates, base seed, rho rule, output."""
+    """One study: link, dimension, n grid, replicates, base seed, rho rule, output.
+
+    Built in Python or by from_dict from the same values, checked alike: link is a LinkFunction or a
+    link_from_spec spec; rho a RhoRule, or a number or dict for rho_rule_from_spec; n_grid a list or a
+    tuple of integers, kept as a tuple; out None, a str or a Path, kept as a Path ("" is None).
+    """
 
     link: LinkFunction
     d: int
@@ -122,6 +102,16 @@ class ExperimentConfig:
     k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
+        object.__setattr__(self, "link", link_from_spec(self.link))
+        object.__setattr__(self, "rho", rho_rule_from_spec(self.rho))
+        if not isinstance(self.n_grid, (list, tuple)):
+            raise ValidationError(
+                f"experiment config key 'n_grid' must be a list of integers, got {self.n_grid!r}"
+            )
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        if self.out is not None and not isinstance(self.out, (str, Path)):
+            raise ValidationError(f"experiment config key 'out' must be a path, got {self.out!r}")
+        object.__setattr__(self, "out", Path(self.out) if self.out else None)
         d = require_integer(self.d, "d (latent dimension of the sphere S^(d-1))", 2)
         require_integer(self.d_max, "d_max", 1)
         require_integer(self.k_max, "k_max", 1)
@@ -146,8 +136,7 @@ class ExperimentConfig:
         missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in raw]
         if missing:
             raise ValidationError(f"experiment config is missing keys {missing}")
-        parsed = {key: parse(key, raw[key]) for key, parse in _CONFIG_PARSERS.items() if key in raw}
-        return cls(**{**raw, **parsed})
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

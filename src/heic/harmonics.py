@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import QuadratureError, ValidationError, require_integer
+from .errors import QuadratureError, ValidationError, require_integer, require_real
 from .links import RANGE_SLACK, LinkFunction
 
 DEFAULT_K_MAX = 25
@@ -77,7 +77,7 @@ def gegenbauer(k: int, gamma: float, t):
 
     Accepts scalar or array t in [-1, 1].
     """
-    if not gamma > 0:  # NaN fails too
+    if not require_real(gamma, "Gegenbauer parameter") > 0:  # NaN fails too
         raise ValidationError(f"Gegenbauer parameter must be positive, got {gamma}")
     k = require_integer(k, "k", 0)
     arr = np.asarray(t, dtype=float)
@@ -112,6 +112,8 @@ def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarra
     QuadratureError carries the largest change of the last doubling, or NaN
     when there was none.
     """
+    if not isinstance(link, LinkFunction):
+        raise ValidationError(f"link must be a LinkFunction, got {link!r}")
     d = require_integer(d, "d", 3)
     gamma = (d - 2) / 2.0
     k_max = require_integer(k_max, "k_max", 0)

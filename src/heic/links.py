@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_real
 
 RANGE_SLACK = 1e-12
 _N_PROBE = 1024
@@ -90,9 +90,9 @@ class LinkFunction:
 
 
 def _number(value, what: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError) as exc:
+    try:  # a str comes from the CLI shorthand; require_real's ValidationError is a ValueError too
+        number = float(value) if isinstance(value, str) else require_real(value, what)
+    except ValueError as exc:
         raise ValidationError(f"{what} must be a number, got {value!r}") from exc
     if math.isnan(number):
         raise ValidationError(f"{what} must be a number, got {value!r}")

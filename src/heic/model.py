@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, require_integer
+from .errors import ValidationError, require_integer, require_real
 from .links import RANGE_SLACK, LinkFunction
 
 UNIT_NORM_TOL = 1e-12
@@ -76,7 +76,9 @@ class GraphModel:
     n: int
 
     def __post_init__(self):
-        if not (0.0 < self.sparsity <= 1.0):
+        if not isinstance(self.link, LinkFunction):
+            raise ValidationError(f"link must be a LinkFunction, got {self.link!r}")
+        if not (0.0 < require_real(self.sparsity, "sparsity") <= 1.0):
             raise ValidationError(f"sparsity must lie in (0, 1], got {self.sparsity}")
         require_integer(self.n, "n", 1)
 

@@ -11,7 +11,8 @@ Replicates own their entire state: the RNG streams for the latent points
 and for the adjacency coin flips are derived by hashing
 (base seed, n, replicate), so results are independent of run order.
 One runner executes every study in sorted (n, replicate) order, which
-makes the CSV output byte-identical across runs.  A replicate that raises
+makes the CSV output byte-identical across runs on one machine at one BLAS
+thread count.  A replicate that raises
 becomes a NaN row whose error names the exception, but for MemoryError,
 which stops the study.  A config whose grid holds an n too large for the
 machine's physical memory (model.require_memory) is refused before any
@@ -312,6 +313,12 @@ def run_spectrum_convergence(
     matrix); for smooth links the observed spectrum carries a Bernoulli
     noise floor of about sqrt(mean Theta(1-Theta)) that does not vanish
     with n.
+
+    A replicate holds one n x n float64 array (8 n^2 bytes: A/(n rho), or
+    Theta divided in place) beside the n^2-byte uint8 adjacency of the
+    observed mode, and frees it before matching the spectra.  A grid whose n
+    would need more than the machine's physical memory (about 13 n^2 bytes,
+    model.require_memory) is refused when the config is built.
     """
     if matrix not in ("observed", "noiseless"):
         raise ValidationError(f"matrix must be 'observed' or 'noiseless', got {matrix!r}")
@@ -322,7 +329,12 @@ def run_spectrum_convergence(
         _, m, rho = _simulate_graph(cfg, n, r, observed)
         # Theta is divided where it lies; the uint8 adjacency needs a float64 copy.
         m = np.divide(m, n * rho, out=None if observed else m)
-        return ConvergenceRecord(n, r, delta_2(reduce(m).values, reference))
+        values = reduce(m).values
+        # reduce's result, which holds the n x n buffer as its reflectors, is
+        # already dropped; deleting m frees the buffer before delta_2 builds
+        # its three (n + R)-entry buffers, so the two peaks do not add up.
+        del m
+        return ConvergenceRecord(n, r, delta_2(values, reference))
 
     return _run_replicates(
         cfg, replicate, lambda n, r, error: ConvergenceRecord(n, r, math.nan, error)

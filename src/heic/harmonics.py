@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
@@ -100,6 +101,26 @@ def _angle_segments(link: LinkFunction) -> list[tuple[float, float]]:
     return list(zip(cuts[:-1], cuts[1:]))
 
 
+def _first_pieces(k_max: int) -> int:
+    """Panels per segment of the first rule: enough to resolve a degree-k_max oscillation."""
+    return 1 + (k_max + 2 * QUAD_NODES) // (2 * QUAD_NODES)
+
+
+def _budget_refusal(link: LinkFunction, k_max: int) -> Optional[str]:
+    """Why no rule within QUAD_MAX_PANELS can serve levels 0 .. k_max of link, or None.
+
+    The table converges only through a doubling of its first rule, so when
+    that one doubling already exceeds the budget it never can.
+    """
+    panels = 2 * _first_pieces(k_max) * len(_angle_segments(link))
+    if panels <= QUAD_MAX_PANELS:
+        return None
+    return (
+        f"k_max={k_max} is out of reach for link {link.label}: one doubling of its first "
+        f"quadrature rule needs {panels} panels, over the budget of {QUAD_MAX_PANELS}"
+    )
+
+
 def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of all levels 0 .. k_max in one pass.
 
@@ -109,14 +130,18 @@ def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarra
     node doubling.  The rule starts with enough panels per segment to
     resolve a degree-k_max oscillation and doubles them until every level
     changes by at most QUAD_TOL.  When the panel budget runs out first, the
-    QuadratureError carries the largest change of the last doubling, or NaN
-    when there was none.
+    QuadratureError carries the largest change of the last doubling.  When
+    not even one doubling of the first rule fits, it is raised before any
+    rule runs, with NaN for both estimates.
     """
     if not isinstance(link, LinkFunction):
         raise ValidationError(f"link must be a LinkFunction, got {link!r}")
     d = require_integer(d, "d", 3)
     gamma = (d - 2) / 2.0
     k_max = require_integer(k_max, "k_max", 0)
+    refusal = _budget_refusal(link, k_max)
+    if refusal is not None:
+        raise QuadratureError(refusal, best_estimate=math.nan, error_estimate=math.nan)
     segments = _angle_segments(link)
     x, w = np.polynomial.legendre.leggauss(QUAD_NODES)
     power = d - 2
@@ -137,23 +162,22 @@ def funck_hecke_table(link: LinkFunction, d: int, k_max: int) -> tuple[np.ndarra
                 vals[k] += float(base @ g) / at_one[k]
         return vals / norm
 
-    pieces = 1 + (k_max + 2 * QUAD_NODES) // (2 * QUAD_NODES)
+    pieces = _first_pieces(k_max)
     values = eval_levels(pieces)
-    change = float("nan")  # no doubling yet
     while True:
         pieces *= 2
-        if pieces * len(segments) > QUAD_MAX_PANELS:
-            raise QuadratureError(
-                f"level table did not converge within {QUAD_MAX_PANELS} panels",
-                best_estimate=float(np.abs(values).max()),
-                error_estimate=change,
-            )
         refined = eval_levels(pieces)
         errors = np.abs(refined - values)
         values = refined
         change = float(errors.max())
         if change <= QUAD_TOL:
             return values, errors
+        if 2 * pieces * len(segments) > QUAD_MAX_PANELS:
+            raise QuadratureError(
+                f"level table did not converge within {QUAD_MAX_PANELS} panels",
+                best_estimate=float(np.abs(values).max()),
+                error_estimate=change,
+            )
 
 
 @dataclass(frozen=True)
@@ -190,9 +214,20 @@ class AnalyticSpectrum:
 
 
 def analytic_spectrum(link: LinkFunction, d: int, k_max: int = DEFAULT_K_MAX) -> AnalyticSpectrum:
-    """Compute levels 0 .. k_max of the kernel spectrum by quadrature."""
+    """Compute levels 0 .. k_max of the kernel spectrum by quadrature.
+
+    A k_max that no rule within the panel budget can serve is a
+    ValidationError, naming k_max, the link and the budget; a table that
+    runs out of budget on its way is a QuadratureError.
+    """
     k_max = require_integer(k_max, "k_max", 1)
-    values, errors = funck_hecke_table(link, d, k_max)
+    try:
+        values, errors = funck_hecke_table(link, d, k_max)
+    except QuadratureError as exc:
+        refusal = _budget_refusal(link, k_max)
+        if refusal is None:
+            raise
+        raise ValidationError(refusal) from exc
     levels = [
         SpectrumLevel(
             k=k,

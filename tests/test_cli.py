@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import heic
-from heic import cli, experiments
+from heic import cli, experiments, harmonics
 from heic import io
 from heic.errors import QuadratureError
 
@@ -371,6 +371,19 @@ class TestStudyCommands:
         assert capsys.readouterr().err == "error: threshold link has unknown keys ['taus']\n"
         assert not out.exists()
 
+    def test_k_max_out_of_quadrature_reach_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # With 8 panels, threshold(0)'s first rule for k_max=32 cannot be doubled once.
+        def no_replicate(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(harmonics, "QUAD_MAX_PANELS", 8)
+        monkeypatch.setattr(experiments, "sample_uniform_sphere", no_replicate)
+        cfg, out = self._write_config(tmp_path, k_max=32)
+        assert cli.cli_main(["convergence-study", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_max=32 ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["mse-study", "dim-study", "convergence-study"])
     def test_every_replicate_failed_exits_two(self, tmp_path, monkeypatch, capsys, command):
         def broken(*args, **kwargs):
@@ -515,6 +528,18 @@ class TestExitCodes:
 
     def test_unknown_flag(self, capsys):
         assert cli.cli_main(["eig", "--bogus", "x"]) == 1
+
+    def test_k_max_out_of_quadrature_reach_exits_one(self, tmp_path, monkeypatch, capsys):
+        # With 8 panels, affine's first rule for k_max=96 cannot be doubled once;
+        # for k_max=95 it can, and the table then fails numerically.
+        monkeypatch.setattr(harmonics, "QUAD_MAX_PANELS", 8)
+        out = tmp_path / "s.csv"
+        argv = ["spectrum", "--link", "affine:0.5,0.5", "--d", "3", "--out", str(out)]
+        assert cli.cli_main([*argv, "--kmax", "96"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: k_max=96 ") and err.count("\n") == 1
+        assert not out.exists()
+        assert cli.cli_main([*argv, "--kmax", "95"]) == 2
 
     def test_numeric_failure_maps_to_two(self, tmp_path, monkeypatch):
         def explode(*args, **kwargs):

@@ -334,6 +334,19 @@ class TestConvergenceStudy:
         experiments.run_spectrum_convergence(_config(n_grid=(60,), replicates=1, k_max=20), matrix="noiseless")
         assert traced_peak(experiments.run_spectrum_convergence, cfg, matrix="noiseless") < 1.5 * 8 * n * n
 
+    @pytest.mark.parametrize("matrix", ["observed", "noiseless"])
+    def test_replicate_frees_its_matrix_before_matching(self, traced_peak, matrix):
+        # delta_2 pads both spectra into three (n + R)-entry buffers beside
+        # the R reference values.  Holding the n x n array (8 n^2) through
+        # them would also add to that peak; 2 n^2 leaves room for the rest.
+        n, k_max = 500, 300
+        cfg = _config(link=heic.affine(0.5, 0.5), n_grid=(n,), replicates=1, k_max=k_max)
+        reference = heic.analytic_spectrum(cfg.link, cfg.d, k_max).flattened().size
+        assert reference == 90_601
+        experiments.run_spectrum_convergence(_config(n_grid=(60,), replicates=1, k_max=10), matrix=matrix)
+        peak = traced_peak(experiments.run_spectrum_convergence, cfg, matrix=matrix)
+        assert peak < 8 * reference + 3 * 8 * (n + reference) + 2 * n * n
+
     def test_solver_failure_is_eigen_solver_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +159,45 @@ class TestFunckHeckeTable:
         with pytest.raises(QuadratureError) as excinfo:
             funck_hecke_table(heic.threshold(0.0), 3, 5)
         assert math.isnan(excinfo.value.error_estimate)
+
+
+class TestPanelBudget:
+    """With a budget of 8 panels, one doubling of the first rule (1 + (k_max + 32) // 32
+    panels per segment) fits below affine k_max=96 (one segment) and threshold(0) k_max=32 (two)."""
+
+    REFUSED = [(heic.affine(0.5, 0.5), 96), (heic.threshold(0.0), 32)]
+
+    @pytest.fixture(autouse=True)
+    def small_budget(self, monkeypatch):
+        monkeypatch.setattr(harmonics, "QUAD_MAX_PANELS", 8)
+
+    @pytest.fixture
+    def no_rule_runs(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a quadrature rule ran")
+
+        monkeypatch.setattr(harmonics, "_gegenbauer_levels", never)
+
+    @pytest.mark.parametrize("link,k_max", REFUSED)
+    def test_table_raises_before_any_rule(self, no_rule_runs, link, k_max):
+        with pytest.raises(QuadratureError) as excinfo:
+            funck_hecke_table(link, 3, k_max)
+        assert math.isnan(excinfo.value.best_estimate) and math.isnan(excinfo.value.error_estimate)
+
+    @pytest.mark.parametrize("link,k_max", REFUSED)
+    def test_spectrum_refuses_k_max(self, no_rule_runs, link, k_max):
+        message = f"k_max={k_max} .*{re.escape(link.label)}.* budget of 8"
+        with pytest.raises(ValidationError, match=message):
+            heic.analytic_spectrum(link, 3, k_max)
+
+    def test_inside_budget_is_a_numeric_failure(self):
+        with pytest.raises(QuadratureError) as excinfo:
+            heic.analytic_spectrum(heic.affine(0.5, 0.5), 3, 95)
+        assert math.isfinite(excinfo.value.error_estimate)
+
+    def test_inside_budget_converges(self):
+        spectrum = heic.analytic_spectrum(heic.threshold(0.0), 3, 31)
+        assert max(lv.quad_err for lv in spectrum.levels) <= harmonics.QUAD_TOL
 
 
 def _spectrum_from_values(eigs, d=3):

@@ -672,3 +672,35 @@ class TestDelta2:
         a = rng.standard_normal(sizes[0]) * scale
         b = rng.standard_normal(sizes[1])
         assert heic.delta_2(a, b) == delta2_numpy(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([np.nan], [0.5]),
+            ([0.5, -0.25], [0.1, np.nan]),
+            ([np.nan, 1.0], [-np.nan, 0.0]),
+            ([np.nan], []),
+            ([], [0.0, np.nan, -0.0]),
+        ],
+    )
+    def test_nan_in_either_argument_gives_nan(self, a, b):
+        assert np.isnan(heic.delta_2(a, b)) and np.isnan(delta2_numpy(a, b))
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([], []),
+            ([0.0], []),
+            ([], [-0.0, -0.0]),
+            ([0.0, 0.0], [0.0, 0.0, 0.0]),
+            ([-0.0], [0.0]),
+            ([0.0, -0.0], [-0.0, 0.0]),
+            ([-0.0, 0.0, 0.3], [0.0, -0.0, -0.2]),
+            ([0.0, -0.5, -0.0], [-0.0, 0.25]),
+        ],
+    )
+    def test_zeros_and_empty_inputs_bitwise(self, a, b):
+        got = heic.delta_2(a, b)
+        assert np.float64(got).tobytes() == np.float64(delta2_numpy(a, b)).tobytes()
+        if not any(a) and not any(b):
+            assert np.float64(got).tobytes() == np.float64(0.0).tobytes()

@@ -45,8 +45,9 @@ names the one it took in HeicDiagnostics.solver:
   reduction by dsytrd, every eigenvalue, and the window's eigenvectors
   alone.  Its eigenvalues are the dimension scan's bit for bit.  When the
   two-stage certificate fails, dsytrd serves for the window's eigenvectors
-  alone: heic() writes A/n back, reduces it by dsytrd and takes the
-  eigenvectors of the window the two-stage values placed.
+  alone: heic() writes A/n back, reduces it by dsytrd, with the two-stage
+  values in place of a second dsterf, and takes the eigenvectors of the
+  window those values placed.
 
 solver names where the window's eigenvectors came from.  The window is
 picked once, on the values the dimension scan scores, so on the two
@@ -85,11 +86,30 @@ heic() then keeps the window's eigenvectors and runs event_e_check, which
 reads only the window.  estimate_dimension scores its reduction with
 scan_spectrum, which validates only the candidates against the spectrum
 it is given.
+
+One reduction per graph when d is unknown.  The module remembers the last
+reduced graph: its key, (n, the route spectral.reduce takes at n, a sha256
+of the validated 0/1 pattern), and a read-only copy of its n sorted
+eigenvalues, never an n x n array.  estimate_dimension computes the key
+before it makes A/n; on a hit it scans a copy of the remembered values
+with no working copy and no reduction, and on a miss it reduces and
+remembers.  heic() consults the memory only on its reduction route, after
+the certified route is not tried, declines or fails, so the route it takes
+never depends on what ran before; on a hit spectral.reduce runs only its
+first stage (dsytrd, or dsytrd_sy2sb), whose Q the window's eigenvectors
+need, and skips dsb2st and dsterf, and after a miss heic() remembers.  So
+estimate_dimension(adjacency) and then heic(adjacency, scan.chosen), or
+the reverse, reduce the graph once, and every output has a cold call's
+bits: the values are the same reduction's.  A uint8 graph and its float64
+copy share a key, as they share A/n.  A reduction that raises remembers
+nothing, and the one entry is replaced by one assignment.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -201,6 +221,47 @@ def _working_copy(adjacency: np.ndarray, out: Optional[np.ndarray] = None) -> np
     """A/n as float64, the only n x n array a graph command makes; into out when given."""
     n = adjacency.shape[0]
     return np.divide(adjacency, n, out=np.empty((n, n)) if out is None else out)
+
+
+# The last reduced graph, (key, values): key is _graph_key's, values a
+# read-only copy of its n eigenvalues in LAPACK's ascending order, so that a
+# hit hands out the same reversed view of a copy that reduce does.  One
+# entry, replaced by one assignment, so a concurrent caller reads either the
+# old entry or the new one, never a mix.
+_last_reduction: Optional[tuple[tuple, np.ndarray]] = None
+
+# Rows per block of _graph_key's hash: packing the whole matrix at once
+# raised a command's peak RSS by 1.7 MB at n=3000, blocks of 256 rows by nothing.
+_KEY_ROWS = 256
+
+
+def _graph_key(adjacency: np.ndarray) -> tuple:
+    """(n, reduce's route at n, sha256 of the 0/1 pattern) of a validated adjacency.
+
+    The pattern's bits are hashed a row block at a time; a uint8 graph and
+    its float64 copy give one key, as they give one A/n (1.5 and 6.4 ms at
+    n=3000).
+    """
+    n = adjacency.shape[0]
+    digest = hashlib.sha256()
+    for i in range(0, n, _KEY_ROWS):
+        digest.update(np.packbits(adjacency[i : i + _KEY_ROWS] != 0))
+    return n, spectral._reduction_route(n), digest.digest()
+
+
+def _remembered(key: tuple) -> Optional[np.ndarray]:
+    """A copy of the values remembered for key, sorted decreasingly as reduce gives them; None on a miss."""
+    entry = _last_reduction
+    if entry is None or entry[0] != key:
+        return None
+    return entry[1].copy()[::-1]
+
+
+def _remember(key: tuple, values: np.ndarray) -> None:
+    global _last_reduction
+    stored = values[::-1].copy()
+    stored.flags.writeable = False
+    _last_reduction = (key, stored)
 
 
 def _require_window(n: int, d: int) -> int:
@@ -399,7 +460,11 @@ def heic(
         cluster = None
         _working_copy(adjacency, out=work)
     if cluster is None:
-        route = spectral.reduce(work)
+        key = _graph_key(adjacency)
+        known = _remembered(key)
+        route = spectral.reduce(work, known)
+        if known is None:
+            _remember(key, route.values)
         cluster = find_cluster(route, d)
     top_eigenvalue = float(route.values[0])
     # A certified gap exceeds 2 slack plus every other window's bound, each
@@ -409,7 +474,7 @@ def heic(
     start, stop = cluster.start, cluster.start + d
     vectors = route.window_vectors(start, stop)
     if vectors is None:  # a Banded's certificate failed: dsytrd's vectors for the same window
-        route = spectral.tridiagonalize(_working_copy(adjacency, out=work))
+        route = spectral.tridiagonalize(_working_copy(adjacency, out=work), route.values)
         vectors = route.window_vectors(start, stop)
     event_e = None
     if with_event_e:
@@ -436,7 +501,7 @@ def _require_candidates(candidates, n: int) -> tuple[int, ...]:
 
 
 def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
-    """Score each candidate d on an already-computed sorted spectrum."""
+    """Score each candidate d on an already-computed sorted spectrum; only spec.values is read."""
     candidates = _require_candidates(candidates, len(spec.values))
     steps = np.abs(np.diff(spec.values))
     scores = np.array([_window_min(steps, d).max() for d in candidates])
@@ -454,4 +519,9 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     n = adjacency.shape[0]
     if n < d_max + 2:
         raise ValidationError(f"dimension scan needs n >= d_max + 2 = {d_max + 2}, got n = {n}")
-    return scan_spectrum(spectral.reduce(_working_copy(adjacency)), range(1, d_max + 1))
+    key = _graph_key(adjacency)
+    values = _remembered(key)
+    if values is None:
+        values = spectral.reduce(_working_copy(adjacency)).values
+        _remember(key, values)
+    return scan_spectrum(SimpleNamespace(values=values), range(1, d_max + 1))

@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from dataclasses import dataclass
+from pathlib import Path, PurePosixPath
+from typing import Optional
 
 import numpy as np
 
@@ -205,13 +208,69 @@ def require_adjacency(adj) -> tuple[np.ndarray, float]:
 PEAK_BYTES_PER_ENTRY = 13
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _address_space_limit() -> Optional[int]:
+    """The soft RLIMIT_AS of this process, or None when it is unlimited."""
+    soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+    return None if soft == resource.RLIM_INFINITY else soft
+
+
+def _cgroup_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> Optional[int]:
+    """The smallest memory limit of this process's cgroup and its ancestors, or None when none is found.
+
+    proc names the cgroup: its "0::path" line under cgroup v2, whose limit
+    is memory.max below root, and under v1 the line whose controllers
+    include memory, whose limit is memory.limit_in_bytes below root/memory.
+    Each level from the cgroup up to root is read, so a cgroup namespace
+    (path "/") or a path the mount does not show still finds the limit
+    that holds.  "max" reads as no limit, and v1's unlimited value (2^63
+    rounded down to a page) is above any machine's memory.
+    """
+    try:
+        lines = Path(proc).read_text().splitlines()
+    except OSError:
+        return None
+    limits = []
+    for line in lines:
+        _, _, rest = line.partition(":")
+        controllers, _, path = rest.partition(":")
+        if controllers == "":
+            mount, name = Path(root), "memory.max"
+        elif "memory" in controllers.split(","):
+            mount, name = Path(root) / "memory", "memory.limit_in_bytes"
+        else:
+            continue
+        cgroup = PurePosixPath(path or "/")
+        for level in (cgroup, *cgroup.parents):
+            try:
+                text = (mount / level.relative_to("/") / name).read_text().strip()
+            except (OSError, ValueError):
+                continue
+            if text.isdigit():
+                limits.append(int(text))
+    return min(limits, default=None)
+
+
 def require_memory(n: int, name: str) -> None:
-    """Refuse an n-node graph whose command would need more than the machine's physical memory."""
+    """Refuse an n-node graph whose command would need more memory than this process may have.
+
+    That is the smallest of the machine's physical memory, a finite soft
+    RLIMIT_AS and the process's cgroup memory limit; the message names the
+    one that refused.
+    """
     needed = PEAK_BYTES_PER_ENTRY * n * n
-    present = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if needed > present:
+    limits = [
+        (_physical_memory(), "present"),
+        (_address_space_limit(), "the address-space limit (RLIMIT_AS) allows"),
+        (_cgroup_limit(), "the cgroup's memory limit allows"),
+    ]
+    limit, what = min(((b, w) for b, w in limits if b is not None), key=lambda item: item[0])
+    if needed > limit:
         raise ValidationError(
-            f"{name}: n={n} needs about {needed} bytes of memory, more than the {present} bytes present"
+            f"{name}: n={n} needs about {needed} bytes of memory, more than the {limit} bytes {what}"
         )
 
 

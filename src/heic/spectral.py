@@ -12,7 +12,8 @@ two through one entry point, reduce:
   stage leaves, certified by a bound on their projector's error
   (Banded.window_vectors).  When the bound fails, estimator.heic() keeps
   the window the two-stage values placed and takes its eigenvectors alone
-  from the tridiagonal route's reduction.
+  from the tridiagonal route's reduction, handing tridiagonalize those
+  values so that it runs no dsterf.
 - certified: a few eigenpairs from each end of the spectrum (extreme_pairs,
   ARPACK after Lehoucq, Sorensen and Yang, 1998), and a proof that they are
   the extremes (ExtremePairs.confirm).  It gives no middle of the spectrum,
@@ -83,7 +84,11 @@ dsytrd_2stage (vect='N') calls them, so the values are that routine's too.
 scipy wraps neither stage: both are bound by ctypes from the library
 scipy's LAPACK wrappers link, on first use, and where either, or their
 block-size query ilaenv2stage, is missing, dsytrd serves every n and every
-caller.
+caller.  A caller that already has the values of this matrix on this route
+(estimator's memory of the last reduced graph) passes them as values=:
+reduce then runs only the first stage, dsytrd or dsytrd_sy2sb, whose Q the
+window's eigenvectors need, and skips dsytrd_sb2st and dsterf (at n=3000,
+about 0.26 s and 0.14 s of a 1.1 s reduction).
 
 extreme_pairs runs on the working copy as it is and never writes it.
 confirm() forms B in the copy and factorizes it in place, twice: the top
@@ -203,17 +208,19 @@ class Tridiagonal:
 
         Only these eigenvectors of T are computed (LAPACK dstebz + dstein),
         then carried back to A through the n-1 reflectors (LAPACK dormqr).
+        dstebz's bisection can fail on a window inside a long run of equal
+        eigenvalues (the window between 45 copies of -1/60 in a union of
+        cliques); only then are the same eigenvectors of T taken by MRRR
+        (LAPACK dstemr) instead.
         """
         from scipy.linalg import eigh_tridiagonal
 
         n = self.values.size
-        _, y = _solve(
-            eigh_tridiagonal,
-            self.diagonal,
-            self.offdiagonal,
-            select="i",
-            select_range=(n - stop, n - 1 - start),
-        )
+        window = {"select": "i", "select_range": (n - stop, n - 1 - start)}
+        try:
+            _, y = eigh_tridiagonal(self.diagonal, self.offdiagonal, **window)
+        except np.linalg.LinAlgError:
+            _, y = _solve(eigh_tridiagonal, self.diagonal, self.offdiagonal, lapack_driver="stemr", **window)
         return _back_transform(self.reflectors, self.tau, 1, y[:, ::-1])
 
 
@@ -224,13 +231,15 @@ def _tridiagonal_values(diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.nda
     return _solve(eigvalsh_tridiagonal, diagonal, offdiagonal, lapack_driver="sterf")[::-1]
 
 
-def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
+def tridiagonalize(arr: np.ndarray, values: Optional[np.ndarray] = None) -> Tridiagonal:
     """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
     arr must be a float64 copy owned by the caller.  LAPACK reads the upper
     triangle of a C-order arr through its Fortran view arr.T and overwrites
     it in place.  The lwork query lets dsytrd run blocked: 1.45 s against
-    2.73 s with its default lwork=n at n=3000 on 2 cores.
+    2.73 s with its default lwork=n at n=3000 on 2 cores.  values, when
+    given, are taken as arr's n eigenvalues, sorted decreasingly, from an
+    earlier reduction of the same matrix, and dsterf is skipped.
     """
     from scipy.linalg import lapack
 
@@ -238,7 +247,8 @@ def tridiagonalize(arr: np.ndarray) -> Tridiagonal:
     reflectors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
         arr.T, lower=1, lwork=int(lwork), overwrite_a=1
     )
-    values = _tridiagonal_values(diagonal, offdiagonal)
+    if values is None:
+        values = _tridiagonal_values(diagonal, offdiagonal)
     return Tridiagonal(values, diagonal, offdiagonal, reflectors, tau, rounding_slack(values))
 
 
@@ -320,7 +330,7 @@ def _two_stage_routines():
     return sy2sb, sb2st, ilaenv2stage
 
 
-def _dsytrd_2stage(arr: np.ndarray):
+def _dsytrd_2stage(arr: np.ndarray, second_stage: bool = True):
     """T = Q^T arr Q by LAPACK's two stages: T's diagonal and offdiagonal, band and tau.
 
     dsytrd_sy2sb reduces arr to a band matrix B = Q^T arr Q of half-bandwidth
@@ -331,7 +341,9 @@ def _dsytrd_2stage(arr: np.ndarray):
     overwritten; LAPACK reads its upper triangle as the lower one of the
     Fortran view.  band is a copy of B in LAPACK's lower band storage,
     band[i - j, j] = B[i, j], of min(kd, n-1) + 1 rows, taken before the
-    second stage overwrites it (0.76 MB and 0.035 ms at n=3000).
+    second stage overwrites it (0.76 MB and 0.035 ms at n=3000).  Without
+    second_stage, for a caller that already has the values, it stops after
+    the first stage and returns None for T's diagonal and offdiagonal.
     """
     import ctypes
 
@@ -358,13 +370,15 @@ def _dsytrd_2stage(arr: np.ndarray):
     if info.value != 0:
         raise EigenSolverError(f"dsytrd_sy2sb failed with info={info.value}")
     band = ab[:, : min(kd, n - 1) + 1].T.copy(order="F")
+    tau = tau[: n - kd if n > kd + 1 else 0]  # below kd + 2 rows B is arr itself (Q = I), tau unset
+    if not second_stage:
+        return None, None, band, tau
     sb2st(b"Y", b"N", b"L", size, width, ab.ctypes.data, lead, diagonal.ctypes.data,
           offdiagonal.ctypes.data, hous.ctypes.data, ctypes.c_int(lhous), work.ctypes.data, lw, info,
           1, 1, 1)
     if info.value != 0:
         raise EigenSolverError(f"dsytrd_sb2st failed with info={info.value}")
-    # Below kd + 2 rows B is arr itself (Q = I), and LAPACK leaves tau unset.
-    return diagonal, offdiagonal[: n - 1], band, tau[: n - kd if n > kd + 1 else 0]
+    return diagonal, offdiagonal[: n - 1], band, tau
 
 
 # The largest projector error bound that Banded.window_vectors accepts,
@@ -464,17 +478,29 @@ def _window_bound(banded: Banded, start: int, stop: int, y: np.ndarray) -> float
 Spectrum = Union[Tridiagonal, Banded]
 
 
-def reduce(arr: np.ndarray) -> Spectrum:
+def _reduction_route(n: int) -> str:
+    """The solver of the reduction reduce takes at n: "two-stage" or "tridiagonal"."""
+    if n < TWO_STAGE_MIN_N or _two_stage_routines() is None:
+        return Tridiagonal.solver
+    return Banded.solver
+
+
+def reduce(arr: np.ndarray, values: Optional[np.ndarray] = None) -> Spectrum:
     """Reduce a validated symmetric matrix in place and compute all its eigenvalues.
 
     arr must be a C-contiguous float64 copy owned by the caller.  From
     TWO_STAGE_MIN_N, where LAPACK has every routine of the two-stage
-    reduction, a Banded; otherwise tridiagonalize's Tridiagonal.
+    reduction, a Banded; otherwise tridiagonalize's Tridiagonal.  values,
+    when given, are arr's n eigenvalues, sorted decreasingly, from an
+    earlier reduce of the same matrix on the same route: then only the
+    first stage runs (dsytrd, or dsytrd_sy2sb), as the window's vectors
+    need its Q, and the second stage and dsterf are skipped.
     """
-    if arr.shape[0] < TWO_STAGE_MIN_N or _two_stage_routines() is None:
-        return tridiagonalize(arr)
-    diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr)
-    values = _tridiagonal_values(diagonal, offdiagonal)
+    if _reduction_route(arr.shape[0]) == Tridiagonal.solver:
+        return tridiagonalize(arr, values)
+    diagonal, offdiagonal, band, tau = _dsytrd_2stage(arr, second_stage=values is None)
+    if values is None:
+        values = _tridiagonal_values(diagonal, offdiagonal)
     return Banded(values, band, arr.T, tau, rounding_slack(values))
 
 

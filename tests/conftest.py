@@ -64,6 +64,13 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
     return out
 
 
+@pytest.fixture(autouse=True)
+def forget_last_reduction():
+    """Each test starts with the estimator's memory of the last reduced graph empty,
+    so no test sees another test's graph."""
+    heic.estimator._last_reduction = None
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """Run one call; return its adjacency validation passes, eigh / eigvalsh calls,

@@ -185,6 +185,22 @@ class TestEstimateCommand:
         assert code == 1
         assert "duplicate edge" in capsys.readouterr().err
 
+    def test_window_inside_a_run_of_equal_eigenvalues_exits_zero(self, tmp_path, capsys):
+        # Disjoint cliques and 2 isolated nodes: the d=1 window sits inside
+        # 45 equal eigenvalues, where dstebz fails; it is flagged degenerate.
+        sizes, n = [3, 7, 4, 3, 2, 5, 4, 2, 3, 7, 5, 4, 9], 60
+        adjacency = np.zeros((n, n), dtype=np.uint8)
+        first = 0
+        for size in sizes:
+            adjacency[first : first + size, first : first + size] = 1
+            first += size
+        np.fill_diagonal(adjacency, 0)
+        edges, gram = tmp_path / "cliques.edges", tmp_path / "g.csv"
+        io.write_edge_list(edges, adjacency)
+        assert cli.cli_main(["estimate", "--input", str(edges), "--dim", "1", "--out-gram", str(gram)]) == 0
+        assert capsys.readouterr().err.startswith("warning: ")
+        assert np.loadtxt(gram, delimiter=",").shape == (n, n)
+
 
 class TestDimensionCommand:
     def test_scores_csv_rows(self, tmp_path, capsys):

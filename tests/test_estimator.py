@@ -514,6 +514,13 @@ class TestHeicPipeline(RejectsBadAdjacency):
                         assert estimate.vectors.tobytes() == vectors.tobytes()
                         counts = count_calls(heic.heic, adjacency, 3)
                         assert (counts["dsytrd_2stage"], counts["dsytrd"], counts["copy"]) == (1, 1, 2)
+                        # The dsytrd fallback takes the two-stage values: one dsterf, not two.
+                        estimator._last_reduction = None
+                        real, dsterf = spectral._tridiagonal_values, []
+                        with pytest.MonkeyPatch.context() as mp:
+                            mp.setattr(spectral, "_tridiagonal_values", lambda *a: dsterf.append(1) or real(*a))
+                            heic.heic(adjacency, 3)
+                        assert len(dsterf) == 1
 
     @pytest.mark.parametrize("route", ["tridiagonal", "two-stage"])
     def test_reduction_route_places_the_window_by_find_cluster(self, monkeypatch, partial_solve, route):
@@ -733,6 +740,40 @@ class TestHeicPipeline(RejectsBadAdjacency):
         adjacency = _seeded_graph(n, 3, rho=8 * math.log(n) / n)
         counts = count_calls(heic.heic, adjacency, 3)
         assert (counts["arpack"], counts["dpotrf"], counts["dsytrd"]) == (0, 0, 1)
+
+
+def _cliques(sizes, isolated=0):
+    """Disjoint cliques of the given sizes, in node order, then isolated nodes."""
+    n = sum(sizes) + isolated
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    first = 0
+    for size in sizes:
+        adjacency[first : first + size, first : first + size] = 1
+        first += size
+    np.fill_diagonal(adjacency, 0)
+    return adjacency
+
+
+# Each window lies inside a long run of equal eigenvalues (45 copies of
+# -1/60, 50 of -1/60), where dstebz's index-selected bisection fails; the
+# vectors then come from dstemr on the same tridiagonal.
+RUNS_OF_EQUAL_EIGENVALUES = [
+    pytest.param(_cliques([3, 7, 4, 3, 2, 5, 4, 2, 3, 7, 5, 4, 9], isolated=2), None, 15, id="cliques-isolated"),
+    pytest.param(_cliques([6] * 10), "two-stage", 10, id="ten-K6-two-stage"),
+]
+
+
+class TestWindowInsideARunOfEqualEigenvalues:
+    @pytest.mark.parametrize("adjacency, route, start", RUNS_OF_EQUAL_EIGENVALUES)
+    def test_flagged_degenerate_with_true_eigenvectors(self, monkeypatch, adjacency, route, start):
+        if route is not None:
+            force_route(monkeypatch, route)
+        n = adjacency.shape[0]
+        estimate, diag = heic.heic(adjacency, 1)
+        assert (diag.solver, diag.cluster_start, diag.degenerate) == ("tridiagonal", start, True)
+        v = estimate.vectors
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.abs(adjacency / n @ v - v * estimate.cluster.values).max() <= 1e-15
 
 
 class TestEventECheck:

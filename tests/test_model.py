@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -521,3 +522,68 @@ class TestModelLevelProperties:
             theta = heic.probability_matrix(sample, heic.GraphModel(link=link, sparsity=1.0, n=n))
             rows = theta.sum(axis=1)
             assert rows.std() / rows.mean() < 0.1
+
+
+class TestRequireMemory:
+    # n=50 needs 13 * 50^2 = 32500 bytes.  The readers are replaced; no
+    # real limit is lowered and nothing large is allocated.
+    LIMITS = {"_physical_memory": 10**12, "_address_space_limit": None, "_cgroup_limit": None}
+
+    def _limits(self, monkeypatch, **limits):
+        for reader, value in {**self.LIMITS, **limits}.items():
+            monkeypatch.setattr(heic_model, reader, lambda value=value: value)
+
+    @pytest.mark.parametrize(
+        "reader, named",
+        [
+            ("_physical_memory", "bytes present"),
+            ("_address_space_limit", "bytes the address-space limit (RLIMIT_AS) allows"),
+            ("_cgroup_limit", "bytes the cgroup's memory limit allows"),
+        ],
+    )
+    def test_the_smallest_limit_refuses_and_is_named(self, monkeypatch, reader, named):
+        self._limits(monkeypatch, **{reader: 32500})
+        heic_model.require_memory(50, "g")
+        self._limits(monkeypatch, **{reader: 32499})
+        message = f"g: n=50 needs about 32500 bytes of memory, more than the 32499 {named}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            heic_model.require_memory(50, "g")
+
+    def test_a_larger_limit_does_not_refuse(self, monkeypatch):
+        self._limits(monkeypatch, _physical_memory=32500, _address_space_limit=40000, _cgroup_limit=10**9)
+        heic_model.require_memory(50, "g")
+        self._limits(monkeypatch, _physical_memory=40000, _address_space_limit=32499, _cgroup_limit=32000)
+        with pytest.raises(ValidationError, match="more than the 32000 bytes the cgroup's"):
+            heic_model.require_memory(50, "g")
+
+    def test_address_space_limit_reads_the_soft_limit(self, monkeypatch):
+        infinity = heic_model.resource.RLIM_INFINITY
+        for soft, expected in ((infinity, None), (1500, 1500)):
+            monkeypatch.setattr(heic_model.resource, "getrlimit", lambda which, soft=soft: (soft, infinity))
+            assert heic_model._address_space_limit() == expected
+
+    @staticmethod
+    def _tree(tmp_path, proc, files):
+        (tmp_path / "cgroup").write_text(proc)
+        for path, text in files.items():
+            (tmp_path / "root" / path).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "root" / path).write_text(text)
+        return heic_model._cgroup_limit(str(tmp_path / "cgroup"), str(tmp_path / "root"))
+
+    def test_cgroup_v2_takes_the_smallest_limit_up_the_tree(self, tmp_path):
+        files = {"a/b/memory.max": "max\n", "a/memory.max": "123456789\n", "memory.max": "987654321\n"}
+        assert self._tree(tmp_path, "0::/a/b\n", files) == 123456789
+
+    def test_cgroup_v1_reads_the_memory_controller(self, tmp_path):
+        proc = "5:cpu,cpuacct:/x\n4:memory:/x\n0::/\n"
+        files = {"memory/x/memory.limit_in_bytes": "5000\n", "memory/memory.limit_in_bytes": "9223372036854771712\n"}
+        assert self._tree(tmp_path, proc, files) == 5000
+
+    def test_cgroup_namespace_or_hidden_path_reads_the_mount_root(self, tmp_path):
+        assert self._tree(tmp_path, "0::/\n", {"memory.max": "777\n"}) == 777
+        assert self._tree(tmp_path, "0::/not/mounted\n", {"memory.max": "888\n"}) == 888
+
+    def test_no_cgroup_limit(self, tmp_path):
+        assert self._tree(tmp_path, "0::/\n", {"memory.max": "max\n"}) is None
+        assert self._tree(tmp_path, "3:cpu:/\n", {}) is None
+        assert heic_model._cgroup_limit(str(tmp_path / "missing"), str(tmp_path)) is None

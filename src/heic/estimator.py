@@ -83,9 +83,9 @@ margin is over every other window's bound.  The estimate is degenerate
 when its gap is within the route's slack, so that it cannot be told from
 0; a certified one never is, as the proof gives a gap above 2 slack.
 heic() then keeps the window's eigenvectors and runs event_e_check, which
-reads only the window.  estimate_dimension scores its reduction with
-scan_spectrum, which validates only the candidates against the spectrum
-it is given.
+reads only the window.  estimate_dimension scores its reduction's values
+as scan_spectrum scores a spectrum's, validating only the candidates
+against them.
 
 One reduction per graph when d is unknown.  The module remembers the last
 reduced graph: its key, (n, the route spectral.reduce takes at n, a sha256
@@ -109,7 +109,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -501,9 +500,14 @@ def _require_candidates(candidates, n: int) -> tuple[int, ...]:
 
 
 def scan_spectrum(spec: Spectrum, candidates) -> DimensionScan:
-    """Score each candidate d on an already-computed sorted spectrum; only spec.values is read."""
-    candidates = _require_candidates(candidates, len(spec.values))
-    steps = np.abs(np.diff(spec.values))
+    """Score each candidate d on an already-computed sorted spectrum."""
+    return _scan_values(spec.values, candidates)
+
+
+def _scan_values(values: np.ndarray, candidates) -> DimensionScan:
+    """scan_spectrum on a spectrum's sorted values alone."""
+    candidates = _require_candidates(candidates, len(values))
+    steps = np.abs(np.diff(values))
     scores = np.array([_window_min(steps, d).max() for d in candidates])
     best = int(np.argmax(scores))
     top = float(scores[best])
@@ -524,4 +528,4 @@ def estimate_dimension(adjacency, d_max: int = DEFAULT_D_MAX) -> DimensionScan:
     if values is None:
         values = spectral.reduce(_working_copy(adjacency)).values
         _remember(key, values)
-    return scan_spectrum(SimpleNamespace(values=values), range(1, d_max + 1))
+    return _scan_values(values, range(1, d_max + 1))

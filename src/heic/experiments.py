@@ -15,7 +15,7 @@ makes the CSV output byte-identical across runs on one machine at one BLAS
 thread count.  A replicate that raises
 becomes a NaN row whose error names the exception, but for MemoryError,
 which stops the study.  A config whose grid holds an n too large for the
-memory the process may have (model.require_memory: physical memory,
+memory limit of the process (model.require_memory: physical memory,
 RLIMIT_AS or the cgroup's limit) is refused before any replicate runs.
 """
 
@@ -317,7 +317,7 @@ def run_spectrum_convergence(
     A replicate holds one n x n float64 array (8 n^2 bytes: A/(n rho), or
     Theta divided in place) beside the n^2-byte uint8 adjacency of the
     observed mode, and frees it before matching the spectra.  A grid whose n
-    would need more memory than the process may have (about 13 n^2 bytes,
+    would need more memory than the process's limit (about 13 n^2 bytes,
     model.require_memory) is refused when the config is built.
     """
     if matrix not in ("observed", "noiseless"):

@@ -255,11 +255,13 @@ def _cgroup_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup")
 
 
 def require_memory(n: int, name: str) -> None:
-    """Refuse an n-node graph whose command would need more memory than this process may have.
+    """Refuse an n-node graph whose command would need more memory than this process's limit.
 
-    That is the smallest of the machine's physical memory, a finite soft
-    RLIMIT_AS and the process's cgroup memory limit; the message names the
-    one that refused.
+    The limit is the smallest of the machine's physical memory, a finite
+    soft RLIMIT_AS and the process's cgroup memory limit; the message names
+    the one that refused.  What the process already uses (the interpreter,
+    numpy, BLAS buffers) is not subtracted, so a graph whose need is just
+    under the limit passes here and may still run out of memory later.
     """
     needed = PEAK_BYTES_PER_ENTRY * n * n
     limits = [

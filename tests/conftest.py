@@ -65,10 +65,13 @@ def _simulate_summaries(link, d, n, rho, seeds, analytic_gap) -> list[SimSummary
 
 
 @pytest.fixture(autouse=True)
-def forget_last_reduction():
-    """Each test starts with the estimator's memory of the last reduced graph empty,
-    so no test sees another test's graph."""
-    heic.estimator._last_reduction = None
+def last_reduction(monkeypatch):
+    """The estimator's memory of the last reduced graph: empty at each test's
+    start, and never read, so two calls on one graph within a test are two
+    independent reductions, as in two processes.  tests/test_last_reduction.py
+    overrides this fixture to test the memory itself."""
+    monkeypatch.setattr(heic.estimator, "_last_reduction", None)
+    monkeypatch.setattr(heic.estimator, "_remembered", lambda key: None)
 
 
 @pytest.fixture

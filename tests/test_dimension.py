@@ -115,18 +115,18 @@ class TestEstimateDimension(RejectsBadAdjacency):
 
     @pytest.mark.parametrize("min_n", [heic.spectral.TWO_STAGE_MIN_N, 1], ids=["tridiagonal", "two-stage"])
     def test_scores_the_reduction_by_scan_spectrum(self, monkeypatch, min_n):
-        # One call of scan_spectrum on the command's own reduction: every
+        # One scoring, scan_spectrum's, of the command's own reduction: every
         # field equals scan_spectrum's on a reduction of A/n, bit for bit.
         monkeypatch.setattr(heic.spectral, "TWO_STAGE_MIN_N", min_n)
         adjacency = self._adjacency(n=80)
-        real = heic.estimator.scan_spectrum
+        real = heic.estimator._scan_values
         calls = []
         monkeypatch.setattr(
-            heic.estimator, "scan_spectrum", lambda spec, candidates: calls.append(1) or real(spec, candidates)
+            heic.estimator, "_scan_values", lambda values, candidates: calls.append(1) or real(values, candidates)
         )
         scan = heic.estimate_dimension(adjacency, d_max=10)
-        expected = real(heic.spectral.reduce(adjacency / 80), range(1, 11))
         assert calls == [1]
+        expected = heic.scan_spectrum(heic.spectral.reduce(adjacency / 80), range(1, 11))
         assert scan.scores.tobytes() == expected.scores.tobytes()
         assert (scan.candidates, scan.chosen, scan.margin) == (expected.candidates, expected.chosen, expected.margin)
 

@@ -515,7 +515,6 @@ class TestHeicPipeline(RejectsBadAdjacency):
                         counts = count_calls(heic.heic, adjacency, 3)
                         assert (counts["dsytrd_2stage"], counts["dsytrd"], counts["copy"]) == (1, 1, 2)
                         # The dsytrd fallback takes the two-stage values: one dsterf, not two.
-                        estimator._last_reduction = None
                         real, dsterf = spectral._tridiagonal_values, []
                         with pytest.MonkeyPatch.context() as mp:
                             mp.setattr(spectral, "_tridiagonal_values", lambda *a: dsterf.append(1) or real(*a))

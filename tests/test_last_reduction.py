@@ -1,8 +1,9 @@
 """heic() and estimate_dimension on one graph reduce it once (estimator._last_reduction).
 
-Each test starts with the memory empty (conftest's forget_last_reduction).
-A warm call, one that finds the graph remembered, must give a cold call's
-bits; only the stages it runs differ.
+Each test starts with the memory empty.  Here, unlike in every other test
+module, the memory is read (this module overrides conftest's
+last_reduction).  A warm call, one that finds the graph remembered, must
+give a cold call's bits; only the stages it runs differ.
 """
 
 import math
@@ -27,6 +28,12 @@ def _force(mp, route):
     """heic() skips the certified route; "two-stage" also takes the two stages at every n."""
     mp.setattr(estimator, "CERTIFIED_MIN_DENSITY", math.inf)
     mp.setattr(spectral, "TWO_STAGE_MIN_N", 1 if route == "two-stage" else spectral.TWO_STAGE_MIN_N)
+
+
+@pytest.fixture(autouse=True)
+def last_reduction(monkeypatch):
+    """The memory starts empty, and the commands read it."""
+    monkeypatch.setattr(estimator, "_last_reduction", None)
 
 
 def _cold(fn, *args):
@@ -164,6 +171,28 @@ class TestHit:
         warm, ran = stages(heic.heic, adjacency.astype(float), 3)
         assert ran == FIRST_STAGE[route]
         _same_estimate(warm, cold)
+
+
+@pytest.mark.parametrize("command", ["heic", "estimate_dimension"])
+def test_warm_call_holds_no_more_than_a_cold_one(traced_peak, partial_solve, command):
+    # A warm heic() makes A/n for its first stage (8 n^2 bytes above the
+    # uint8 graph); a warm estimate_dimension makes no n x n float64 array
+    # at all, only the key's 256-row blocks of bits.
+    n = 1200
+    adjacency = _graph(n, seed=9)
+    other = _graph(n, seed=10)
+
+    def run(a):
+        return heic.estimate_dimension(a) if command == "estimate_dimension" else heic.heic(a, 3)
+
+    run(other)  # imports what the call imports before tracing
+    if command == "heic":
+        heic.estimate_dimension(adjacency)
+    else:
+        heic.heic(adjacency, 3)
+    assert estimator._remembered(estimator._graph_key(adjacency)) is not None  # the traced call hits
+    bound = 1.1 if command == "heic" else 0.1
+    assert traced_peak(run, adjacency) < bound * 8 * n * n
 
 
 class TestMiss:
